@@ -39,45 +39,49 @@ if compgen -G "${PSA_BENCH_JSON_DIR:-bench_results}/BENCH_*.json" > /dev/null; t
     "${PSA_BENCH_JSON_DIR:-bench_results}"/BENCH_*.json
 fi
 
+# Every gate below works under one temporary root, removed on exit
+# together with any server the smoke gate left running.
+TMP="$(mktemp -d)"
+SERVE_PID=""
+trap 'rm -rf "$TMP"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+
+# The deterministic part of a BENCH document: everything up to the
+# per-run "executor" timing block.
+stable() { sed -n '1,/"executor"/p' "$1"; }
+
 # Checkpoint determinism gate (see docs/CHECKPOINT.md): run the fig08
 # bench cold, then again warmed from the on-disk checkpoint store. The
 # stable document sections must match byte for byte, and the warmed
 # batch must be >=1.5x faster (the warm-up work is skipped, not redone).
 echo "== checkpoint determinism gate (fig08 cold vs warm) =="
-CKPT_TMP="$(mktemp -d)"
-COLD_TMP="$(mktemp -d)"
-WARM_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP"' EXIT
+mkdir -p "$TMP/ckpt" "$TMP/cold" "$TMP/warm"
 # Warm-up-dominated budget so the gate measures checkpointing, not
 # parallelism (it must hold on a single-core runner too).
 CKPT_ENV=(PSA_WARMUP=60000 PSA_INSTRUCTIONS=20000 PSA_WORKLOAD_LIMIT=4
-          PSA_THREADS=1 PSA_CKPT_DIR="$CKPT_TMP")
-env "${CKPT_ENV[@]}" PSA_BENCH_JSON_DIR="$COLD_TMP" \
-  cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
-env "${CKPT_ENV[@]}" PSA_BENCH_JSON_DIR="$WARM_TMP" \
-  cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
-# Everything up to the executor timing block is deterministic output.
-for d in "$COLD_TMP" "$WARM_TMP"; do
-  sed -n '1,/"executor"/p' "$d/BENCH_fig08.json" > "$d/stable.json"
+          PSA_THREADS=1 PSA_CKPT_DIR="$TMP/ckpt")
+for pass in cold warm; do
+  env "${CKPT_ENV[@]}" PSA_BENCH_JSON_DIR="$TMP/$pass" \
+    cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
+  stable "$TMP/$pass/BENCH_fig08.json" > "$TMP/$pass/stable.json"
 done
-if ! cmp -s "$COLD_TMP/stable.json" "$WARM_TMP/stable.json"; then
+if ! cmp -s "$TMP/cold/stable.json" "$TMP/warm/stable.json"; then
   echo "checkpoint-warmed fig08 rows differ from the cold run:"
-  diff "$COLD_TMP/stable.json" "$WARM_TMP/stable.json" | head -20
+  diff "$TMP/cold/stable.json" "$TMP/warm/stable.json" | head -20
   exit 1
 fi
-grep -q '"ckpt_hits": 0' "$WARM_TMP/BENCH_fig08.json" && {
-  echo "warm run restored nothing from $CKPT_TMP"; exit 1; }
+grep -q '"ckpt_hits": 0' "$TMP/warm/BENCH_fig08.json" && {
+  echo "warm run restored nothing from $TMP/ckpt"; exit 1; }
 ratio_ok="$(awk '
   match($0, /"batch_wall_seconds": [0-9.eE+-]+/) {
     v[++n] = substr($0, RSTART + 22, RLENGTH - 22)
   }
   END { exit !(n == 2 && v[2] > 0 && v[1] / v[2] >= 1.5) }
-' "$COLD_TMP/BENCH_fig08.json" "$WARM_TMP/BENCH_fig08.json" \
+' "$TMP/cold/BENCH_fig08.json" "$TMP/warm/BENCH_fig08.json" \
   && echo yes || echo no)"
 if [ "$ratio_ok" != yes ]; then
   echo "warm batch is not >=1.5x faster than cold:"
-  grep '"batch_wall_seconds"' "$COLD_TMP/BENCH_fig08.json" \
-                              "$WARM_TMP/BENCH_fig08.json"
+  grep '"batch_wall_seconds"' "$TMP/cold/BENCH_fig08.json" \
+                              "$TMP/warm/BENCH_fig08.json"
   exit 1
 fi
 echo "rows identical, warm-up sharing >=1.5x faster"
@@ -86,145 +90,80 @@ echo "rows identical, warm-up sharing >=1.5x faster"
 # Chrome trace_event document (chrome://tracing / Perfetto loadable) and
 # a schema-valid bench document (see docs/OBSERVABILITY.md).
 echo "== observability trace smoke (PSA_OBS=1) =="
-OBS_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP"' EXIT
+mkdir -p "$TMP/obs"
 env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2 PSA_THREADS=1 \
-    PSA_OBS=1 PSA_OBS_TRACE="$OBS_TMP/trace.json" PSA_BENCH_JSON_DIR="$OBS_TMP" \
+    PSA_OBS=1 PSA_OBS_TRACE="$TMP/obs/trace.json" PSA_BENCH_JSON_DIR="$TMP/obs" \
   cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
-cargo run --release --quiet --bin validate_bench -- --trace "$OBS_TMP/trace.json"
-cargo run --release --quiet --bin validate_bench -- "$OBS_TMP/BENCH_fig08.json"
+cargo run --release --quiet --bin validate_bench -- --trace "$TMP/obs/trace.json"
+cargo run --release --quiet --bin validate_bench -- "$TMP/obs/BENCH_fig08.json"
 
-# Golden bit-identity gate (see docs/HIERARCHY.md): a fixed-budget fig08
-# sweep must produce byte-for-byte the committed stable sections — any
+# Golden bit-identity gate (see docs/HIERARCHY.md): a fixed-budget sweep
+# must produce byte-for-byte the committed stable sections — any
 # hierarchy refactor that changes timing shows up here as a diff, not as
-# a silent drift. The document is schema-validated first, then compared.
-# The gate runs under BOTH optimized profiles: `bench` (what the sweeps
-# use) and `release` (the tier-1 binary) — the data-oriented hot path
-# leans on optimizer behaviour, so each shipped codegen configuration
-# must reproduce the golden bytes independently.
+# a silent drift. Each document is schema-validated first, then
+# compared. The gate runs under BOTH optimized profiles: `bench` (what
+# the sweeps use) and `release` (the tier-1 binary) — the data-oriented
+# hot path leans on optimizer behaviour, so each shipped codegen
+# configuration must reproduce the golden bytes independently.
 # After an *intentional* behaviour change, regenerate deliberately with
 # PSA_UPDATE_GOLDEN=1 ./ci.sh (and review the diff in the commit).
-echo "== golden bit-identity gate (fig08 stable sections) =="
-GOLDEN=crates/experiments/tests/golden/fig08_stable.json
-GOLD_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP" "$GOLD_TMP"' EXIT
-for profile in bench release; do
-  PDIR="$GOLD_TMP/$profile"
-  mkdir -p "$PDIR"
-  env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2 PSA_THREADS=1 \
-      PSA_BENCH_JSON_DIR="$PDIR" \
-    cargo bench -q -p psa-bench --bench fig08_spp_variants \
-      --profile "$profile" > /dev/null
-  cargo run --release --quiet --bin validate_bench -- "$PDIR/BENCH_fig08.json"
-  sed -n '1,/"executor"/p' "$PDIR/BENCH_fig08.json" > "$PDIR/stable.json"
-done
-if ! cmp -s "$GOLD_TMP/bench/stable.json" "$GOLD_TMP/release/stable.json"; then
-  echo "bench-profile and release-profile fig08 stable sections disagree:"
-  diff "$GOLD_TMP/bench/stable.json" "$GOLD_TMP/release/stable.json" | head -20
-  exit 1
-fi
-if [ "${PSA_UPDATE_GOLDEN:-0}" = 1 ]; then
-  cp "$GOLD_TMP/bench/stable.json" "$GOLDEN"
-  echo "golden file regenerated: $GOLDEN"
-else
+#
+# Usage: golden_gate <bench> <figure> <golden> [NAME=VALUE ...]
+golden_gate() {
+  local bench=$1 figure=$2 golden=$3 profile
+  shift 3
+  echo "== golden bit-identity gate ($figure stable sections) =="
   for profile in bench release; do
-    if ! cmp -s "$GOLD_TMP/$profile/stable.json" "$GOLDEN"; then
-      echo "fig08 stable sections ($profile profile) drifted from $GOLDEN:"
-      diff "$GOLDEN" "$GOLD_TMP/$profile/stable.json" | head -20
-      echo "(intentional change? regenerate with PSA_UPDATE_GOLDEN=1 ./ci.sh)"
-      exit 1
-    fi
+    local dir="$TMP/golden-$figure/$profile"
+    mkdir -p "$dir"
+    env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_THREADS=1 "$@" \
+        PSA_BENCH_JSON_DIR="$dir" \
+      cargo bench -q -p psa-bench --bench "$bench" --profile "$profile" > /dev/null
+    cargo run --release --quiet --bin validate_bench -- "$dir/BENCH_$figure.json"
+    stable "$dir/BENCH_$figure.json" > "$dir/stable.json"
   done
-  echo "stable sections bit-identical to $GOLDEN (bench + release profiles)"
-fi
+  local bench_out="$TMP/golden-$figure/bench/stable.json"
+  local release_out="$TMP/golden-$figure/release/stable.json"
+  if ! cmp -s "$bench_out" "$release_out"; then
+    echo "bench-profile and release-profile $figure stable sections disagree:"
+    diff "$bench_out" "$release_out" | head -20
+    exit 1
+  fi
+  if [ "${PSA_UPDATE_GOLDEN:-0}" = 1 ]; then
+    cp "$bench_out" "$golden"
+    echo "golden file regenerated: $golden"
+  elif ! cmp -s "$bench_out" "$golden"; then
+    echo "$figure stable sections drifted from $golden:"
+    diff "$golden" "$bench_out" | head -20
+    echo "(intentional change? regenerate with PSA_UPDATE_GOLDEN=1 ./ci.sh)"
+    exit 1
+  else
+    echo "stable sections bit-identical to $golden (bench + release profiles)"
+  fi
+}
 
-# The same gate for the new prefetcher families (see docs/EXPERIMENTS.md,
-# Figure 16): a fixed-budget Pangloss/DSPatch sweep, schema-validated and
-# compared byte-for-byte against its own committed stable sections, under
-# both optimized profiles.
-echo "== golden bit-identity gate (fig16 stable sections) =="
-GOLDEN16=crates/experiments/tests/golden/fig16_stable.json
-GOLD16_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP" "$GOLD_TMP" \
-  "$GOLD16_TMP"' EXIT
-for profile in bench release; do
-  PDIR="$GOLD16_TMP/$profile"
-  mkdir -p "$PDIR"
-  env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2 PSA_THREADS=1 \
-      PSA_BENCH_JSON_DIR="$PDIR" \
-    cargo bench -q -p psa-bench --bench fig16_new_families \
-      --profile "$profile" > /dev/null
-  cargo run --release --quiet --bin validate_bench -- "$PDIR/BENCH_fig16.json"
-  sed -n '1,/"executor"/p' "$PDIR/BENCH_fig16.json" > "$PDIR/stable.json"
-done
-if ! cmp -s "$GOLD16_TMP/bench/stable.json" "$GOLD16_TMP/release/stable.json"; then
-  echo "bench-profile and release-profile fig16 stable sections disagree:"
-  diff "$GOLD16_TMP/bench/stable.json" "$GOLD16_TMP/release/stable.json" | head -20
-  exit 1
-fi
-if [ "${PSA_UPDATE_GOLDEN:-0}" = 1 ]; then
-  cp "$GOLD16_TMP/bench/stable.json" "$GOLDEN16"
-  echo "golden file regenerated: $GOLDEN16"
-else
-  for profile in bench release; do
-    if ! cmp -s "$GOLD16_TMP/$profile/stable.json" "$GOLDEN16"; then
-      echo "fig16 stable sections ($profile profile) drifted from $GOLDEN16:"
-      diff "$GOLDEN16" "$GOLD16_TMP/$profile/stable.json" | head -20
-      echo "(intentional change? regenerate with PSA_UPDATE_GOLDEN=1 ./ci.sh)"
-      exit 1
-    fi
-  done
-  echo "stable sections bit-identical to $GOLDEN16 (bench + release profiles)"
-fi
+GOLDEN=crates/experiments/tests/golden/fig08_stable.json
+golden_gate fig08_spp_variants fig08 "$GOLDEN" PSA_WORKLOAD_LIMIT=2
+# The new prefetcher families (see docs/EXPERIMENTS.md, Figure 16).
+golden_gate fig16_new_families fig16 crates/experiments/tests/golden/fig16_stable.json \
+  PSA_WORKLOAD_LIMIT=2
 
 # Trace-replay gate (see docs/TRACES.md): the committed sample trace
 # must be (a) byte-identical to what `psa_trace_tool gen` deterministically
 # regenerates, (b) verifiable by the full streaming walk, and (c) replay
-# to byte-identical committed stable sections under BOTH optimized
+# to byte-identical committed stable sections under both optimized
 # profiles — pinning the .psatrace codec and the replay semantics at once.
-echo "== trace-replay gate (fixture regen + golden stable sections) =="
+echo "== trace-replay fixture gate (regen + verify) =="
 FIXTURE=crates/experiments/tests/golden/sample.psatrace
-GOLDENTR=crates/experiments/tests/golden/trace_replay_stable.json
-TRACE_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP" "$GOLD_TMP" \
-  "$GOLD16_TMP" "$TRACE_TMP"' EXIT
 cargo run --release --quiet --bin psa_trace_tool -- \
-  gen mcf "$TRACE_TMP/sample.psatrace" --seed 7 --instructions 12000 > /dev/null
-if ! cmp -s "$TRACE_TMP/sample.psatrace" "$FIXTURE"; then
+  gen mcf "$TMP/sample.psatrace" --seed 7 --instructions 12000 > /dev/null
+if ! cmp -s "$TMP/sample.psatrace" "$FIXTURE"; then
   echo "psa_trace_tool gen no longer reproduces the committed fixture $FIXTURE"
   echo "(format or generator drift; regenerate the fixture AND its goldens deliberately)"
   exit 1
 fi
 cargo run --release --quiet --bin psa_trace_tool -- verify "$FIXTURE" > /dev/null
-for profile in bench release; do
-  PDIR="$TRACE_TMP/$profile"
-  mkdir -p "$PDIR"
-  env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_THREADS=1 \
-      PSA_BENCH_JSON_DIR="$PDIR" \
-    cargo bench -q -p psa-bench --bench trace_replay \
-      --profile "$profile" > /dev/null
-  cargo run --release --quiet --bin validate_bench -- "$PDIR/BENCH_trace_replay.json"
-  sed -n '1,/"executor"/p' "$PDIR/BENCH_trace_replay.json" > "$PDIR/stable.json"
-done
-if ! cmp -s "$TRACE_TMP/bench/stable.json" "$TRACE_TMP/release/stable.json"; then
-  echo "bench-profile and release-profile trace_replay stable sections disagree:"
-  diff "$TRACE_TMP/bench/stable.json" "$TRACE_TMP/release/stable.json" | head -20
-  exit 1
-fi
-if [ "${PSA_UPDATE_GOLDEN:-0}" = 1 ]; then
-  cp "$TRACE_TMP/bench/stable.json" "$GOLDENTR"
-  echo "golden file regenerated: $GOLDENTR"
-else
-  for profile in bench release; do
-    if ! cmp -s "$TRACE_TMP/$profile/stable.json" "$GOLDENTR"; then
-      echo "trace_replay stable sections ($profile profile) drifted from $GOLDENTR:"
-      diff "$GOLDENTR" "$TRACE_TMP/$profile/stable.json" | head -20
-      echo "(intentional change? regenerate with PSA_UPDATE_GOLDEN=1 ./ci.sh)"
-      exit 1
-    fi
-  done
-  echo "fixture regenerates byte-identically; replay stable sections match $GOLDENTR"
-fi
+golden_gate trace_replay trace_replay crates/experiments/tests/golden/trace_replay_stable.json
 
 # IO fault-injection gate (see docs/ROBUSTNESS.md): the same fixed-budget
 # fig08 sweep, but with the checkpoint store running over a seeded
@@ -235,28 +174,24 @@ fi
 # (graceful degradation: faults cost re-work, never wrong bits), and the
 # store counters must prove faults actually fired.
 echo "== IO fault-injection gate (fig08 under PSA_FAULT_PLAN) =="
-FAULT_TMP="$(mktemp -d)"
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP" "$GOLD_TMP" \
-  "$GOLD16_TMP" "$FAULT_TMP"' EXIT
-mkdir -p "$FAULT_TMP/store" "$FAULT_TMP/cold" "$FAULT_TMP/warm"
+mkdir -p "$TMP/fault/store" "$TMP/fault/cold" "$TMP/fault/warm"
 FAULT_ENV=(PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2
-           PSA_THREADS=1 PSA_CKPT_DIR="$FAULT_TMP/store"
+           PSA_THREADS=1 PSA_CKPT_DIR="$TMP/fault/store"
            PSA_FAULT_PLAN="seed=7,torn=0.05,flip=0.05,enospc=0.02,eio=0.10")
 for pass in cold warm; do
-  env "${FAULT_ENV[@]}" PSA_BENCH_JSON_DIR="$FAULT_TMP/$pass" \
+  env "${FAULT_ENV[@]}" PSA_BENCH_JSON_DIR="$TMP/fault/$pass" \
     cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
   cargo run --release --quiet --bin validate_bench -- \
-    "$FAULT_TMP/$pass/BENCH_fig08.json"
-  sed -n '1,/"executor"/p' "$FAULT_TMP/$pass/BENCH_fig08.json" \
-    > "$FAULT_TMP/$pass/stable.json"
-  if ! cmp -s "$FAULT_TMP/$pass/stable.json" "$GOLDEN"; then
+    "$TMP/fault/$pass/BENCH_fig08.json"
+  stable "$TMP/fault/$pass/BENCH_fig08.json" > "$TMP/fault/$pass/stable.json"
+  if ! cmp -s "$TMP/fault/$pass/stable.json" "$GOLDEN"; then
     echo "faulted $pass fig08 run drifted from $GOLDEN:"
-    diff "$GOLDEN" "$FAULT_TMP/$pass/stable.json" | head -20
+    diff "$GOLDEN" "$TMP/fault/$pass/stable.json" | head -20
     exit 1
   fi
 done
-if grep -q '"injected_faults": 0' "$FAULT_TMP/cold/BENCH_fig08.json" \
-   && grep -q '"injected_faults": 0' "$FAULT_TMP/warm/BENCH_fig08.json"; then
+if grep -q '"injected_faults": 0' "$TMP/fault/cold/BENCH_fig08.json" \
+   && grep -q '"injected_faults": 0' "$TMP/fault/warm/BENCH_fig08.json"; then
   echo "fault plan injected nothing across cold+warm passes"
   exit 1
 fi
@@ -268,11 +203,8 @@ echo "rows identical under injected faults, plan verifiably active"
 # document, scrape /metrics, prove a repeat submission dedups, then
 # SIGTERM with queued work in flight — the daemon must drain and exit 0.
 echo "== server smoke gate (psa_serve e2e + SIGTERM drain) =="
-SERVE_TMP="$(mktemp -d)"
-SERVE_PID=""
-trap 'rm -rf "$CKPT_TMP" "$COLD_TMP" "$WARM_TMP" "$OBS_TMP" "$GOLD_TMP" \
-  "$GOLD16_TMP" "$FAULT_TMP" "$SERVE_TMP"
-  [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+SERVE_TMP="$TMP/serve"
+mkdir -p "$SERVE_TMP"
 target/release/psa_serve serve --addr 127.0.0.1:0 --job-delay-ms 200 \
   --port-file "$SERVE_TMP/port" > "$SERVE_TMP/log" 2>&1 &
 SERVE_PID=$!

@@ -1,11 +1,11 @@
 //! Figure 16: Pangloss and DSPatch vs SPP across the PSA policy matrix.
 
-use psa_experiments::{fig16, Settings};
+use psa_experiments::fig16;
 
 fn main() {
-    let settings = Settings::default();
+    let settings = psa_bench::settings();
     psa_bench::banner("Figure 16", &settings);
     let (text, doc) = fig16::report(&settings);
     println!("{text}");
-    psa_bench::emit_json("fig16", &doc);
+    psa_bench::emit_json(&settings, "fig16", &doc);
 }

@@ -1,10 +1,10 @@
 //! Table I: the simulated system configuration.
 
-use psa_experiments::{runner, Settings};
+use psa_experiments::runner;
 use psa_sim::Json;
 
 fn main() {
-    let settings = Settings::default();
+    let settings = psa_bench::settings();
     psa_bench::banner("Table I — system configuration", &settings);
     println!("{}", settings.config.table1());
     let doc = runner::doc(
@@ -13,5 +13,5 @@ fn main() {
         &settings,
         Json::Arr(vec![]),
     );
-    psa_bench::emit_json("table1", &doc);
+    psa_bench::emit_json(&settings, "table1", &doc);
 }

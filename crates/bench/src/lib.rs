@@ -13,9 +13,22 @@
 #![warn(missing_docs)]
 
 use psa_experiments::runner;
-use psa_experiments::Settings;
+use psa_experiments::{RunnerOptions, Settings};
 use psa_sim::Json;
-use std::path::PathBuf;
+use std::path::Path;
+
+/// The bench binary's execution context, built once at its entry point:
+/// every `PSA_*` variable read strictly. A malformed variable prints the
+/// typed error naming it and exits 2.
+pub fn settings() -> Settings {
+    match RunnerOptions::from_env() {
+        Ok(options) => Settings::new(options),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Print the standard experiment banner: the Table I configuration and the
 /// scaling knobs in force.
@@ -28,26 +41,23 @@ pub fn banner(title: &str, settings: &Settings) {
     println!(
         "workloads: {} (PSA_WORKLOAD_LIMIT to subsample), threads: {} (PSA_THREADS to cap)\n",
         settings.workloads().len(),
-        runner::threads()
+        settings.ctx.options().effective_threads()
     );
 }
 
-/// Where emitted JSON documents go: `PSA_BENCH_JSON_DIR`, default the
-/// working directory (parsed by the experiments runner — the single
-/// place the environment is read).
-pub fn json_dir() -> PathBuf {
-    runner::bench_json_dir()
-}
-
-/// Write `doc` as `BENCH_<figure>.json` into [`json_dir`] and print the
-/// path and the process-wide executor summary.
+/// Write `doc` as `BENCH_<figure>.json` into the options'
+/// `bench_json_dir` (`PSA_BENCH_JSON_DIR`, default the working
+/// directory) and print the path and the process-wide executor summary.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written — a bench run whose results are
 /// silently lost is worse than a loud failure.
-pub fn emit_json(figure: &str, doc: &Json) {
-    let path = json_dir().join(format!("BENCH_{figure}.json"));
+pub fn emit_json(settings: &Settings, figure: &str, doc: &Json) {
+    let dir = settings.ctx.options().bench_json_dir.as_deref();
+    let path = dir
+        .unwrap_or(Path::new("."))
+        .join(format!("BENCH_{figure}.json"));
     psa_sim::report::write_json_file(&path, doc)
         .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("\nwrote {}", path.display());

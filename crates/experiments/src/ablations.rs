@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, System};
 
 use crate::ckpt;
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// Geomean speedup of SPP-PSA-SD over SPP original for one SD shape.
 #[derive(Debug, Clone, Copy)]
@@ -33,18 +33,19 @@ pub fn sweep_shapes() -> Vec<(usize, u32)> {
 /// Run the sweep.
 pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
     let kind = PrefetcherKind::Spp;
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let workloads = settings.workloads();
     let base_jobs: Vec<_> = workloads
         .iter()
         .map(|&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
         .collect();
-    cache.run_batch(settings.config, &base_jobs);
+    cache.run_batch_refs(settings.config, &base_jobs);
     let base = Variant::Pref(kind, PageSizePolicy::Original);
     sweep_shapes()
         .into_iter()
         .map(|(dedicated_sets, csel_bits)| {
             let ipcs = runner::parallel_map_isolated(
+                &settings.ctx,
                 &workloads,
                 |&w| runner::JobSpec {
                     workload: w.name,
@@ -62,6 +63,7 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
                     let build =
                         move || System::try_single_core(config, w, kind, PageSizePolicy::PsaSd);
                     Ok(ckpt::warm_via_checkpoint(
+                        &settings.ctx,
                         &build,
                         &Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
                     )?
@@ -76,10 +78,10 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
                     // Gaps: failed sweep cells (or a failed baseline)
                     // drop the workload from this point's geomean.
                     let ipc = ipc?;
-                    if !cache.completed(w, base) {
+                    if !cache.completed_ref(w, base) {
                         return None;
                     }
-                    let orig = cache.run(settings.config, w, base).ipc();
+                    let orig = cache.run_ref(settings.config, w, base).ipc();
                     Some(if orig > 0.0 { ipc / orig } else { 1.0 })
                 })
                 .collect();
@@ -140,7 +142,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn shapes_cover_both_axes() {
@@ -151,15 +153,13 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_sane() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(3)
                 .with_warmup(1_000)
                 .with_instructions(4_000),
-        };
+        );
         let points = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(points.len(), 8);
         assert!(points.iter().all(|p| p.speedup > 0.2 && p.speedup < 5.0));
     }

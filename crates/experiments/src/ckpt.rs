@@ -10,9 +10,10 @@
 //! warm-up and every variant therefore reaches a different warm state.
 //! The wins are still real:
 //!
-//! * the same `(workload, variant)` warms once per **process** even when
-//!   several figures build their own [`crate::runner::RunCache`]
-//!   (memory tier; counted as `warmups_shared`);
+//! * the same `(workload, variant)` warms once per **store** even when
+//!   several figures build their own [`crate::runner::RunCache`] over one
+//!   context, or several served jobs fork the daemon's context (memory
+//!   tier; counted as `warmups_shared`);
 //! * with `PSA_CKPT_DIR` set, warm states persist **across processes**
 //!   (disk tier; counted as `ckpt_hits`), so a repeated bench run skips
 //!   every warm-up it has seen before;
@@ -23,14 +24,13 @@
 //!
 //! # Storage
 //!
-//! The backing store is [`psa_store::Store`]: a byte-budgeted true-LRU
-//! memory tier over append-only checksummed disk segments under an
-//! atomically-swapped manifest. `PSA_CKPT_LAYOUT=flat` falls back to
-//! the legacy flat `psa-<key>.ckpt` file-per-snapshot layout; in the
-//! default tiered layout, legacy flat files left by older runs are
-//! still honoured as a read-only fallback and imported into the store
-//! on first use. `PSA_FAULT_PLAN` threads a deterministic IO fault
-//! plan into the store (CI and tests; see `docs/ROBUSTNESS.md`).
+//! Each [`Context`] holds a checkpoint-store handle, opened once from its
+//! options: [`psa_store::Store`] — a byte-budgeted true-LRU memory tier
+//! over append-only checksummed disk segments under an atomically-swapped
+//! manifest — when `PSA_CKPT_DIR` is set, else a memory-only LRU.
+//! `PSA_FAULT_PLAN` threads a deterministic IO fault plan into the store
+//! (CI and tests; see `docs/ROBUSTNESS.md`). Files from the retired flat
+//! layout (`psa-*.ckpt`) are ignored: those warm-ups run cold once.
 //!
 //! # Robustness
 //!
@@ -41,101 +41,73 @@
 //! counted (`psa_common::obs::store`), never fatal. A damaged store can
 //! cost time, never correctness, and never a panic.
 
-use crate::runner::CkptLayout;
+use crate::context::{Context, Counter};
+use crate::options::RunnerOptions;
 use psa_common::rng::fnv1a;
 use psa_sim::{
     RunReport, SimConfig, SimError, Snapshot, System, REPORT_CODEC_VERSION, SNAPSHOT_VERSION,
 };
-use psa_store::fault::FaultPlan;
 use psa_store::lru::Lru;
 use psa_store::{EntryKind, Store, StoreConfig, Tier};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Process-wide counters (see [`crate::runner::ExecStats`]).
-pub(crate) static G_WARMUPS_SHARED: AtomicU64 = AtomicU64::new(0);
-pub(crate) static G_CKPT_HITS: AtomicU64 = AtomicU64::new(0);
+/// A context's checkpoint/result store handle.
+pub(crate) struct CkptStore(Mutex<Backend>);
 
-/// The environment-derived identity of the active backend. The global
-/// backend is rebuilt whenever this changes (tests flip `PSA_CKPT_DIR`
-/// and friends mid-process; experiments set them once).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct StoreIdent {
-    dir: Option<PathBuf>,
-    layout: CkptLayout,
-    mem_cap: usize,
-    disk_cap: u64,
-    plan: Option<String>,
-}
-
-fn current_ident() -> StoreIdent {
-    StoreIdent {
-        dir: disk_dir(),
-        layout: crate::runner::ckpt_layout(),
-        mem_cap: crate::runner::ckpt_mem_cap_bytes(),
-        disk_cap: crate::runner::ckpt_disk_cap_bytes(),
-        plan: crate::runner::fault_plan_spec(),
-    }
-}
-
-/// The active storage backend.
 enum Backend {
-    /// Memory only: no `PSA_CKPT_DIR`, or the legacy flat layout (whose
-    /// disk traffic goes through [`Snapshot`] file IO directly).
+    /// Memory only: no `PSA_CKPT_DIR`.
     Memory(Lru),
     /// The tiered crash-safe store rooted at `PSA_CKPT_DIR`.
     Tiered(Box<Store>),
 }
 
-static STATE: Mutex<Option<(StoreIdent, Backend)>> = Mutex::new(None);
-
-/// Run `f` on the current backend, (re)opening it if the environment
-/// changed since the last call. Opening the tiered store runs its
-/// recovery-on-open scan; see [`psa_store::Store::open`].
-fn with_backend<R>(f: impl FnOnce(&mut Backend) -> R) -> R {
-    let ident = current_ident();
-    let mut guard = STATE.lock().expect("unpoisoned checkpoint store");
-    if guard.as_ref().is_none_or(|(i, _)| *i != ident) {
-        let backend = match (&ident.dir, ident.layout) {
-            (Some(dir), CkptLayout::Tiered) => {
+impl CkptStore {
+    /// Open the store `options` describe. Opening the tiered store runs
+    /// its recovery-on-open scan; see [`psa_store::Store::open`].
+    pub(crate) fn open(options: &RunnerOptions) -> CkptStore {
+        let mem_cap = options.ckpt_mem_mb.unwrap_or(256).saturating_mul(1 << 20);
+        let backend = match &options.ckpt_dir {
+            Some(dir) => {
                 let mut cfg = StoreConfig::new(dir.clone());
-                cfg.mem_cap_bytes = ident.mem_cap;
-                cfg.disk_cap_bytes = ident.disk_cap;
-                // Lenient parse by design: `RunnerOptions::from_env` is
-                // the strict reading of PSA_FAULT_PLAN; a malformed
-                // value here must not fail runs mid-batch.
-                cfg.fault_plan = ident.plan.as_deref().and_then(|s| FaultPlan::parse(s).ok());
+                cfg.mem_cap_bytes = mem_cap;
+                cfg.disk_cap_bytes =
+                    (options.ckpt_disk_mb.unwrap_or(2048) as u64).saturating_mul(1 << 20);
+                cfg.fault_plan = options.fault_plan.clone();
                 Backend::Tiered(Box::new(Store::open(cfg)))
             }
-            _ => Backend::Memory(Lru::new(ident.mem_cap)),
+            None => Backend::Memory(Lru::new(mem_cap)),
         };
-        *guard = Some((ident, backend));
+        CkptStore(Mutex::new(backend))
     }
-    f(&mut guard.as_mut().expect("just ensured").1)
-}
 
-/// Drop the in-process store state: the memory tier is gone, and the
-/// next access reopens the disk tier from scratch (running its
-/// recovery-on-open scan). On-disk data is untouched. Tests use this to
-/// force the disk, recovery and cold paths; experiments never need it.
-pub fn clear_memory() {
-    *STATE.lock().expect("unpoisoned checkpoint store") = None;
-}
+    fn with<R>(&self, f: impl FnOnce(&mut Backend) -> R) -> R {
+        f(&mut self.0.lock().expect("unpoisoned checkpoint store"))
+    }
 
-/// The disk store directory, when `PSA_CKPT_DIR` is set and non-empty
-/// (parsed in the runner module, the single place the environment is
-/// read).
-fn disk_dir() -> Option<PathBuf> {
-    crate::runner::ckpt_disk_dir().filter(|p| !p.as_os_str().is_empty())
-}
+    fn get(&self, kind: EntryKind, key: u64) -> Option<(Arc<Vec<u8>>, Tier)> {
+        self.with(|b| match b {
+            Backend::Memory(lru) => lru
+                .get((kind.tag(), key))
+                .map(|bytes| (bytes, Tier::Memory)),
+            Backend::Tiered(store) => store.get(kind, key),
+        })
+    }
 
-/// The on-disk path of a warm-up key in the legacy flat layout. Still
-/// written under `PSA_CKPT_LAYOUT=flat` and read as a migration
-/// fallback by the tiered layout.
-pub fn disk_path(dir: &std::path::Path, key: u64) -> PathBuf {
-    dir.join(format!("psa-{key:016x}.ckpt"))
+    /// Write failures (ENOSPC, exhausted retries, degraded store) are
+    /// counted by the store itself, never fatal.
+    fn put(&self, kind: EntryKind, key: u64, bytes: Arc<Vec<u8>>) {
+        self.with(|b| match b {
+            Backend::Memory(lru) => lru.put((kind.tag(), key), bytes),
+            Backend::Tiered(store) => {
+                let _ = store.put(kind, key, bytes);
+            }
+        });
+    }
+
+    fn is_tiered(&self) -> bool {
+        self.with(|b| matches!(b, Backend::Tiered(_)))
+    }
 }
 
 /// The identity hash of a machine's warm state: snapshot format version,
@@ -155,82 +127,8 @@ pub fn warm_key(config: &SimConfig, workloads: &[&'static str], label: &str) -> 
     fnv1a(&id)
 }
 
-/// Which path produced a warm-up snapshot (for counter attribution).
-enum Found {
-    /// The in-process memory tier.
-    Memory(Snapshot),
-    /// The tiered store's disk tier.
-    StoreDisk(Snapshot),
-    /// A flat `psa-*.ckpt` file (legacy layout, or migration fallback).
-    Flat(Snapshot),
-}
-
-/// Look up a warm-up snapshot across every tier, cheapest first.
-fn warmup_lookup(key: u64) -> Option<Found> {
-    let from_backend = with_backend(|b| match b {
-        Backend::Memory(lru) => lru
-            .get((EntryKind::Warmup.tag(), key))
-            .map(|bytes| (bytes, Tier::Memory)),
-        Backend::Tiered(store) => store.get(EntryKind::Warmup, key),
-    });
-    if let Some((bytes, tier)) = from_backend {
-        // A checksummed frame that fails snapshot decoding can only be
-        // a format drift the version key missed; treat it as a miss.
-        let snap = Snapshot::from_bytes(&bytes).ok()?;
-        return Some(match tier {
-            Tier::Memory => Found::Memory(snap),
-            Tier::Disk => Found::StoreDisk(snap),
-        });
-    }
-    // Flat file: the primary disk format under PSA_CKPT_LAYOUT=flat,
-    // a read-only migration fallback under the tiered layout.
-    let dir = disk_dir()?;
-    let snap = Snapshot::read_file(&disk_path(&dir, key)).ok()?;
-    Some(Found::Flat(snap))
-}
-
-/// Persist a freshly-simulated (or flat-imported) warm-up snapshot into
-/// the active backend; under the flat layout, also write the legacy
-/// file. Failures are counted in the store's `write_failures` counter —
-/// a read-only or full disk degrades to cold runs next process, it does
-/// not fail this one.
-fn persist_warmup(key: u64, snap: &Snapshot) {
-    let tiered = import_warmup(key, snap);
-    // A memory backend with a disk dir can only mean the flat layout
-    // (tiered + dir would have opened the store): write the legacy
-    // file, atomically (tmp + fsync + rename inside `write_file`).
-    if !tiered {
-        if let Some(dir) = disk_dir() {
-            if snap.write_file(&disk_path(&dir, key)).is_err() {
-                psa_common::obs::store::global()
-                    .write_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Put a snapshot into the active backend only (no legacy-file write);
-/// returns whether the backend was the tiered store. Used on the cold
-/// path and to absorb a restored flat file into the store.
-fn import_warmup(key: u64, snap: &Snapshot) -> bool {
-    let bytes = Arc::new(snap.to_bytes());
-    with_backend(|b| match b {
-        Backend::Memory(lru) => {
-            lru.put((EntryKind::Warmup.tag(), key), bytes);
-            false
-        }
-        Backend::Tiered(store) => {
-            // Write failures (ENOSPC, exhausted retries, degraded
-            // store) are counted by the store itself.
-            let _ = store.put(EntryKind::Warmup, key, bytes);
-            true
-        }
-    })
-}
-
 /// Build a machine and bring it to its warm-up boundary, sharing the
-/// warm-up work through the checkpoint store when an exact-key match
+/// warm-up work through `ctx`'s checkpoint store when an exact-key match
 /// exists. The returned [`System`] is always positioned exactly where a
 /// cold `run_to_warm` would leave it — results downstream are
 /// bit-identical either way (`crates/sim/src/snapshot.rs` proves it).
@@ -246,6 +144,7 @@ fn import_warmup(key: u64, snap: &Snapshot) -> bool {
 /// watchdog stalls during a cold warm-up…). Checkpoint rejections never
 /// do — they downgrade to a cold warm-up.
 pub fn warm_via_checkpoint(
+    ctx: &Context,
     build: &dyn Fn() -> Result<System, SimError>,
     label: &str,
 ) -> Result<System, SimError> {
@@ -255,63 +154,54 @@ pub fn warm_via_checkpoint(
     }
     let key = warm_key(sys.config(), sys.workload_names(), label);
 
-    // Memory tier, disk tier, then legacy flat files; the first snapshot
-    // found gets one restore attempt. Everything here is checkpoint
-    // traffic, charged to the snapshot-I/O phase of the wall-time
-    // profile.
+    // Memory tier, then disk tier; the first snapshot found gets one
+    // restore attempt. Everything here is checkpoint traffic, charged to
+    // the snapshot-I/O phase of the wall-time profile.
     let t_snap = Instant::now();
-    if let Some(found) = warmup_lookup(key) {
-        let snap = match &found {
-            Found::Memory(s) | Found::StoreDisk(s) | Found::Flat(s) => s,
-        };
-        match sys.restore(snap, key) {
-            Ok(()) => {
-                match found {
-                    Found::Memory(_) => {
-                        G_WARMUPS_SHARED.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Found::StoreDisk(_) => {
-                        // The store's own get already promoted the
-                        // entry into its memory tier.
-                        G_CKPT_HITS.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Found::Flat(snap) => {
-                        G_CKPT_HITS.fetch_add(1, Ordering::Relaxed);
-                        // Import into the active backend: the tiered
-                        // store absorbs legacy files on first use, and
-                        // the flat layout promotes them to memory.
-                        import_warmup(key, &snap);
-                    }
+    if let Some((bytes, tier)) = ctx.store().get(EntryKind::Warmup, key) {
+        // A checksummed frame that fails snapshot decoding can only be a
+        // format drift the version key missed; treat it as a miss.
+        if let Ok(snap) = Snapshot::from_bytes(&bytes) {
+            match sys.restore(&snap, key) {
+                Ok(()) => {
+                    // A disk hit was already promoted into the store's
+                    // memory tier by its own get.
+                    ctx.count(
+                        match tier {
+                            Tier::Memory => Counter::WarmupsShared,
+                            Tier::Disk => Counter::CkptHits,
+                        },
+                        1,
+                    );
+                    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
+                    return Ok(sys);
                 }
-                crate::runner::record_phase_snapshot(t_snap.elapsed());
-                return Ok(sys);
+                // A restore can fail partway and leave the machine torn;
+                // discard it and rebuild for the cold path.
+                Err(_) => sys = build()?,
             }
-            // A restore can fail partway and leave the machine torn;
-            // discard it and rebuild for the cold path.
-            Err(_) => sys = build()?,
         }
     }
-    crate::runner::record_phase_snapshot(t_snap.elapsed());
+    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
 
     let t_warm = Instant::now();
     sys.run_to_warm()?;
-    crate::runner::record_phase_warm(t_warm.elapsed());
+    ctx.count_time(Counter::PhaseWarmNanos, t_warm.elapsed());
 
     let t_snap = Instant::now();
-    persist_warmup(key, &sys.snapshot(key));
-    crate::runner::record_phase_snapshot(t_snap.elapsed());
+    let bytes = Arc::new(sys.snapshot(key).to_bytes());
+    ctx.store().put(EntryKind::Warmup, key, bytes);
+    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
     Ok(sys)
 }
 
-/// Whether finished-report memoisation is on: it needs the tiered disk
-/// store (reports only pay off across processes; the in-process
-/// [`crate::runner::RunCache`] already memoises within one) and
-/// observability off (an observed run must actually execute to produce
-/// its event stream).
-pub(crate) fn report_memo_enabled(config: &SimConfig) -> bool {
-    !config.obs.enabled
-        && crate::runner::ckpt_layout() == CkptLayout::Tiered
-        && disk_dir().is_some()
+/// Whether finished-report and finished-document memoisation is on: it
+/// needs the tiered disk store (a memo only pays off across processes;
+/// the in-process [`crate::runner::RunCache`] already memoises within
+/// one) and observability off (an observed run must actually execute to
+/// produce its event stream).
+pub(crate) fn memo_enabled(ctx: &Context, config: &SimConfig) -> bool {
+    !config.obs.enabled && ctx.store().is_tiered()
 }
 
 /// The identity hash of a finished report: report codec version, the
@@ -332,52 +222,32 @@ pub(crate) fn report_key(config: &SimConfig, workload: &str, label: &str) -> u64
 /// Fetch a memoised finished report. Any decode rejection (version,
 /// workload-name mismatch from a key collision) is a miss; a hit counts
 /// as a `ckpt_hits` store hit.
-pub(crate) fn report_from_store(key: u64, workload: &'static str) -> Option<RunReport> {
-    let report = with_backend(|b| match b {
-        Backend::Tiered(store) => store
-            .get(EntryKind::Report, key)
-            .and_then(|(bytes, _)| RunReport::from_store_bytes(&bytes, workload).ok()),
-        Backend::Memory(_) => None,
-    })?;
-    G_CKPT_HITS.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn report_from_store(
+    ctx: &Context,
+    key: u64,
+    workload: &'static str,
+) -> Option<RunReport> {
+    let (bytes, _) = ctx.store().get(EntryKind::Report, key)?;
+    let report = RunReport::from_store_bytes(&bytes, workload).ok()?;
+    ctx.count(Counter::CkptHits, 1);
     Some(report)
 }
 
-/// Memoise a finished report (write failures are counted, never fatal).
-pub(crate) fn report_to_store(key: u64, report: &RunReport) {
-    let bytes = Arc::new(report.to_store_bytes());
-    with_backend(|b| {
-        if let Backend::Tiered(store) = b {
-            let _ = store.put(EntryKind::Report, key, bytes);
-        }
-    });
-}
-
-/// Whether finished-*document* memoisation is on: same gate as report
-/// memoisation ([`report_memo_enabled`]) — the tiered disk store and
-/// observability off. A memoised document answers a whole sweep without
-/// touching the simulator, so an observed run must still execute.
-pub(crate) fn document_memo_enabled(config: &SimConfig) -> bool {
-    report_memo_enabled(config)
+/// Memoise a finished report.
+pub(crate) fn report_to_store(ctx: &Context, key: u64, report: &RunReport) {
+    ctx.store()
+        .put(EntryKind::Report, key, Arc::new(report.to_store_bytes()));
 }
 
 /// Fetch memoised finished-document bytes (a whole BENCH JSON served
 /// without simulating). A hit counts as a `ckpt_hits` store hit.
-pub(crate) fn document_from_store(key: u64) -> Option<Arc<Vec<u8>>> {
-    let bytes = with_backend(|b| match b {
-        Backend::Tiered(store) => store.get(EntryKind::Document, key).map(|(bytes, _)| bytes),
-        Backend::Memory(_) => None,
-    })?;
-    G_CKPT_HITS.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn document_from_store(ctx: &Context, key: u64) -> Option<Arc<Vec<u8>>> {
+    let (bytes, _) = ctx.store().get(EntryKind::Document, key)?;
+    ctx.count(Counter::CkptHits, 1);
     Some(bytes)
 }
 
-/// Memoise finished-document bytes (write failures are counted, never
-/// fatal).
-pub(crate) fn document_to_store(key: u64, bytes: Arc<Vec<u8>>) {
-    with_backend(|b| {
-        if let Backend::Tiered(store) = b {
-            let _ = store.put(EntryKind::Document, key, bytes);
-        }
-    });
+/// Memoise finished-document bytes.
+pub(crate) fn document_to_store(ctx: &Context, key: u64, bytes: Arc<Vec<u8>>) {
+    ctx.store().put(EntryKind::Document, key, bytes);
 }

@@ -9,7 +9,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// Distribution of discard probabilities for one prefetcher.
 #[derive(Debug, Clone)]
@@ -22,7 +22,7 @@ pub struct Fig02Row {
 
 /// Run the experiment.
 pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let workloads = settings.workloads();
     let jobs: Vec<_> = PrefetcherKind::EVALUATED
         .into_iter()
@@ -32,7 +32,7 @@ pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
                 .map(move |&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
         })
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     PrefetcherKind::EVALUATED
         .into_iter()
         .map(|kind| {
@@ -41,7 +41,7 @@ pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
                 .into_iter()
                 .map(|w| {
                     cache
-                        .run(
+                        .run_ref(
                             settings.config,
                             w,
                             Variant::Pref(kind, PageSizePolicy::Original),
@@ -136,19 +136,17 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn probabilities_are_valid_and_nonzero_somewhere() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "6");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(6)
                 .with_warmup(1_000)
                 .with_instructions(6_000),
-        };
+        );
         let rows = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.probabilities.iter().all(|&p| (0.0..=1.0).contains(&p)));

@@ -7,7 +7,7 @@ use psa_common::Table;
 use psa_sim::Json;
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// One benchmark's usage series.
 #[derive(Debug, Clone)]
@@ -20,7 +20,7 @@ pub struct Fig03Row {
 
 /// Run the experiment.
 pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let workloads: Vec<_> = catalog::MOTIVATION_SET
         .iter()
         .map(|name| runner::workload(name).unwrap_or_else(|e| panic!("{e}")))
@@ -29,14 +29,14 @@ pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
         .iter()
         .map(|&w| (w, Variant::NoPrefetch))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
-        .surviving(&workloads, &[Variant::NoPrefetch])
+        .surviving_refs(&workloads, &[Variant::NoPrefetch])
         .into_iter()
         .map(|w| {
-            let report = cache.run(settings.config, w, Variant::NoPrefetch);
+            let report = cache.run_ref(settings.config, w, Variant::NoPrefetch);
             Fig03Row {
                 name: w.name,
                 series: report.thp_series.clone(),
@@ -106,15 +106,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn usage_matches_each_workloads_thp_parameter() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
                 .with_warmup(1_000)
                 .with_instructions(8_000),
-        };
+        );
         let rows = collect(&settings);
         assert_eq!(rows.len(), 9);
         for row in &rows {

@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// One benchmark's speedups over the no-prefetch baseline.
 #[derive(Debug, Clone)]
@@ -26,7 +26,7 @@ pub struct MotivationRow {
 
 /// Run both figures' data in one sweep.
 pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let kind = PrefetcherKind::Spp;
     let variants = [
         Variant::NoPrefetch,
@@ -42,29 +42,29 @@ pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
         .iter()
         .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     // Failed jobs leave explicit gaps: their workload's row is dropped and
     // the fault is recorded in the document's `failures` array.
     cache
-        .surviving(&workloads, &variants)
+        .surviving_refs(&workloads, &variants)
         .into_iter()
         .map(|w| {
             let base = Variant::NoPrefetch;
             MotivationRow {
                 name: w.name,
-                spp: cache.speedup(
+                spp: cache.speedup_ref(
                     settings.config,
                     w,
                     Variant::Pref(kind, PageSizePolicy::Original),
                     base,
                 ),
-                psa_magic: cache.speedup(
+                psa_magic: cache.speedup_ref(
                     settings.config,
                     w,
                     Variant::PrefMagic(kind, PageSizePolicy::Psa),
                     base,
                 ),
-                psa_magic_2mb: cache.speedup(
+                psa_magic_2mb: cache.speedup_ref(
                     settings.config,
                     w,
                     Variant::PrefMagic(kind, PageSizePolicy::Psa2m),
@@ -144,15 +144,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn magic_psa_does_not_trail_original_in_geomean() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
                 .with_warmup(4_000)
                 .with_instructions(20_000),
-        };
+        );
         let rows = collect(&settings);
         assert_eq!(rows.len(), 9);
         let spp = geomean(&rows.iter().map(|r| r.spp).collect::<Vec<_>>());

@@ -7,7 +7,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::WorkloadSpec;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// One workload's variant speedups over SPP original.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ pub struct Fig08Row {
 
 /// Run the sweep for one prefetcher kind (Figure 8 uses SPP).
 pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let base = Variant::Pref(kind, PageSizePolicy::Original);
     let workloads = settings.workloads();
     let variants: Vec<Variant> = [
@@ -40,27 +40,27 @@ pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
         .iter()
         .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
-        .surviving(&workloads, &variants)
+        .surviving_refs(&workloads, &variants)
         .into_iter()
         .map(|w: &'static WorkloadSpec| Fig08Row {
             name: w.name,
-            psa: cache.speedup(
+            psa: cache.speedup_ref(
                 settings.config,
                 w,
                 Variant::Pref(kind, PageSizePolicy::Psa),
                 base,
             ),
-            psa_2mb: cache.speedup(
+            psa_2mb: cache.speedup_ref(
                 settings.config,
                 w,
                 Variant::Pref(kind, PageSizePolicy::Psa2m),
                 base,
             ),
-            psa_sd: cache.speedup(
+            psa_sd: cache.speedup_ref(
                 settings.config,
                 w,
                 Variant::Pref(kind, PageSizePolicy::PsaSd),
@@ -145,19 +145,17 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn sd_tracks_or_beats_the_better_competitor_in_geomean() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "8");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(8)
                 .with_warmup(4_000)
                 .with_instructions(20_000),
-        };
+        );
         let rows = collect(&settings, PrefetcherKind::Spp);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         let (psa, psa_2mb, sd) = geomeans(&rows);
         // The composite must land near the better pure variant, never far
         // below both (the paper's central Pref-PSA-SD claim).

@@ -8,7 +8,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{SuiteGroup, WorkloadSpec};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// Geomean speedups for one (prefetcher, variant) cell.
 #[derive(Debug, Clone)]
@@ -30,7 +30,7 @@ const GROUPS: [SuiteGroup; 3] = [SuiteGroup::Spec, SuiteGroup::GapMlCloud, Suite
 pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<Fig09Cell> {
     let mut out = Vec::new();
     for kind in PrefetcherKind::EVALUATED {
-        let mut cache = RunCache::new();
+        let mut cache = settings.cache();
         let base = Variant::Pref(kind, PageSizePolicy::Original);
         let variants: Vec<Variant> = PageSizePolicy::ALL
             .into_iter()
@@ -40,10 +40,10 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
             .iter()
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
-        cache.run_batch(settings.config, &jobs);
+        cache.run_batch_refs(settings.config, &jobs);
         // A failed workload drops out of every geomean for this kind; the
         // fault is recorded in the document's `failures` array.
-        let survivors = cache.surviving(workloads, &variants);
+        let survivors = cache.surviving_refs(workloads, &variants);
         for policy in [
             PageSizePolicy::Psa,
             PageSizePolicy::Psa2m,
@@ -51,10 +51,10 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
         ] {
             let speedups: Vec<(SuiteGroup, f64)> = survivors
                 .iter()
-                .map(|w| {
+                .map(|&w| {
                     (
                         w.suite.group(),
-                        cache.speedup(settings.config, w, Variant::Pref(kind, policy), base),
+                        cache.speedup_ref(settings.config, w, Variant::Pref(kind, policy), base),
                     )
                 })
                 .collect();
@@ -153,19 +153,17 @@ pub fn render(cells: &[Fig09Cell], title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn bop_variants_are_identical() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "6");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(6)
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
+        );
         let cells = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(cells.len(), 12);
         // §VI-B1: BOP has no page-indexed structure, so PSA == PSA-2MB ==
         // PSA-SD exactly.

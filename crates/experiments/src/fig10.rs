@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, RunReport};
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// The per-workload metric deltas of one PSA variant vs SPP original.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ fn latency_reduction(base: f64, new: f64) -> f64 {
 
 /// Compute the rows for one variant.
 pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let kind = PrefetcherKind::Spp;
     let workloads: Vec<_> = catalog::FIG10_SET
         .iter()
@@ -61,22 +61,22 @@ pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
         .iter()
         .flat_map(|&w| variants.into_iter().map(move |v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
-        .surviving(&workloads, &variants)
+        .surviving_refs(&workloads, &variants)
         .into_iter()
         .map(|w| {
             let orig = cache
-                .run(
+                .run_ref(
                     settings.config,
                     w,
                     Variant::Pref(kind, PageSizePolicy::Original),
                 )
                 .clone();
             let new = cache
-                .run(settings.config, w, Variant::Pref(kind, policy))
+                .run_ref(settings.config, w, Variant::Pref(kind, policy))
                 .clone();
             Fig10Row {
                 name: w.name,
@@ -179,15 +179,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn metrics_are_finite_and_cover_the_set() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
+        );
         let rows = collect(&settings, PageSizePolicy::Psa);
         assert_eq!(rows.len(), 14);
         for r in &rows {

@@ -15,7 +15,7 @@ use psa_prefetchers::{ModuleSpec, PrefetcherKind};
 use psa_sim::{Json, SimError, System};
 
 use crate::ckpt;
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// The selection-logic alternatives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +110,8 @@ fn logic_ipc(
             Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
         ),
     };
-    Ok(ckpt::warm_via_checkpoint(&*build, &ckpt_label)?
-        .try_run()?
-        .ipc())
+    let sys = ckpt::warm_via_checkpoint(&settings.ctx, &*build, &ckpt_label)?;
+    Ok(sys.try_run()?.ipc())
 }
 
 /// Run the ablation. The Original baselines prewarm through the parallel
@@ -130,13 +129,14 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
     kinds
         .into_iter()
         .map(|kind| {
-            let mut cache = RunCache::new();
+            let mut cache = settings.cache();
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let base_jobs: Vec<_> = workloads.iter().map(|&w| (w, base)).collect();
-            cache.run_batch(settings.config, &base_jobs);
+            cache.run_batch_refs(settings.config, &base_jobs);
             let mut speedups = [1.0f64; 4];
             for (i, logic) in Logic::ALL.into_iter().enumerate() {
                 let ipcs = runner::parallel_map_isolated(
+                    &settings.ctx,
                     &workloads,
                     |&w| runner::JobSpec {
                         workload: w.name,
@@ -152,10 +152,10 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
                         // the workload from this geomean; the failure is
                         // journalled in the document's `failures` array.
                         let ipc = ipc?;
-                        if !cache.completed(w, base) {
+                        if !cache.completed_ref(w, base) {
                             return None;
                         }
-                        let orig = cache.run(settings.config, w, base).ipc();
+                        let orig = cache.run_ref(settings.config, w, base).ipc();
                         Some(if orig > 0.0 { ipc / orig } else { 1.0 })
                     })
                     .collect();
@@ -222,7 +222,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn iso_storage_spec_really_doubles_storage() {
@@ -239,15 +239,13 @@ mod tests {
 
     #[test]
     fn ablation_runs_on_a_small_slice() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(1_000)
                 .with_instructions(5_000),
-        };
+        );
         let rows = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(rows.len(), 3);
         for r in &rows {
             for s in r.speedups {

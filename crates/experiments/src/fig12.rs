@@ -7,7 +7,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, SimConfig};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// Which knob a sweep turns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
     for &knob in knobs {
         let config = knob.apply(settings.config);
         for &kind in kinds {
-            let mut cache = RunCache::new();
+            let mut cache = settings.cache();
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let jobs: Vec<_> = workloads
                 .iter()
@@ -100,12 +100,22 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
                     .map(move |policy| (w, Variant::Pref(kind, policy)))
                 })
                 .collect();
-            cache.run_batch(config, &jobs);
+            cache.run_batch_refs(config, &jobs);
             let mut psa = Vec::new();
             let mut sd = Vec::new();
             for &w in &workloads {
-                psa.push(cache.speedup(config, w, Variant::Pref(kind, PageSizePolicy::Psa), base));
-                sd.push(cache.speedup(config, w, Variant::Pref(kind, PageSizePolicy::PsaSd), base));
+                psa.push(cache.speedup_ref(
+                    config,
+                    w,
+                    Variant::Pref(kind, PageSizePolicy::Psa),
+                    base,
+                ));
+                sd.push(cache.speedup_ref(
+                    config,
+                    w,
+                    Variant::Pref(kind, PageSizePolicy::PsaSd),
+                    base,
+                ));
             }
             out.push(Fig12Cell {
                 kind,
@@ -187,6 +197,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunnerOptions;
 
     #[test]
     fn knobs_apply_to_config() {
@@ -206,19 +217,17 @@ mod tests {
 
     #[test]
     fn tiny_sweep_runs() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(3)
                 .with_warmup(1_000)
                 .with_instructions(4_000),
-        };
+        );
         let cells = collect(
             &settings,
             &[PrefetcherKind::Spp],
             &[Knob::DramMts(800), Knob::DramMts(3200)],
         );
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.psa > 0.2 && c.psa_sd > 0.2));
     }

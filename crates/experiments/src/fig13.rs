@@ -8,7 +8,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, L1dPrefKind};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// One bar of the figure.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ fn bar_variants() -> Vec<(String, Variant)> {
 
 /// Run the comparison.
 pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let workloads = settings.workloads();
     let variants = bar_variants();
     let jobs: Vec<_> = workloads
@@ -57,18 +57,18 @@ pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
                 .chain(variants.iter().map(move |&(_, v)| (w, v)))
         })
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload drops out of every bar's geomean; the fault is
     // recorded in the document's `failures` array.
     let mut all_variants = vec![Variant::NoPrefetch];
     all_variants.extend(variants.iter().map(|&(_, v)| v));
-    let survivors = cache.surviving(&workloads, &all_variants);
+    let survivors = cache.surviving_refs(&workloads, &all_variants);
     variants
         .into_iter()
         .map(|(label, variant)| {
             let per: Vec<f64> = survivors
                 .iter()
-                .map(|w| cache.speedup(settings.config, w, variant, Variant::NoPrefetch))
+                .map(|&w| cache.speedup_ref(settings.config, w, variant, Variant::NoPrefetch))
                 .collect();
             Fig13Bar {
                 label,
@@ -116,19 +116,17 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn bars_cover_l1d_and_l2c_configurations() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(1_000)
                 .with_instructions(5_000),
-        };
+        );
         let bars = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         // 3 L1D bars + (3 prefetchers × 2 variants) + BOP-PSA = 10.
         assert_eq!(bars.len(), 10);
         assert!(bars.iter().any(|b| b.label == "IPCP++"));

@@ -93,6 +93,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
         }
     }
     let iso_vals = runner::parallel_map_isolated(
+        &settings.ctx,
         &iso_jobs,
         |&(kind, w)| runner::JobSpec {
             workload: w.name,
@@ -103,6 +104,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
             solo.cores = 1;
             let build = move || System::try_multi_core(solo, &[w], kind, PageSizePolicy::Original);
             ckpt::warm_via_checkpoint(
+                &settings.ctx,
                 &build,
                 &Variant::Pref(kind, PageSizePolicy::Original).label(),
             )?
@@ -124,6 +126,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
         .flat_map(|&k| (0..mixes.len()).map(move |i| (k, i)))
         .collect();
     let base_vals = runner::parallel_map_isolated(
+        &settings.ctx,
         &base_jobs,
         |&(kind, i)| runner::JobSpec {
             workload: mixes[i][0].name,
@@ -134,6 +137,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
             let mix = &mixes[i];
             let build = move || System::try_multi_core(cfg, mix, kind, PageSizePolicy::Original);
             ckpt::warm_via_checkpoint(
+                &settings.ctx,
                 &build,
                 &Variant::Pref(kind, PageSizePolicy::Original).label(),
             )?
@@ -152,6 +156,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
     bars.into_iter()
         .map(|(kind, policy)| {
             let evals = runner::parallel_map_isolated(
+                &settings.ctx,
                 &mix_indices,
                 |&i| runner::JobSpec {
                     workload: mixes[i][0].name,
@@ -161,8 +166,12 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
                     let cfg = env.config(config);
                     let mix = &mixes[i];
                     let build = move || System::try_multi_core(cfg, mix, kind, policy);
-                    ckpt::warm_via_checkpoint(&build, &Variant::Pref(kind, policy).label())?
-                        .try_run_multi()
+                    ckpt::warm_via_checkpoint(
+                        &settings.ctx,
+                        &build,
+                        &Variant::Pref(kind, policy).label(),
+                    )?
+                    .try_run_multi()
                 },
             );
             // Gaps: a mix contributes only when its evaluation, its
@@ -252,18 +261,17 @@ pub fn report(settings: &Settings, cores: usize) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunnerOptions;
 
     #[test]
     fn two_core_smoke() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_MIXES", "2");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_mixes(2)
                 .with_warmup(500)
                 .with_instructions(2_500),
-        };
+        );
         let bars = collect(&settings, 2);
-        std::env::remove_var("PSA_MIXES");
         assert_eq!(bars.len(), 7);
         for b in &bars {
             assert_eq!(b.per_mix.len(), 2);

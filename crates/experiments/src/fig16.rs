@@ -16,7 +16,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{SuiteGroup, WorkloadSpec};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// The families compared: the paper's vehicle plus the two extensions.
 pub const FAMILIES: [PrefetcherKind; 3] = [
@@ -54,7 +54,7 @@ fn measured(kind: PrefetcherKind) -> [Variant; 4] {
 pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<Fig16Cell> {
     let mut out = Vec::new();
     for kind in FAMILIES {
-        let mut cache = RunCache::new();
+        let mut cache = settings.cache();
         let base = Variant::Pref(kind, PageSizePolicy::Original);
         let mut variants = vec![base];
         variants.extend(measured(kind));
@@ -62,17 +62,17 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
             .iter()
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
-        cache.run_batch(settings.config, &jobs);
+        cache.run_batch_refs(settings.config, &jobs);
         // A failed workload drops out of every geomean for this family;
         // the fault is recorded in the document's `failures` array.
-        let survivors = cache.surviving(workloads, &variants);
+        let survivors = cache.surviving_refs(workloads, &variants);
         for variant in measured(kind) {
             let speedups: Vec<(SuiteGroup, f64)> = survivors
                 .iter()
-                .map(|w| {
+                .map(|&w| {
                     (
                         w.suite.group(),
-                        cache.speedup(settings.config, w, variant, base),
+                        cache.speedup_ref(settings.config, w, variant, base),
                     )
                 })
                 .collect();
@@ -168,19 +168,17 @@ pub fn render(cells: &[Fig16Cell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn new_families_complete_the_matrix_on_a_small_slice() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
+        );
         let cells = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(cells.len(), FAMILIES.len() * 4);
         for c in &cells {
             assert!(

@@ -9,7 +9,7 @@ use psa_sim::Json;
 use psa_traces::{catalog, WorkloadSpec};
 
 use crate::fig09::{cells_json, collect_over, Fig09Cell};
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
 
 /// Run the augmented-set sweep.
 pub fn collect(settings: &Settings) -> Vec<Fig09Cell> {
@@ -24,7 +24,7 @@ pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
     PrefetcherKind::EVALUATED
         .into_iter()
         .map(|kind| {
-            let mut cache = RunCache::new();
+            let mut cache = settings.cache();
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let jobs: Vec<_> = catalog::NON_INTENSIVE
                 .iter()
@@ -34,11 +34,11 @@ pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
                         .map(move |v| (w, v))
                 })
                 .collect();
-            cache.run_batch(settings.config, &jobs);
+            cache.run_batch_refs(settings.config, &jobs);
             let per: Vec<f64> = catalog::NON_INTENSIVE
                 .iter()
                 .map(|w| {
-                    cache.speedup(
+                    cache.speedup_ref(
                         settings.config,
                         w,
                         Variant::Pref(kind, PageSizePolicy::PsaSd),
@@ -101,15 +101,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
 
     #[test]
     fn no_harm_on_quiet_workloads() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let settings = Settings::new(
+            RunnerOptions::default()
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
+        );
         for (kind, g) in non_intensive_only(&settings) {
             assert!(
                 g > 0.93,

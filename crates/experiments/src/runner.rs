@@ -1,29 +1,38 @@
 //! Shared experiment plumbing: run settings, workload selection, a
 //! memoising run cache, and the parallel experiment executor.
 //!
+//! # Execution context
+//!
+//! Everything here executes within a [`Context`]: the validated
+//! [`RunnerOptions`], the checkpoint store, and the context's own
+//! executor counters and failure/run journal. [`Settings`] carries one
+//! next to the run's [`SimConfig`], so figure entry points take only
+//! `&Settings`; a binary builds it once from the environment
+//! ([`RunnerOptions::from_env`]), tests build it from values.
+//!
 //! # Parallel execution
 //!
 //! Every `(workload, variant)` simulation is independent — each owns its
 //! [`System`], and every stochastic choice flows from the run's own seeded
-//! RNG — so experiments fan them out across cores with [`RunCache::run_batch`]
-//! (a work-queue over `std::thread::scope`, no external dependencies).
-//! Results are **bit-identical** to the serial order regardless of thread
-//! count or scheduling; the `parallel_matches_serial` test asserts it.
-//!
-//! The thread count comes from `PSA_THREADS` (default: all available
-//! cores). `PSA_THREADS=1` forces the serial path.
+//! RNG — so experiments fan them out across cores with
+//! [`RunCache::run_batch_refs`] (a work-queue over `std::thread::scope`,
+//! no external dependencies). Results are **bit-identical** to the serial
+//! order regardless of thread count or scheduling; the
+//! `parallel_matches_serial` test asserts it. The thread count is the
+//! context's [`RunnerOptions::effective_threads`] (`PSA_THREADS`,
+//! default: all available cores); one thread forces the serial path.
 //!
 //! # Observability
 //!
-//! Each [`RunCache`] tracks an [`ExecStats`]: simulations executed, memo
-//! hits, per-run wall-clock, simulated cycles (and the derived
+//! Every job charges its context's [`ExecStats`]: simulations executed,
+//! memo hits, per-run wall-clock, simulated cycles (and the derived
 //! cycles/second throughput), peak queue depth and per-thread run counts.
-//! The same counters are aggregated process-wide and embedded in every
-//! emitted `BENCH_*.json` under `"executor"` (see [`global_stats`]).
+//! Each emitted `BENCH_*.json` embeds its context's counters under
+//! `"executor"`; [`global_stats`] sums every context in the process.
 //!
 //! # Warm-up checkpointing
 //!
-//! Every memoised simulation warms up through the
+//! Every memoised simulation warms up through the context's
 //! [`crate::ckpt`] store: the first run of a `(config, workload,
 //! variant)` key executes the warm-up and snapshots the machine; later
 //! runs under the same exact key restore the snapshot and skip straight
@@ -39,415 +48,94 @@
 //! paths, so one panicking or watchdog-stalled job becomes a recorded gap
 //! ([`RunOutcome::Failed`] / a `None` slot) instead of poisoning the
 //! batch: the remaining jobs complete bit-identically to a clean run, the
-//! failure lands in the process-wide journal (the `"failures"` array of
-//! every `BENCH_*.json`, see [`failures_json`]), and figures render
-//! partial results with explicit gaps. `PSA_INJECT_PANIC` and
-//! `PSA_INJECT_STALL` (`<workload>` or `<workload>/<label>`) inject
-//! faults for testing this machinery (see `docs/ROBUSTNESS.md`). Only the
-//! raw [`parallel_map`] primitive stays unisolated; every figure's
-//! simulation jobs go through one of the isolated paths.
+//! failure lands in the context's journal (the `"failures"` array of its
+//! documents, see [`Context::failures_json`]), and figures render
+//! partial results with explicit gaps. The options' `inject_panic` and
+//! `inject_stall` (`PSA_INJECT_PANIC` / `PSA_INJECT_STALL`: `<workload>`
+//! or `<workload>/<label>`) inject faults for testing this machinery
+//! (see `docs/ROBUSTNESS.md`).
 
-use psa_common::obs::store::StoreSnapshot;
+use crate::ckpt;
+use crate::context::{run_entry, Context, Counter, ExecStats};
+use crate::options::RunnerOptions;
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::report::{self, Json};
-use psa_sim::{L1dPrefKind, ObsConfig, ObsReport, RunReport, SimConfig, SimError, System};
-use psa_store::fault::FaultPlan;
+use psa_sim::{L1dPrefKind, ObsReport, RunReport, SimConfig, SimError, System};
 use psa_traces::{catalog, WorkloadRef, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, Once};
+use std::time::Instant;
 
-/// Experiment-wide settings.
-#[derive(Debug, Clone, Copy)]
+/// Experiment-wide settings: the run configuration plus the execution
+/// context it runs in.
+#[derive(Clone)]
 pub struct Settings {
     /// The machine/run configuration (Table I + instruction budget).
     pub config: SimConfig,
+    /// The execution context: options, checkpoint store, executor
+    /// counters and failure/run journal.
+    pub ctx: Arc<Context>,
 }
 
 impl Default for Settings {
+    /// Settings over [`RunnerOptions::default()`]: the laptop-scale
+    /// budget and a memory-only store. Reads no environment.
     fn default() -> Self {
-        // Laptop-scale default budget; `PSA_WARMUP` / `PSA_INSTRUCTIONS`
-        // scale it up towards the paper's 250M+250M.
-        let base = SimConfig::default()
-            .with_warmup(40_000)
-            .with_instructions(120_000);
-        Self {
-            config: RunnerOptions::from_env()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .apply(base),
-        }
-    }
-}
-
-/// Which on-disk layout the checkpoint store uses (`PSA_CKPT_LAYOUT`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CkptLayout {
-    /// The crash-safe tiered segment store (`psa-store`): checksummed
-    /// frames in append-only segments under an atomically-swapped
-    /// manifest, with report memoisation. The default.
-    #[default]
-    Tiered,
-    /// Legacy flat `psa-<key>.ckpt` snapshot files — a compatibility
-    /// escape hatch; no report memoisation, no fault injection.
-    Flat,
-}
-
-/// Every documented `PSA_*` knob as one typed options value — the single
-/// supported way the environment reaches the machinery. Build one with
-/// [`RunnerOptions::from_env`] (strict: a set-but-malformed variable is a
-/// [`SimError::EnvVar`] naming the variable and the value, never a
-/// silently ignored knob), then override programmatically with the
-/// `with_*` builders — programmatic settings always win over the
-/// environment — and thread the run-shape subset into a [`SimConfig`]
-/// with [`RunnerOptions::apply`].
-///
-/// The environment stays supported as a compatibility layer, but this
-/// module is the only place it is parsed; no other crate in the workspace
-/// reads `PSA_*` variables directly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunnerOptions {
-    /// `PSA_THREADS` — parallel-executor worker count (`None`: all
-    /// available cores; see [`RunnerOptions::effective_threads`]).
-    pub threads: Option<usize>,
-    /// `PSA_WORKLOAD_LIMIT` — stride-subsample the 80-workload set.
-    pub workload_limit: Option<usize>,
-    /// `PSA_MIXES` — multi-core mix count (`None`: default 8).
-    pub mixes: Option<usize>,
-    /// `PSA_WARMUP` — warm-up instructions per core.
-    pub warmup: Option<u64>,
-    /// `PSA_INSTRUCTIONS` — measured instructions per core.
-    pub instructions: Option<u64>,
-    /// `PSA_WATCHDOG` — forward-progress watchdog threshold in cycles
-    /// (0 disables).
-    pub watchdog: Option<u64>,
-    /// `PSA_CHECK` — run the hierarchy invariant audits at drain points.
-    pub check: Option<bool>,
-    /// `PSA_JSON_RUNS=1` — embed raw per-run reports in emitted JSON.
-    pub json_runs: bool,
-    /// `PSA_CKPT_MEM_MB` — in-memory warm-up checkpoint store cap
-    /// (`None`: 256MB).
-    pub ckpt_mem_mb: Option<usize>,
-    /// `PSA_CKPT_DIR` — on-disk warm-up checkpoint store directory.
-    pub ckpt_dir: Option<PathBuf>,
-    /// `PSA_CKPT_DISK_MB` — disk-tier budget of the tiered checkpoint
-    /// store (`None`: 2048MB).
-    pub ckpt_disk_mb: Option<usize>,
-    /// `PSA_CKPT_LAYOUT` — on-disk checkpoint layout, `tiered`
-    /// (default) or `flat` (the legacy file-per-snapshot escape hatch).
-    pub ckpt_layout: Option<CkptLayout>,
-    /// `PSA_FAULT_PLAN` — deterministic IO fault plan injected under
-    /// the checkpoint store (validated [`FaultPlan`] spec; testing and
-    /// CI machinery, see `docs/ROBUSTNESS.md`).
-    pub fault_plan: Option<String>,
-    /// `PSA_INJECT_PANIC` — fault-inject a panic into the named job
-    /// (`<workload>` or `<workload>/<label>`; testing machinery).
-    pub inject_panic: Option<String>,
-    /// `PSA_INJECT_STALL` — fault-inject a watchdog stall likewise.
-    pub inject_stall: Option<String>,
-    /// `PSA_UPDATE_GOLDEN=1` — rewrite the golden digests (test-only).
-    pub update_golden: bool,
-    /// `PSA_BENCH_JSON_DIR` — where `BENCH_*.json` documents go
-    /// (`None`: the working directory).
-    pub bench_json_dir: Option<PathBuf>,
-    /// `PSA_OBS=1` plus `PSA_OBS_RING` / `PSA_OBS_SAMPLE` — the
-    /// observability layer shape ([`ObsConfig`]); `None` leaves the
-    /// config's own (default: disabled) setting untouched.
-    pub obs: Option<ObsConfig>,
-    /// `PSA_OBS_TRACE` — write the first observed run's Chrome
-    /// `trace_event` JSON to this path.
-    pub obs_trace: Option<PathBuf>,
-}
-
-impl RunnerOptions {
-    /// Read every documented `PSA_*` variable, strictly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EnvVar`] naming the variable and the value
-    /// when any set variable does not parse.
-    pub fn from_env() -> Result<Self, SimError> {
-        let obs_on = env_flag("PSA_OBS")?;
-        let obs_ring = env_u32("PSA_OBS_RING")?;
-        let obs_sample = env_u32("PSA_OBS_SAMPLE")?;
-        let obs = if obs_on.is_some() || obs_ring.is_some() || obs_sample.is_some() {
-            let base = ObsConfig::default();
-            Some(ObsConfig {
-                enabled: obs_on.unwrap_or(false),
-                ring_capacity: obs_ring.unwrap_or(base.ring_capacity),
-                sample_every: obs_sample.unwrap_or(base.sample_every),
-            })
-        } else {
-            None
-        };
-        Ok(Self {
-            threads: env_positive("PSA_THREADS")?,
-            workload_limit: env_positive("PSA_WORKLOAD_LIMIT")?,
-            mixes: env_positive("PSA_MIXES")?,
-            warmup: env_u64("PSA_WARMUP")?,
-            instructions: env_u64("PSA_INSTRUCTIONS")?,
-            watchdog: env_u64("PSA_WATCHDOG")?,
-            check: env_flag("PSA_CHECK")?,
-            json_runs: env_flag("PSA_JSON_RUNS")?.unwrap_or(false),
-            ckpt_mem_mb: env_positive("PSA_CKPT_MEM_MB")?,
-            ckpt_dir: env_path("PSA_CKPT_DIR"),
-            ckpt_disk_mb: env_positive("PSA_CKPT_DISK_MB")?,
-            ckpt_layout: env_layout("PSA_CKPT_LAYOUT")?,
-            fault_plan: env_fault_plan("PSA_FAULT_PLAN")?,
-            inject_panic: env_string("PSA_INJECT_PANIC"),
-            inject_stall: env_string("PSA_INJECT_STALL"),
-            update_golden: env_flag("PSA_UPDATE_GOLDEN")?.unwrap_or(false),
-            bench_json_dir: env_path("PSA_BENCH_JSON_DIR"),
-            obs,
-            obs_trace: env_path("PSA_OBS_TRACE"),
-        })
-    }
-
-    /// Override the worker-thread count.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Override the workload subsample limit.
-    pub fn with_workload_limit(mut self, n: usize) -> Self {
-        self.workload_limit = Some(n);
-        self
-    }
-
-    /// Override the multi-core mix count.
-    pub fn with_mixes(mut self, n: usize) -> Self {
-        self.mixes = Some(n);
-        self
-    }
-
-    /// Override the warm-up instruction budget.
-    pub fn with_warmup(mut self, n: u64) -> Self {
-        self.warmup = Some(n);
-        self
-    }
-
-    /// Override the measured instruction budget.
-    pub fn with_instructions(mut self, n: u64) -> Self {
-        self.instructions = Some(n);
-        self
-    }
-
-    /// Override the watchdog threshold (0 disables).
-    pub fn with_watchdog(mut self, cycles: u64) -> Self {
-        self.watchdog = Some(cycles);
-        self
-    }
-
-    /// Enable or disable the hierarchy invariant audits.
-    pub fn with_check(mut self, check: bool) -> Self {
-        self.check = Some(check);
-        self
-    }
-
-    /// Override the observability shape (`ObsConfig::on()` enables it).
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Override the Chrome-trace output path.
-    pub fn with_obs_trace(mut self, path: PathBuf) -> Self {
-        self.obs_trace = Some(path);
-        self
-    }
-
-    /// Thread the run-shape subset (budgets, watchdog, audits,
-    /// observability) into a [`SimConfig`]; unset fields leave the
-    /// config's own values untouched.
-    pub fn apply(&self, mut config: SimConfig) -> SimConfig {
-        if let Some(v) = self.warmup {
-            config.warmup = v;
-        }
-        if let Some(v) = self.instructions {
-            config.instructions = v;
-        }
-        if let Some(v) = self.watchdog {
-            config.watchdog_cycles = v;
-        }
-        if let Some(v) = self.check {
-            config.check = v;
-        }
-        if let Some(obs) = self.obs {
-            config.obs = obs;
-        }
-        config
-    }
-
-    /// The worker-thread count these options resolve to: `threads` when
-    /// set, else every available core.
-    pub fn effective_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        Settings::new(RunnerOptions::default())
     }
 }
 
 impl Settings {
-    /// The evaluated workload set, honouring `PSA_WORKLOAD_LIMIT` by
-    /// stride-sampling so each suite stays represented.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `PSA_WORKLOAD_LIMIT` is set but malformed — see
-    /// [`Settings::try_workloads`].
-    pub fn workloads(&self) -> Vec<&'static WorkloadSpec> {
-        self.try_workloads().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Settings::workloads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EnvVar`] when `PSA_WORKLOAD_LIMIT` is set but
-    /// not a positive integer.
-    pub fn try_workloads(&self) -> Result<Vec<&'static WorkloadSpec>, SimError> {
-        let all: Vec<&WorkloadSpec> = catalog::all().iter().collect();
-        match env_positive("PSA_WORKLOAD_LIMIT")? {
-            Some(limit) if limit < all.len() => {
-                let stride = all.len().div_ceil(limit);
-                Ok(all.into_iter().step_by(stride).collect())
-            }
-            _ => Ok(all),
+    /// A fresh context over `options`, with the laptop-scale default
+    /// budget (40k warm-up + 120k measured instructions; the paper runs
+    /// 250M+250M) overridden by the options' own run shape.
+    pub fn new(options: RunnerOptions) -> Settings {
+        let base = SimConfig::default()
+            .with_warmup(40_000)
+            .with_instructions(120_000);
+        Settings {
+            config: options.apply(base),
+            ctx: Arc::new(Context::new(options)),
         }
     }
 
-    /// Number of multi-core mixes, honouring `PSA_MIXES` (default 8;
-    /// the paper uses 100).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `PSA_MIXES` is set but malformed — see
-    /// [`Settings::try_mixes`].
+    /// Settings for one served job: `config` in a fork of this context
+    /// (same options and store, its own counters and journal).
+    pub fn fork(&self, config: SimConfig) -> Settings {
+        Settings {
+            config,
+            ctx: Arc::new(self.ctx.fork()),
+        }
+    }
+
+    /// A run cache executing in this context.
+    pub fn cache(&self) -> RunCache {
+        RunCache::in_context(Arc::clone(&self.ctx))
+    }
+
+    /// The evaluated workload set, honouring the options'
+    /// `workload_limit` by stride-sampling so each suite stays
+    /// represented.
+    pub fn workloads(&self) -> Vec<&'static WorkloadSpec> {
+        let all: Vec<&'static WorkloadSpec> = catalog::all().iter().collect();
+        match self.ctx.options().workload_limit {
+            Some(limit) if limit < all.len() => {
+                let stride = all.len().div_ceil(limit);
+                all.into_iter().step_by(stride).collect()
+            }
+            _ => all,
+        }
+    }
+
+    /// Number of multi-core mixes: the options' `mixes` (default 8; the
+    /// paper uses 100).
     pub fn mixes(&self) -> usize {
-        self.try_mixes().unwrap_or_else(|e| panic!("{e}"))
+        self.ctx.options().mixes.unwrap_or(8)
     }
-
-    /// Fallible form of [`Settings::mixes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EnvVar`] when `PSA_MIXES` is set but not a
-    /// positive integer.
-    pub fn try_mixes(&self) -> Result<usize, SimError> {
-        Ok(env_positive("PSA_MIXES")?.unwrap_or(8))
-    }
-}
-
-/// Parse an env var required to hold a positive integer; unset is `None`,
-/// set-but-malformed (including zero) is an error naming the variable and
-/// the value.
-fn env_positive(key: &str) -> Result<Option<usize>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected a positive integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse an env var required to hold a `u64`; unset is `None`,
-/// set-but-malformed is an error naming the variable and the value.
-fn env_u64(key: &str) -> Result<Option<u64>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected an unsigned integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse an env var required to hold a positive `u32`; unset is `None`.
-fn env_u32(key: &str) -> Result<Option<u32>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<u32>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected a positive 32-bit integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse a checkpoint-layout env var: `tiered` or `flat`, unset is
-/// `None`, anything else is an error naming the variable and the value.
-fn env_layout(key: &str) -> Result<Option<CkptLayout>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.as_str() {
-            "tiered" => Ok(Some(CkptLayout::Tiered)),
-            "flat" => Ok(Some(CkptLayout::Flat)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected \"tiered\" or \"flat\"".into(),
-            }),
-        },
-    }
-}
-
-/// Parse (and validate) a fault-plan env var through
-/// [`FaultPlan::parse`]; the validated raw spec string is kept, since
-/// the plan itself is rebuilt wherever the store opens.
-fn env_fault_plan(key: &str) -> Result<Option<String>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match FaultPlan::parse(&raw) {
-            Ok(_) => Ok(Some(raw)),
-            Err(reason) => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason,
-            }),
-        },
-    }
-}
-
-/// Parse a boolean env flag: `1` is true, `0` is false, unset is `None`,
-/// anything else is an error naming the variable and the value.
-fn env_flag(key: &str) -> Result<Option<bool>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.as_str() {
-            "1" => Ok(Some(true)),
-            "0" => Ok(Some(false)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected 0 or 1".into(),
-            }),
-        },
-    }
-}
-
-/// An env var taken verbatim as a path; unset (or non-unicode) is `None`.
-fn env_path(key: &str) -> Option<PathBuf> {
-    std::env::var_os(key).map(PathBuf::from)
-}
-
-/// An env var taken verbatim as a string; unset is `None`.
-fn env_string(key: &str) -> Option<String> {
-    std::env::var(key).ok()
 }
 
 /// Look up a workload in the trace catalog, reporting a miss as a typed
@@ -458,27 +146,6 @@ fn env_string(key: &str) -> Option<String> {
 /// Returns [`SimError::UnknownWorkload`] when `name` matches nothing.
 pub fn workload(name: &str) -> Result<&'static WorkloadSpec, SimError> {
     catalog::workload(name).ok_or_else(|| SimError::UnknownWorkload { name: name.into() })
-}
-
-/// Worker-thread count for parallel experiment execution: `PSA_THREADS`
-/// when set to a positive integer, else every available core.
-///
-/// # Panics
-///
-/// Panics when `PSA_THREADS` is set but malformed — see [`try_threads`].
-pub fn threads() -> usize {
-    try_threads().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`threads`].
-///
-/// # Errors
-///
-/// Returns [`SimError::EnvVar`] when `PSA_THREADS` is set but not a
-/// positive integer.
-pub fn try_threads() -> Result<usize, SimError> {
-    Ok(env_positive("PSA_THREADS")?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
 /// What ran on the L2C prefetcher slot (or, for [`Variant::L1d`], which
@@ -611,17 +278,17 @@ impl RunOutcome {
 /// Simulate one `(workload, variant)` pair. Pure: the run owns its
 /// [`System`] and seeded RNG, so the result depends only on the
 /// arguments — this is what makes parallel execution bit-identical to
-/// serial. The warm-up goes through the checkpoint store
-/// ([`crate::ckpt::warm_via_checkpoint`]), which is transparent: a
-/// restored warm state is bit-identical to a freshly simulated one.
+/// serial. The warm-up goes through the context's checkpoint store
+/// ([`ckpt::warm_via_checkpoint`]), which is transparent: a restored
+/// warm state is bit-identical to a freshly simulated one.
 fn try_simulate(
+    ctx: &Context,
     config: SimConfig,
     workload: WorkloadRef,
     variant: Variant,
 ) -> Result<RunReport, SimError> {
     let build_config = variant.build_config(config);
-    let build: Box<dyn Fn() -> Result<System, SimError>> =
-        Box::new(move || System::try_from_refs(build_config, &[workload]));
+    let build = move || System::try_from_refs(build_config, &[workload]);
     let label = variant.label();
     // Finished-report memoisation: with the tiered disk store available
     // (and observability off), a report computed by an earlier process
@@ -629,58 +296,52 @@ fn try_simulate(
     // from the store instead of re-simulated. The key hashes the
     // pre-variant config plus the label, which encodes every config
     // mutation a variant applies.
-    let memo_key = crate::ckpt::report_memo_enabled(&config)
-        .then(|| crate::ckpt::report_key(&config, workload.name(), &label));
+    let memo_key = ckpt::memo_enabled(ctx, &config)
+        .then(|| ckpt::report_key(&config, workload.name(), &label));
     if let Some(key) = memo_key {
         let t0 = Instant::now();
-        let hit = crate::ckpt::report_from_store(key, workload.name());
-        record_phase_snapshot(t0.elapsed());
+        let hit = ckpt::report_from_store(ctx, key, workload.name());
+        ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
         if let Some(report) = hit {
             return Ok(report);
         }
     }
-    let sys = crate::ckpt::warm_via_checkpoint(&*build, &label)?;
+    let sys = ckpt::warm_via_checkpoint(ctx, &build, &label)?;
     let t0 = Instant::now();
     let result = sys.try_run_observed();
-    record_phase(&G_PHASE_MEASURE_NANOS, t0.elapsed());
+    ctx.count_time(Counter::PhaseMeasureNanos, t0.elapsed());
     let (report, obs) = result?;
-    if let Some(obs) = obs {
-        maybe_write_trace(&obs);
+    if let (Some(obs), Some(path)) = (obs, &ctx.options().obs_trace) {
+        write_trace(path, &obs);
     }
     if let Some(key) = memo_key {
         let t0 = Instant::now();
-        crate::ckpt::report_to_store(key, &report);
-        record_phase_snapshot(t0.elapsed());
+        ckpt::report_to_store(ctx, key, &report);
+        ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
     }
     Ok(report)
 }
 
-/// Write the first observed run's Chrome `trace_event` JSON to
-/// `PSA_OBS_TRACE` / [`RunnerOptions::obs_trace`]. One trace per process:
-/// the first measured run to finish wins, which is deterministic under
-/// `PSA_THREADS=1` and representative otherwise. Lenient: unset means no
-/// trace, and an unwritable path is a warning, not a failed run.
-fn maybe_write_trace(obs: &ObsReport) {
+/// Write the first observed run's Chrome `trace_event` JSON to `path`
+/// (`PSA_OBS_TRACE`). One trace per process: the first measured run to
+/// finish wins, which is deterministic with one worker thread and
+/// representative otherwise. An unwritable path is a warning, not a
+/// failed run.
+fn write_trace(path: &Path, obs: &ObsReport) {
     static TRACE_ONCE: Once = Once::new();
-    let Some(path) = env_path("PSA_OBS_TRACE") else {
-        return;
-    };
     TRACE_ONCE.call_once(|| {
-        if let Err(e) = std::fs::write(&path, obs.to_chrome_trace()) {
+        if let Err(e) = std::fs::write(path, obs.to_chrome_trace()) {
             eprintln!("PSA_OBS_TRACE: cannot write {}: {e}", path.display());
         }
     });
 }
 
-/// Whether the fault-injection variable `var` targets this job: its value
-/// is either the workload name or `<workload>/<label>`.
-fn inject_match_label(var: &str, workload: &str, label: &str) -> bool {
-    std::env::var(var).is_ok_and(|v| v == workload || v == format!("{workload}/{label}"))
-}
-
-/// [`inject_match_label`] keyed by a memoised [`Variant`].
-fn inject_match(var: &str, workload: &str, variant: Variant) -> bool {
-    inject_match_label(var, workload, &variant.label())
+/// Whether a fault-injection target (`<workload>` or
+/// `<workload>/<label>`) names this job.
+fn targets(target: Option<&str>, workload: &str, label: &str) -> bool {
+    target.is_some_and(|t| {
+        t == workload || t.strip_prefix(workload).and_then(|r| r.strip_prefix('/')) == Some(label)
+    })
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -694,511 +355,115 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one job in isolation: panics are caught, simulator errors are
-/// values, and either becomes a [`RunOutcome::Failed`] row. The fault
-/// never escapes to the batch.
-fn run_job(config: SimConfig, workload: WorkloadRef, variant: Variant) -> RunOutcome {
-    let mut config = config;
-    if inject_match("PSA_INJECT_STALL", workload.name(), variant) {
-        // Threshold 1: the run aborts via the watchdog almost immediately
-        // (nothing retires before the ROB fills; nothing drains before the
-        // first fill matures).
-        config.watchdog_cycles = 1;
-    }
+/// Run one job body under the context's fault injection, in isolation:
+/// panics are caught and simulator errors are values, and either becomes
+/// `Err((reason, watchdog))`. The fault never escapes to the batch.
+fn isolated<R>(
+    ctx: &Context,
+    workload: &str,
+    label: &str,
+    body: impl FnOnce(&JobEnv) -> Result<R, SimError>,
+) -> Result<R, (String, bool)> {
+    let options = ctx.options();
+    let env = JobEnv {
+        stall: targets(options.inject_stall.as_deref(), workload, label),
+    };
+    let panic = targets(options.inject_panic.as_deref(), workload, label);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if inject_match("PSA_INJECT_PANIC", workload.name(), variant) {
+        if panic {
             panic!("injected panic (PSA_INJECT_PANIC)");
         }
-        try_simulate(config, workload, variant)
+        body(&env)
     }));
-    let failed = |reason: String, watchdog: bool| RunOutcome::Failed {
-        workload: workload.name(),
-        variant,
-        reason,
-        watchdog,
-    };
     match result {
-        Ok(Ok(report)) => RunOutcome::Ok(Box::new(report)),
+        Ok(Ok(r)) => Ok(r),
         Ok(Err(e)) => {
             let watchdog = matches!(e, SimError::WatchdogStall(_));
-            failed(e.to_string(), watchdog)
+            Err((e.to_string(), watchdog))
         }
-        Err(payload) => failed(format!("panic: {}", panic_message(payload)), false),
+        Err(payload) => Err((format!("panic: {}", panic_message(payload)), false)),
     }
 }
 
-// Process-wide executor counters, aggregated across every RunCache and
-// parallel_map so a bench binary can report one summary.
-static G_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static G_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static G_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-static G_QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
-static G_FAILED: AtomicU64 = AtomicU64::new(0);
-static G_WATCHDOG: AtomicU64 = AtomicU64::new(0);
-static G_BATCH_WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-// Phase wall-time profiler: where worker time goes, split into warm-up
-// simulation, the measured run, and checkpoint/snapshot I/O. Summed
-// across threads, so the three can exceed batch wall time.
-static G_PHASE_WARM_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_PHASE_MEASURE_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_PHASE_SNAPSHOT_NANOS: AtomicU64 = AtomicU64::new(0);
-
-fn record_phase(phase: &AtomicU64, elapsed: Duration) {
-    phase.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// Charge `elapsed` to the warm-up simulation phase (called by the
-/// checkpoint store when it actually simulates a warm-up).
-pub(crate) fn record_phase_warm(elapsed: Duration) {
-    record_phase(&G_PHASE_WARM_NANOS, elapsed);
-}
-
-/// Charge `elapsed` to the snapshot-I/O phase (checkpoint encode, decode,
-/// restore, and file traffic).
-pub(crate) fn record_phase_snapshot(elapsed: Duration) {
-    record_phase(&G_PHASE_SNAPSHOT_NANOS, elapsed);
-}
-
-/// In-memory checkpoint store cap in bytes (`PSA_CKPT_MEM_MB`, default
-/// 256MB). Deliberately lenient — a malformed value falls back to the
-/// default rather than failing runs mid-batch; [`RunnerOptions::from_env`]
-/// is the strict reading of the same variable.
-pub(crate) fn ckpt_mem_cap_bytes() -> usize {
-    std::env::var("PSA_CKPT_MEM_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(256)
-        .saturating_mul(1 << 20)
-}
-
-/// On-disk checkpoint store directory (`PSA_CKPT_DIR`); `None` disables
-/// the disk tier.
-pub(crate) fn ckpt_disk_dir() -> Option<PathBuf> {
-    env_path("PSA_CKPT_DIR")
-}
-
-/// Disk-tier budget of the tiered checkpoint store in bytes
-/// (`PSA_CKPT_DISK_MB`, default 2048MB). Lenient like the other
-/// checkpoint knobs; [`RunnerOptions::from_env`] is the strict reading.
-pub(crate) fn ckpt_disk_cap_bytes() -> u64 {
-    std::env::var("PSA_CKPT_DISK_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(2048)
-        .saturating_mul(1 << 20)
-}
-
-/// On-disk checkpoint layout (`PSA_CKPT_LAYOUT`). Lenient: anything but
-/// the exact legacy selector `flat` means the tiered default.
-pub(crate) fn ckpt_layout() -> CkptLayout {
-    if std::env::var("PSA_CKPT_LAYOUT").is_ok_and(|v| v == "flat") {
-        CkptLayout::Flat
-    } else {
-        CkptLayout::Tiered
+/// Run one memoised job in isolation; a fault becomes a
+/// [`RunOutcome::Failed`] row.
+fn run_job(
+    ctx: &Context,
+    config: SimConfig,
+    workload: WorkloadRef,
+    variant: Variant,
+) -> RunOutcome {
+    let result = isolated(ctx, workload.name(), &variant.label(), |env| {
+        try_simulate(ctx, env.config(config), workload, variant)
+    });
+    match result {
+        Ok(report) => RunOutcome::Ok(Box::new(report)),
+        Err((reason, watchdog)) => RunOutcome::Failed {
+            workload: workload.name(),
+            variant,
+            reason,
+            watchdog,
+        },
     }
 }
 
-/// Raw deterministic fault-plan spec for the checkpoint store
-/// (`PSA_FAULT_PLAN`), unparsed; `None` when unset or empty. Strict
-/// validation lives in [`RunnerOptions::from_env`].
-pub(crate) fn fault_plan_spec() -> Option<String> {
-    std::env::var("PSA_FAULT_PLAN")
-        .ok()
-        .filter(|s| !s.is_empty())
-}
-
-/// Where emitted `BENCH_*.json` documents go (`PSA_BENCH_JSON_DIR`,
-/// default: the working directory). Lenient by the same argument as the
-/// checkpoint-store knobs: a malformed value must not fail runs
-/// mid-batch, and [`RunnerOptions::from_env`] is the strict reading.
-pub fn bench_json_dir() -> PathBuf {
-    env_path("PSA_BENCH_JSON_DIR").unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// The trace file the trace-replay figure streams. Defaults to the
-/// committed sample fixture next to this crate's golden digests;
-/// `PSA_TRACE_FILE` points the figure at a different `.psatrace`.
-/// Lenient like [`bench_json_dir`]: the strict reading happens when the
-/// file is opened and verified, not here.
-pub fn trace_replay_path() -> PathBuf {
-    env_path("PSA_TRACE_FILE").unwrap_or_else(|| {
-        PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/sample.psatrace"
-        ))
-    })
-}
-
-// Process-wide failure journal: every failed job, so [`doc`] can embed
-// the `"failures"` array even when the cache lives inside a `collect()`.
-// Keyed by (workload, label): memoised jobs use the variant label,
-// `parallel_map_isolated` jobs their caller-supplied one.
-#[allow(clippy::type_complexity)]
-static G_FAILURES: Mutex<Vec<(&'static str, String, String, bool)>> = Mutex::new(Vec::new());
-
-pub(crate) fn journal_failure(workload: &'static str, label: String, reason: &str, watchdog: bool) {
-    G_FAILED.fetch_add(1, Ordering::Relaxed);
-    if watchdog {
-        G_WATCHDOG.fetch_add(1, Ordering::Relaxed);
-    }
-    G_FAILURES
-        .lock()
-        .expect("unpoisoned failure journal")
-        .push((workload, label, reason.into(), watchdog));
-}
-
-/// The process-wide failure journal as a JSON array of
-/// `{workload, variant, reason, watchdog}`, deduplicated and sorted by
-/// (workload, variant label). Empty — serialising to exactly
-/// `"failures": []` — when every job so far completed.
-pub fn failures_json() -> Json {
-    let journal = G_FAILURES.lock().expect("unpoisoned failure journal");
-    render_failures(journal.iter())
-}
-
-/// A mark into the process-wide failure journal: everything journalled
-/// from now on is "after" this mark. Pair with [`failures_json_since`]
-/// to scope a document's `failures` array to one job's own runs in a
-/// long-lived process (a server), where the process journal accumulates
-/// across unrelated jobs.
-pub fn failures_mark() -> usize {
-    G_FAILURES.lock().expect("unpoisoned failure journal").len()
-}
-
-/// Like [`failures_json`], but restricted to failures journalled at or
-/// after `mark` ([`failures_mark`]) whose workload is in `workloads` —
-/// the failures attributable to one job's own batch.
-pub fn failures_json_since(mark: usize, workloads: &[&str]) -> Json {
-    let journal = G_FAILURES.lock().expect("unpoisoned failure journal");
-    render_failures(
-        journal
-            .iter()
-            .skip(mark)
-            .filter(|(w, ..)| workloads.iter().any(|x| x == w)),
-    )
-}
-
-/// Deduplicate (last record wins) and sort journal records into the
-/// documented `failures` array shape.
-fn render_failures<'a>(
-    records: impl Iterator<Item = &'a (&'static str, String, String, bool)>,
-) -> Json {
-    let mut entries: std::collections::BTreeMap<(&'static str, String), (String, bool)> =
-        std::collections::BTreeMap::new();
-    for (w, label, reason, watchdog) in records {
-        entries.insert((w, label.clone()), (reason.clone(), *watchdog));
-    }
-    Json::Arr(
-        entries
-            .into_iter()
-            .map(|((w, label), (reason, watchdog))| {
-                Json::obj([
-                    ("workload", Json::str(w)),
-                    ("variant", Json::str(&label)),
-                    ("reason", Json::str(&reason)),
-                    ("watchdog", Json::Bool(watchdog)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn record_global(simulated: u64, memo_hits: u64, busy: Duration, wall: Duration, cycles: u64) {
-    G_SIMULATED.fetch_add(simulated, Ordering::Relaxed);
-    G_MEMO_HITS.fetch_add(memo_hits, Ordering::Relaxed);
-    G_BUSY_NANOS.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    G_WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    G_SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
-}
-
-// Process-wide run journal: every simulation a RunCache executes is
-// recorded here when `PSA_JSON_RUNS=1`, so [`doc`] can embed the raw
-// reports even when the cache lives inside a `collect()` call.
-static G_RUNS: Mutex<Vec<((&'static str, Variant), RunReport)>> = Mutex::new(Vec::new());
-
-fn json_runs_enabled() -> bool {
-    std::env::var("PSA_JSON_RUNS").is_ok_and(|v| v == "1")
-}
-
-fn journal_run(workload: &'static str, variant: Variant, report: &RunReport) {
-    if json_runs_enabled() {
-        G_RUNS
-            .lock()
-            .expect("unpoisoned journal")
-            .push(((workload, variant), report.clone()));
-    }
-}
-
-/// The process-wide run journal as a JSON array of
-/// `{workload, variant, report}`, deduplicated (a pair re-simulated by a
-/// later cache yields the identical report) and sorted by
-/// (workload, variant label). Empty unless `PSA_JSON_RUNS=1` was set
-/// while the runs executed.
-pub fn journal_json() -> Json {
-    let journal = G_RUNS.lock().expect("unpoisoned journal");
-    let mut entries: std::collections::BTreeMap<(&'static str, String), &RunReport> =
-        std::collections::BTreeMap::new();
-    for ((w, v), r) in journal.iter() {
-        entries.insert((w, v.label()), r);
-    }
-    Json::Arr(
-        entries
-            .into_iter()
-            .map(|((w, label), r)| {
-                Json::obj([
-                    ("workload", Json::str(w)),
-                    ("variant", Json::str(label)),
-                    ("report", report::run_report(r)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Execution statistics of one [`RunCache`] (or, via [`global_stats`], the
-/// whole process).
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    /// Simulations actually executed.
-    pub simulated: u64,
-    /// `run()`/`speedup()` calls served from the memo instead.
-    pub memo_hits: u64,
-    /// Summed per-run wall-clock (CPU-side work across all threads).
-    pub busy: Duration,
-    /// Wall-clock spent inside `run()`/`run_batch()` (elapsed time).
-    pub wall: Duration,
-    /// Simulated cycles across executed runs.
-    pub sim_cycles: u64,
-    /// Deepest work queue handed to the executor at once.
-    pub queue_peak: u64,
-    /// Runs executed by each worker thread of the largest pool used.
-    pub per_thread: Vec<u64>,
-    /// Jobs that ended in a [`RunOutcome::Failed`] (panic, watchdog stall
-    /// or validation error) instead of a report.
-    pub failed: u64,
-    /// The subset of `failed` aborted by the forward-progress watchdog.
-    pub watchdog_aborted: u64,
-    /// Wall-clock spent inside `run_batch()` specifically (a subset of
-    /// `wall`): the number the checkpoint-determinism CI gate compares
-    /// between cold and warm passes.
-    pub batch_wall: Duration,
-    /// Warm-ups skipped by restoring an in-memory checkpoint taken
-    /// earlier in this process. Process-scope: populated by
-    /// [`global_stats`], zero on per-cache stats (the store is shared).
-    pub warmups_shared: u64,
-    /// Jobs served from the on-disk checkpoint/result store
-    /// (`PSA_CKPT_DIR`): warm-ups restored from disk plus finished
-    /// reports memoised by an earlier process. Process-scope, like
-    /// `warmups_shared`.
-    pub ckpt_hits: u64,
-    /// Worker time spent simulating warm-ups. Process-scope, like
-    /// `warmups_shared`; summed across threads, so the three phases can
-    /// exceed `batch_wall`.
-    pub phase_warm: Duration,
-    /// Worker time spent in measured runs. Process-scope.
-    pub phase_measure: Duration,
-    /// Worker time spent on checkpoint/snapshot I/O (encode, decode,
-    /// restore, file traffic). Process-scope.
-    pub phase_snapshot: Duration,
-    /// Storage-tier counters of the tiered checkpoint/result store
-    /// (hits, misses, retries, quarantined entries, recovered bytes,
-    /// write failures, injected faults). Process-scope: populated by
-    /// [`global_stats`] from the always-on `psa_common::obs::store`
-    /// counters, zero on per-cache stats.
-    pub store: StoreSnapshot,
-}
-
-impl ExecStats {
-    /// Simulated cycles per wall-clock second; 0 when nothing ran.
-    pub fn cycles_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 / secs
-        }
-    }
-
-    /// One-line human summary for experiment banners.
-    pub fn summary(&self) -> String {
-        let per_thread = if self.per_thread.is_empty() {
-            String::new()
-        } else {
-            format!(", per-thread runs {:?}", self.per_thread)
-        };
-        let failures = if self.failed == 0 {
-            String::new()
-        } else {
-            format!(
-                ", {} FAILED ({} watchdog)",
-                self.failed, self.watchdog_aborted
-            )
-        };
-        let warm = if self.warmups_shared == 0 && self.ckpt_hits == 0 {
-            String::new()
-        } else {
-            format!(
-                ", {} warm-ups shared ({} from disk)",
-                self.warmups_shared + self.ckpt_hits,
-                self.ckpt_hits
-            )
-        };
-        format!(
-            "{} simulated, {} memo hits, {:.2}s wall / {:.2}s busy, {:.1} Mcycles/s, queue peak {}{}{}{}",
-            self.simulated,
-            self.memo_hits,
-            self.wall.as_secs_f64(),
-            self.busy.as_secs_f64(),
-            self.cycles_per_sec() / 1e6,
-            self.queue_peak,
-            per_thread,
-            warm,
-            failures,
-        )
-    }
-
-    /// The stats as a JSON object (the `"executor"` section of emitted
-    /// documents).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::uint(threads() as u64)),
-            ("simulated_runs", Json::uint(self.simulated)),
-            ("memo_hits", Json::uint(self.memo_hits)),
-            ("wall_seconds", Json::Num(self.wall.as_secs_f64())),
-            ("busy_seconds", Json::Num(self.busy.as_secs_f64())),
-            ("sim_cycles", Json::uint(self.sim_cycles)),
-            ("sim_cycles_per_sec", Json::Num(self.cycles_per_sec())),
-            ("queue_peak", Json::uint(self.queue_peak)),
-            (
-                "per_thread_runs",
-                Json::Arr(self.per_thread.iter().map(|&n| Json::uint(n)).collect()),
-            ),
-            ("failed_runs", Json::uint(self.failed)),
-            ("watchdog_aborted", Json::uint(self.watchdog_aborted)),
-            (
-                "batch_wall_seconds",
-                Json::Num(self.batch_wall.as_secs_f64()),
-            ),
-            ("warmups_shared", Json::uint(self.warmups_shared)),
-            ("ckpt_hits", Json::uint(self.ckpt_hits)),
-            (
-                "phases",
-                Json::obj([
-                    ("warmup_seconds", Json::Num(self.phase_warm.as_secs_f64())),
-                    (
-                        "measure_seconds",
-                        Json::Num(self.phase_measure.as_secs_f64()),
-                    ),
-                    (
-                        "snapshot_io_seconds",
-                        Json::Num(self.phase_snapshot.as_secs_f64()),
-                    ),
-                ]),
-            ),
-            (
-                "store",
-                Json::obj([
-                    ("hits", Json::uint(self.store.hits)),
-                    ("misses", Json::uint(self.store.misses)),
-                    ("retries", Json::uint(self.store.retries)),
-                    ("quarantined", Json::uint(self.store.quarantined)),
-                    ("recovered_bytes", Json::uint(self.store.recovered_bytes)),
-                    ("write_failures", Json::uint(self.store.write_failures)),
-                    ("injected_faults", Json::uint(self.store.injected_faults)),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// Snapshot of the process-wide executor counters (every [`RunCache`] and
-/// [`parallel_map`] contributes).
-pub fn global_stats() -> ExecStats {
-    ExecStats {
-        simulated: G_SIMULATED.load(Ordering::Relaxed),
-        memo_hits: G_MEMO_HITS.load(Ordering::Relaxed),
-        busy: Duration::from_nanos(G_BUSY_NANOS.load(Ordering::Relaxed)),
-        wall: Duration::from_nanos(G_WALL_NANOS.load(Ordering::Relaxed)),
-        sim_cycles: G_SIM_CYCLES.load(Ordering::Relaxed),
-        queue_peak: G_QUEUE_PEAK.load(Ordering::Relaxed),
-        per_thread: Vec::new(),
-        failed: G_FAILED.load(Ordering::Relaxed),
-        watchdog_aborted: G_WATCHDOG.load(Ordering::Relaxed),
-        batch_wall: Duration::from_nanos(G_BATCH_WALL_NANOS.load(Ordering::Relaxed)),
-        warmups_shared: crate::ckpt::G_WARMUPS_SHARED.load(Ordering::Relaxed),
-        ckpt_hits: crate::ckpt::G_CKPT_HITS.load(Ordering::Relaxed),
-        phase_warm: Duration::from_nanos(G_PHASE_WARM_NANOS.load(Ordering::Relaxed)),
-        phase_measure: Duration::from_nanos(G_PHASE_MEASURE_NANOS.load(Ordering::Relaxed)),
-        phase_snapshot: Duration::from_nanos(G_PHASE_SNAPSHOT_NANOS.load(Ordering::Relaxed)),
-        store: psa_common::obs::store::global().snapshot(),
-    }
-}
-
-/// Map `f` over `items` on the experiment thread pool, preserving input
-/// order in the results (and therefore producing output identical to a
-/// serial `items.iter().map(f)`).
-///
-/// Used by experiments whose runs don't fit the `(workload, variant)` memo
-/// key — custom Set-Dueling shapes, doubled-storage modules, multi-core
-/// mixes. `f` must be pure for the order-independence to hold.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// Map `f` over `items` on the context's worker pool (a work queue over
+/// `std::thread::scope`), preserving input order — the output equals a
+/// serial `items.iter().map(f)` whenever `f` is pure. Each item counts
+/// as one executed simulation of `ctx`; a `batch` (a [`RunCache`]
+/// batch) also counts its wall time as `batch_wall`.
+fn pool_map<T, R>(ctx: &Context, items: &[T], batch: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync,
 {
-    let workers = threads().min(items.len());
+    let workers = ctx.options().effective_threads().min(items.len()).max(1);
     let started = Instant::now();
+    let next = AtomicUsize::new(0);
     let busy = AtomicU64::new(0);
-    let out = if workers <= 1 {
-        items
-            .iter()
-            .map(|item| {
-                let t0 = Instant::now();
-                let r = f(item);
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                r
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let t0 = Instant::now();
-                    let r = f(item);
-                    busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    *slots[i].lock().expect("unpoisoned slot") = Some(r);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("unpoisoned slot")
-                    .expect("slot filled")
-            })
-            .collect()
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let worker = || {
+        let mut ran = 0u64;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return ran;
+            };
+            let t0 = Instant::now();
+            let r = f(item);
+            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            *slots[i].lock().expect("unpoisoned slot") = Some(r);
+            ran += 1;
+        }
     };
-    G_QUEUE_PEAK.fetch_max(items.len() as u64, Ordering::Relaxed);
-    // Simulated cycles stay 0 here: `R` is opaque, so only the memoising
-    // cache can attribute cycles. The job count still counts as executed
-    // simulations in every experiment that uses this helper.
-    record_global(
-        items.len() as u64,
-        0,
-        Duration::from_nanos(busy.load(Ordering::Relaxed)),
-        started.elapsed(),
-        0,
-    );
-    out
+    let per_thread: Vec<u64> = if workers == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let wall = started.elapsed();
+    ctx.count(Counter::Simulated, items.len() as u64);
+    ctx.count(Counter::QueuePeak, items.len() as u64);
+    ctx.count(Counter::BusyNanos, busy.into_inner());
+    ctx.count_time(Counter::WallNanos, wall);
+    if batch {
+        ctx.count_time(Counter::BatchWallNanos, wall);
+    }
+    ctx.count_threads(&per_thread);
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("unpoisoned slot")
+                .expect("slot filled")
+        })
+        .collect()
 }
 
 /// Identity of one custom-configured simulation job — the jobs that do
@@ -1215,18 +480,19 @@ pub struct JobSpec {
     pub label: String,
 }
 
-/// The fault-injection environment resolved for one isolated job. The
-/// job body must pass its run configuration through [`JobEnv::config`]
-/// so an injected stall can take effect.
+/// The fault injection resolved for one isolated job. The job body must
+/// pass its run configuration through [`JobEnv::config`] so an injected
+/// stall can take effect.
 #[derive(Debug, Clone, Copy)]
 pub struct JobEnv {
     stall: bool,
 }
 
 impl JobEnv {
-    /// `config` with the injected environment applied: a stall injection
-    /// drops the watchdog threshold to 1 cycle, so the run aborts via
-    /// the watchdog almost immediately.
+    /// `config` with the injection applied: a stall injection drops the
+    /// watchdog threshold to 1 cycle, so the run aborts via the watchdog
+    /// almost immediately (nothing retires before the ROB fills; nothing
+    /// drains before the first fill matures).
     pub fn config(&self, config: SimConfig) -> SimConfig {
         let mut config = config;
         if self.stall {
@@ -1236,165 +502,128 @@ impl JobEnv {
     }
 }
 
-/// [`parallel_map`] with per-job fault isolation, for simulation jobs
-/// outside the memoised `(workload, variant)` space.
+/// Map `f` over `items` on `ctx`'s worker pool with per-job fault
+/// isolation, preserving input order — the executor for simulation jobs
+/// outside the memoised `(workload, variant)` space (custom Set-Dueling
+/// shapes, doubled-storage modules, multi-core mixes). `f` must be pure
+/// for the order-independence to hold.
 ///
 /// Each job is described by `spec` (workload + unique label) and executed
 /// by `f` under [`std::panic::catch_unwind`]; `f` reports simulator
 /// faults as [`SimError`] values and must thread its `SimConfig` through
 /// [`JobEnv::config`]. A failed job yields `None` in its slot — the
 /// figure renders the survivors with an explicit gap — and lands in the
-/// process-wide failure journal ([`failures_json`]), exactly like a
-/// failed memoised job. `PSA_INJECT_PANIC` / `PSA_INJECT_STALL` match
-/// `<workload>` or `<workload>/<label>`.
-pub fn parallel_map_isolated<T, R, S, F>(items: &[T], spec: S, f: F) -> Vec<Option<R>>
+/// context's failure journal, exactly like a failed memoised job.
+/// Injection targets match `<workload>` or `<workload>/<label>`.
+pub fn parallel_map_isolated<T, R, S, F>(
+    ctx: &Context,
+    items: &[T],
+    spec: S,
+    f: F,
+) -> Vec<Option<R>>
 where
     T: Sync,
     R: Send,
     S: Fn(&T) -> JobSpec + Sync,
     F: Fn(&T, &JobEnv) -> Result<R, SimError> + Sync,
 {
-    parallel_map(items, |item| {
+    pool_map(ctx, items, false, |item| {
         let s = spec(item);
-        let env = JobEnv {
-            stall: inject_match_label("PSA_INJECT_STALL", s.workload, &s.label),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if inject_match_label("PSA_INJECT_PANIC", s.workload, &s.label) {
-                panic!("injected panic (PSA_INJECT_PANIC)");
-            }
-            f(item, &env)
-        }));
-        match result {
-            Ok(Ok(r)) => Some(r),
-            Ok(Err(e)) => {
-                let watchdog = matches!(e, SimError::WatchdogStall(_));
-                journal_failure(s.workload, s.label, &e.to_string(), watchdog);
-                None
-            }
-            Err(payload) => {
-                journal_failure(
-                    s.workload,
-                    s.label,
-                    &format!("panic: {}", panic_message(payload)),
-                    false,
-                );
-                None
-            }
-        }
+        isolated(ctx, s.workload, &s.label, |env| f(item, env))
+            .map_err(|(reason, watchdog)| {
+                ctx.journal_failure(s.workload, s.label, &reason, watchdog);
+            })
+            .ok()
     })
 }
 
 /// A memoising single-core run cache: each (workload, variant) simulates
-/// once per experiment, no matter how many reductions consume it. Failed
-/// jobs are memoised too — a fault is as deterministic as a report, and
+/// once per cache, no matter how many reductions consume it. Failed jobs
+/// are memoised too — a fault is as deterministic as a report, and
 /// retrying it would just fail again.
-#[derive(Default)]
+///
+/// Every method takes its workload as anything convertible into a
+/// [`WorkloadRef`] — a catalog `&'static WorkloadSpec` or a trace file.
 pub struct RunCache {
+    ctx: Arc<Context>,
     runs: HashMap<(&'static str, Variant), RunOutcome>,
-    stats: ExecStats,
+}
+
+impl Default for RunCache {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RunCache {
-    /// Fresh cache.
+    /// A standalone cache over [`RunnerOptions::default()`]: its own
+    /// memory-only store, counters and journal. Reads no environment.
     pub fn new() -> Self {
-        Self::default()
+        Self::in_context(Arc::new(Context::new(RunnerOptions::default())))
     }
 
-    /// Execution statistics accumulated by this cache.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
+    /// A cache executing in `ctx`.
+    pub(crate) fn in_context(ctx: Arc<Context>) -> Self {
+        RunCache {
+            ctx,
+            runs: HashMap::new(),
+        }
     }
 
-    fn record(&mut self, simulated: u64, busy: Duration, wall: Duration, cycles: u64) {
-        self.stats.simulated += simulated;
-        self.stats.busy += busy;
-        self.stats.wall += wall;
-        self.stats.sim_cycles += cycles;
-        record_global(simulated, 0, busy, wall, cycles);
-    }
-
-    fn record_batch_wall(&mut self, wall: Duration) {
-        self.stats.batch_wall += wall;
-        G_BATCH_WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+    /// Execution statistics of the cache's context.
+    pub fn stats(&self) -> ExecStats {
+        self.ctx.stats()
     }
 
     /// Memoise `outcome`, journalling it (run journal or failure journal)
-    /// and bumping the failure counters as appropriate. Returns the
-    /// simulated-cycle contribution (0 for failures).
-    fn admit(&mut self, name: &'static str, v: Variant, outcome: RunOutcome) -> u64 {
-        let cycles = match &outcome {
+    /// in the context.
+    fn admit(&mut self, name: &'static str, v: Variant, outcome: RunOutcome) {
+        match &outcome {
             RunOutcome::Ok(report) => {
-                journal_run(name, v, report);
-                report.cycles
+                self.ctx.count(Counter::SimCycles, report.cycles);
+                self.ctx.journal_run(name, v.label(), report);
             }
             RunOutcome::Failed {
                 reason, watchdog, ..
-            } => {
-                self.stats.failed += 1;
-                if *watchdog {
-                    self.stats.watchdog_aborted += 1;
-                }
-                journal_failure(name, v.label(), reason, *watchdog);
-                0
-            }
-        };
+            } => self.ctx.journal_failure(name, v.label(), reason, *watchdog),
+        }
         self.runs.insert((name, v), outcome);
-        cycles
     }
 
     /// Simulate every not-yet-cached `(workload, variant)` pair of `jobs`
-    /// in parallel (work-queue over `PSA_THREADS` workers), then serve all
-    /// of them from the memo. Results are bit-identical to running the
-    /// same jobs serially, in any order: each run is independent and owns
-    /// its seeded RNG. A panicking or watchdog-stalled job becomes a
-    /// [`RunOutcome::Failed`] entry; the rest of the batch completes
-    /// unperturbed.
-    pub fn run_batch(
-        &mut self,
-        config: SimConfig,
-        jobs: &[(&'static WorkloadSpec, Variant)],
-    ) -> usize {
-        self.run_batch_with(config, jobs, &|_, _| {})
-    }
-
-    /// [`RunCache::run_batch`] over typed [`WorkloadRef`] jobs —
-    /// synthetic specs and trace replays mix freely in one batch.
-    pub fn run_batch_refs(&mut self, config: SimConfig, jobs: &[(WorkloadRef, Variant)]) -> usize {
+    /// in parallel (work-queue over the context's worker count), then
+    /// serve all of them from the memo. Synthetic specs and trace
+    /// replays mix freely in one batch. Results are bit-identical to
+    /// running the same jobs serially, in any order: each run is
+    /// independent and owns its seeded RNG. A panicking or
+    /// watchdog-stalled job becomes a [`RunOutcome::Failed`] entry; the
+    /// rest of the batch completes unperturbed.
+    pub fn run_batch_refs<W>(&mut self, config: SimConfig, jobs: &[(W, Variant)]) -> usize
+    where
+        W: Copy + Into<WorkloadRef>,
+    {
         self.run_batch_refs_with(config, jobs, &|_, _| {})
     }
 
-    /// [`RunCache::run_batch`] with a progress hook: `progress(done,
+    /// [`RunCache::run_batch_refs`] with a progress hook: `progress(done,
     /// total)` fires after each job of this batch finishes (from worker
     /// threads, concurrently, on the parallel path — `done` values may
     /// arrive out of order, but each value 1..=total fires exactly once
     /// and `total` is the batch's not-yet-cached job count). The hook
     /// must not panic; it runs inside the worker loop.
-    pub fn run_batch_with(
+    pub fn run_batch_refs_with<W>(
         &mut self,
         config: SimConfig,
-        jobs: &[(&'static WorkloadSpec, Variant)],
+        jobs: &[(W, Variant)],
         progress: &(dyn Fn(u64, u64) + Sync),
-    ) -> usize {
-        let jobs: Vec<(WorkloadRef, Variant)> = jobs
-            .iter()
-            .map(|&(w, v)| (WorkloadRef::from(w), v))
-            .collect();
-        self.run_batch_refs_with(config, &jobs, progress)
-    }
-
-    /// [`RunCache::run_batch_with`] over typed [`WorkloadRef`] jobs —
-    /// the executor's real entry point; the spec-based form is sugar.
-    pub fn run_batch_refs_with(
-        &mut self,
-        config: SimConfig,
-        jobs: &[(WorkloadRef, Variant)],
-        progress: &(dyn Fn(u64, u64) + Sync),
-    ) -> usize {
+    ) -> usize
+    where
+        W: Copy + Into<WorkloadRef>,
+    {
         let mut todo: Vec<(WorkloadRef, Variant)> = Vec::new();
-        let mut queued: std::collections::HashSet<(&'static str, Variant)> =
-            std::collections::HashSet::new();
+        let mut queued: HashSet<(&'static str, Variant)> = HashSet::new();
         for &(w, v) in jobs {
+            let w: WorkloadRef = w.into();
             if !self.runs.contains_key(&(w.name(), v)) && queued.insert((w.name(), v)) {
                 todo.push((w, v));
             }
@@ -1402,158 +631,63 @@ impl RunCache {
         if todo.is_empty() {
             return 0;
         }
-        self.stats.queue_peak = self.stats.queue_peak.max(todo.len() as u64);
-        G_QUEUE_PEAK.fetch_max(todo.len() as u64, Ordering::Relaxed);
-
-        let workers = threads().min(todo.len());
-        let started = Instant::now();
-        if workers <= 1 {
-            let mut busy = Duration::ZERO;
-            let mut cycles = 0;
-            for (i, &(w, v)) in todo.iter().enumerate() {
-                let t0 = Instant::now();
-                let outcome = run_job(config, w, v);
-                busy += t0.elapsed();
-                cycles += self.admit(w.name(), v, outcome);
-                progress(i as u64 + 1, todo.len() as u64);
-            }
-            if self.stats.per_thread.is_empty() {
-                self.stats.per_thread = vec![0];
-            }
-            self.stats.per_thread[0] += todo.len() as u64;
-            self.record_batch_wall(started.elapsed());
-            self.record(todo.len() as u64, busy, started.elapsed(), cycles);
-            return todo.len();
-        }
-
-        let next = AtomicUsize::new(0);
+        let total = todo.len() as u64;
         let finished = AtomicU64::new(0);
-        let done: Mutex<Vec<(usize, RunOutcome, Duration)>> = Mutex::new(Vec::new());
-        let mut thread_runs = vec![0u64; workers];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, RunOutcome, Duration)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(w, v)) = todo.get(i) else { break };
-                            let t0 = Instant::now();
-                            let outcome = run_job(config, w, v);
-                            local.push((i, outcome, t0.elapsed()));
-                            let done_now = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress(done_now, todo.len() as u64);
-                        }
-                        let count = local.len() as u64;
-                        done.lock().expect("unpoisoned results").extend(local);
-                        count
-                    })
-                })
-                .collect();
-            for (t, handle) in handles.into_iter().enumerate() {
-                thread_runs[t] = handle.join().expect("worker panicked");
-            }
+        let ctx = &*self.ctx;
+        let outcomes = pool_map(ctx, &todo, true, |&(w, v)| {
+            let outcome = run_job(ctx, config, w, v);
+            progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
+            outcome
         });
-
-        let mut results = done.into_inner().expect("unpoisoned results");
-        results.sort_by_key(|&(i, _, _)| i);
-        let mut busy = Duration::ZERO;
-        let mut cycles = 0;
-        let n = results.len();
-        for (i, outcome, dur) in results {
-            busy += dur;
-            let (w, v) = todo[i];
-            cycles += self.admit(w.name(), v, outcome);
+        for (&(w, v), outcome) in todo.iter().zip(outcomes) {
+            self.admit(w.name(), v, outcome);
         }
-        if self.stats.per_thread.len() < workers {
-            self.stats.per_thread.resize(workers, 0);
-        }
-        for (t, &count) in thread_runs.iter().enumerate() {
-            self.stats.per_thread[t] += count;
-        }
-        self.record_batch_wall(started.elapsed());
-        self.record(n as u64, busy, started.elapsed(), cycles);
-        n
+        todo.len()
     }
 
     /// Simulate (or recall) `workload` under `variant`, keeping the fault
     /// as a value.
-    pub fn outcome(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        variant: Variant,
-    ) -> &RunOutcome {
-        self.outcome_ref(config, WorkloadRef::from(workload), variant)
-    }
-
-    /// [`RunCache::outcome`] over a typed [`WorkloadRef`].
     pub fn outcome_ref(
         &mut self,
         config: SimConfig,
-        workload: WorkloadRef,
+        workload: impl Into<WorkloadRef>,
         variant: Variant,
     ) -> &RunOutcome {
-        if self.runs.contains_key(&(workload.name(), variant)) {
-            self.stats.memo_hits += 1;
-            G_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        let workload = workload.into();
+        let key = (workload.name(), variant);
+        if self.runs.contains_key(&key) {
+            self.ctx.count(Counter::MemoHits, 1);
         } else {
-            let t0 = Instant::now();
-            let outcome = run_job(config, workload, variant);
-            let dur = t0.elapsed();
-            let cycles = self.admit(workload.name(), variant, outcome);
-            if self.stats.per_thread.is_empty() {
-                self.stats.per_thread = vec![0];
-            }
-            self.stats.per_thread[0] += 1;
-            self.record(1, dur, dur, cycles);
+            let ctx = &*self.ctx;
+            let outcome = pool_map(ctx, &[(workload, variant)], false, |&(w, v)| {
+                run_job(ctx, config, w, v)
+            });
+            let outcome = outcome.into_iter().next().expect("one job, one outcome");
+            self.admit(workload.name(), variant, outcome);
         }
-        &self.runs[&(workload.name(), variant)]
+        &self.runs[&key]
     }
 
     /// Whether `(workload, variant)` is cached with a completed report —
     /// figures use this to render explicit gaps for failed jobs.
-    pub fn completed(&self, workload: &'static WorkloadSpec, variant: Variant) -> bool {
-        self.completed_name(workload.name, variant)
-    }
-
-    /// [`RunCache::completed`] keyed by workload name (what the memo
-    /// actually keys on; trace names embed their content hash).
-    pub fn completed_name(&self, name: &'static str, variant: Variant) -> bool {
-        matches!(self.runs.get(&(name, variant)), Some(RunOutcome::Ok(_)))
-    }
-
-    /// [`RunCache::completed`] over a typed [`WorkloadRef`].
-    pub fn completed_ref(&self, workload: WorkloadRef, variant: Variant) -> bool {
-        self.completed_name(workload.name(), variant)
-    }
-
-    /// The subset of `refs` for which every listed variant completed —
-    /// the ref-based analogue of [`RunCache::surviving`].
-    pub fn surviving_refs(&self, refs: &[WorkloadRef], variants: &[Variant]) -> Vec<WorkloadRef> {
-        refs.iter()
-            .filter(|r| variants.iter().all(|&v| self.completed_ref(**r, v)))
-            .copied()
-            .collect()
+    pub fn completed_ref(&self, workload: impl Into<WorkloadRef>, variant: Variant) -> bool {
+        let key = (workload.into().name(), variant);
+        matches!(self.runs.get(&key), Some(RunOutcome::Ok(_)))
     }
 
     /// The subset of `workloads` for which every listed variant completed
-    /// (after a `run_batch` of the cross product): the rows a figure can
+    /// (after a batch over the cross product): the rows a figure can
     /// still render. A shrunken result is the "partial results with
-    /// explicit gaps" contract — the failures themselves are in
-    /// [`failures_json`].
-    pub fn surviving<'w>(
-        &self,
-        workloads: &[&'w WorkloadSpec],
-        variants: &[Variant],
-    ) -> Vec<&'w WorkloadSpec>
+    /// explicit gaps" contract — the failures themselves are in the
+    /// context's journal.
+    pub fn surviving_refs<W>(&self, workloads: &[W], variants: &[Variant]) -> Vec<W>
     where
-        'w: 'static,
+        W: Copy + Into<WorkloadRef>,
     {
         workloads
             .iter()
-            .filter(|w| variants.iter().all(|&v| self.completed(w, v)))
             .copied()
+            .filter(|&w| variants.iter().all(|&v| self.completed_ref(w, v)))
             .collect()
     }
 
@@ -1562,25 +696,12 @@ impl RunCache {
     /// # Panics
     ///
     /// Panics (with the recorded reason) when the job failed — callers
-    /// that tolerate gaps use [`RunCache::outcome`] / [`RunCache::completed`].
-    pub fn run(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        variant: Variant,
-    ) -> &RunReport {
-        self.run_ref(config, WorkloadRef::from(workload), variant)
-    }
-
-    /// [`RunCache::run`] over a typed [`WorkloadRef`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the recorded reason) when the job failed.
+    /// that tolerate gaps use [`RunCache::outcome_ref`] /
+    /// [`RunCache::completed_ref`].
     pub fn run_ref(
         &mut self,
         config: SimConfig,
-        workload: WorkloadRef,
+        workload: impl Into<WorkloadRef>,
         variant: Variant,
     ) -> &RunReport {
         match self.outcome_ref(config, workload, variant) {
@@ -1595,24 +716,14 @@ impl RunCache {
     }
 
     /// IPC ratio of `num` over `den` for one workload.
-    pub fn speedup(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        num: Variant,
-        den: Variant,
-    ) -> f64 {
-        self.speedup_ref(config, WorkloadRef::from(workload), num, den)
-    }
-
-    /// [`RunCache::speedup`] over a typed [`WorkloadRef`].
     pub fn speedup_ref(
         &mut self,
         config: SimConfig,
-        workload: WorkloadRef,
+        workload: impl Into<WorkloadRef>,
         num: Variant,
         den: Variant,
     ) -> f64 {
+        let workload = workload.into();
         let n = self.run_ref(config, workload, num).ipc();
         let d = self.run_ref(config, workload, den).ipc();
         if d <= 0.0 {
@@ -1624,7 +735,8 @@ impl RunCache {
 
     /// Every cached completed run as a JSON array of
     /// `{workload, variant, report}`, sorted by (workload, variant label)
-    /// for stable output. Failed jobs are in [`failures_json`], not here.
+    /// for stable output. Failed jobs are in the context's journal, not
+    /// here.
     pub fn runs_json(&self) -> Json {
         let mut entries: Vec<(&'static str, String, &RunReport)> = self
             .runs
@@ -1635,16 +747,17 @@ impl RunCache {
         Json::Arr(
             entries
                 .into_iter()
-                .map(|(w, label, r)| {
-                    Json::obj([
-                        ("workload", Json::str(w)),
-                        ("variant", Json::str(label)),
-                        ("report", report::run_report(r)),
-                    ])
-                })
+                .map(|(w, label, r)| run_entry(w, &label, r))
                 .collect(),
         )
     }
+}
+
+/// The process-wide sum of every context's executor counters — what
+/// `/metrics`, the bench banner and external harnesses read. No document
+/// renders it: each document's `executor` block is its own context's.
+pub fn global_stats() -> ExecStats {
+    crate::context::TOTAL.snapshot(Vec::new())
 }
 
 /// The current `BENCH_*.json` document schema version (see
@@ -1653,52 +766,34 @@ pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// Assemble the standard `BENCH_<figure>.json` document: schema version,
 /// figure id and title, the run configuration, the figure-specific `rows`,
-/// the process-wide `failures` journal (empty on a clean process), and
-/// the process-wide executor statistics. With `PSA_JSON_RUNS=1` the raw
-/// per-run reports executed so far ride along under `"runs"` (see
-/// [`journal_json`]).
+/// the `failures` journal of the settings' context (empty when every job
+/// completed), and that context's executor statistics. With `json_runs`
+/// (`PSA_JSON_RUNS=1`) the context's raw per-run reports ride along
+/// under `"runs"`.
 pub fn doc(figure: &str, title: &str, settings: &Settings, rows: Json) -> Json {
-    doc_with_failures(figure, title, settings, rows, failures_json())
-}
-
-/// [`doc`] with a caller-supplied `failures` array — for long-lived
-/// processes that scope failures to one job via [`failures_mark`] /
-/// [`failures_json_since`] instead of embedding the whole process
-/// journal.
-pub fn doc_with_failures(
-    figure: &str,
-    title: &str,
-    settings: &Settings,
-    rows: Json,
-    failures: Json,
-) -> Json {
+    let ctx = &settings.ctx;
     let mut doc = Json::obj([
         ("schema_version", Json::uint(BENCH_SCHEMA_VERSION)),
         ("figure", Json::str(figure)),
         ("title", Json::str(title)),
         ("config", report::sim_config(&settings.config)),
         ("rows", rows),
-        ("failures", failures),
-        ("executor", global_stats().to_json()),
+        ("failures", ctx.failures_json()),
+        (
+            "executor",
+            ctx.stats().to_json(ctx.options().effective_threads()),
+        ),
     ]);
-    if json_runs_enabled() {
-        doc.push("runs", journal_json());
+    if ctx.options().json_runs {
+        doc.push("runs", ctx.runs_json());
     }
     doc
 }
 
-/// Serialises tests (across the whole crate) that mutate process-global
-/// environment variables such as `PSA_WORKLOAD_LIMIT` or `PSA_THREADS`.
-#[cfg(test)]
-pub(crate) fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_env_lock as env_lock;
     use super::*;
+    use std::time::Duration;
 
     fn quick() -> SimConfig {
         SimConfig::default()
@@ -1706,12 +801,15 @@ mod tests {
             .with_instructions(4_000)
     }
 
+    fn lbm() -> &'static WorkloadSpec {
+        catalog::workload("lbm").unwrap()
+    }
+
     #[test]
     fn cache_memoises_and_counts() {
         let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        let a = cache.run(quick(), w, Variant::NoPrefetch).ipc();
-        let b = cache.run(quick(), w, Variant::NoPrefetch).ipc();
+        let a = cache.run_ref(quick(), lbm(), Variant::NoPrefetch).ipc();
+        let b = cache.run_ref(quick(), lbm(), Variant::NoPrefetch).ipc();
         assert_eq!(a, b);
         assert_eq!(cache.runs.len(), 1);
         // The second run() must be a memo hit, not a re-simulation.
@@ -1722,14 +820,14 @@ mod tests {
     #[test]
     fn batch_skips_cached_and_duplicate_jobs() {
         let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        cache.run(quick(), w, Variant::NoPrefetch);
+        let w = lbm();
+        cache.run_ref(quick(), w, Variant::NoPrefetch);
         let jobs = vec![
             (w, Variant::NoPrefetch), // already cached
             (w, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)),
             (w, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)), // duplicate
         ];
-        assert_eq!(cache.run_batch(quick(), &jobs), 1);
+        assert_eq!(cache.run_batch_refs(quick(), &jobs), 1);
         assert_eq!(cache.stats().simulated, 2);
     }
 
@@ -1749,20 +847,16 @@ mod tests {
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
 
-        let _guard = env_lock();
-        // Serial reference.
-        let mut serial = RunCache::new();
-        std::env::set_var("PSA_THREADS", "1");
-        serial.run_batch(quick(), &jobs);
-        // Parallel (work-queue over at least 3 workers).
-        std::env::set_var("PSA_THREADS", "3");
-        let mut parallel = RunCache::new();
-        parallel.run_batch(quick(), &jobs);
-        std::env::remove_var("PSA_THREADS");
+        // Serial reference, then a work-queue over 3 workers.
+        let mut serial = Settings::new(RunnerOptions::default().with_threads(1)).cache();
+        serial.run_batch_refs(quick(), &jobs);
+        let mut parallel = Settings::new(RunnerOptions::default().with_threads(3)).cache();
+        parallel.run_batch_refs(quick(), &jobs);
+        assert_eq!(parallel.stats().per_thread.len(), 3);
 
         for &(w, v) in &jobs {
-            let a = serial.run(quick(), w, v).clone();
-            let b = parallel.run(quick(), w, v).clone();
+            let a = serial.run_ref(quick(), w, v).clone();
+            let b = parallel.run_ref(quick(), w, v).clone();
             assert_eq!(
                 a,
                 b,
@@ -1774,22 +868,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let _guard = env_lock();
+    fn isolated_map_preserves_order_and_journals_gaps() {
+        let settings = Settings::new(RunnerOptions {
+            threads: Some(4),
+            inject_panic: Some("lbm/square/7".into()),
+            ..RunnerOptions::default()
+        });
         let items: Vec<u64> = (0..37).collect();
-        std::env::set_var("PSA_THREADS", "4");
-        let out = parallel_map(&items, |&x| x * x);
-        std::env::remove_var("PSA_THREADS");
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        let out = parallel_map_isolated(
+            &settings.ctx,
+            &items,
+            |x| JobSpec {
+                workload: "lbm",
+                label: format!("square/{x}"),
+            },
+            |&x, _| Ok(x * x),
+        );
+        let expect: Vec<Option<u64>> = items.iter().map(|&x| (x != 7).then_some(x * x)).collect();
+        assert_eq!(out, expect);
+        let failures = settings.ctx.failures_json().pretty();
+        assert!(failures.contains("square/7"), "{failures}");
+        assert_eq!(settings.ctx.stats().failed, 1);
     }
 
     #[test]
     fn speedup_is_ratio() {
         let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        let s = cache.speedup(
+        let s = cache.speedup_ref(
             quick(),
-            w,
+            lbm(),
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa),
             Variant::NoPrefetch,
         );
@@ -1798,23 +905,25 @@ mod tests {
 
     #[test]
     fn workload_selection_honours_limit() {
-        let _guard = env_lock();
-        let settings = Settings::default();
-        let all = settings.workloads();
-        assert_eq!(all.len(), 80);
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "10");
-        let some = settings.workloads();
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        assert_eq!(Settings::default().workloads().len(), 80);
+        let some = Settings::new(RunnerOptions::default().with_workload_limit(10)).workloads();
         assert!(some.len() <= 10 && some.len() >= 8, "got {}", some.len());
+        assert_eq!(Settings::default().mixes(), 8);
     }
 
     #[test]
     fn runs_json_and_doc_are_well_formed() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        cache.run(
+        let settings = Settings {
+            config: quick(),
+            ..Settings::new(RunnerOptions {
+                json_runs: true,
+                ..RunnerOptions::default()
+            })
+        };
+        let mut cache = settings.cache();
+        cache.run_ref(
             quick(),
-            w,
+            lbm(),
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::PsaSd),
         );
         let runs = cache.runs_json();
@@ -1823,7 +932,6 @@ mod tests {
         assert_eq!(entry.get("variant").unwrap().as_str(), Some("SPP-PSA-SD"));
         assert!(entry.get("report").unwrap().get("ipc").is_some());
 
-        let settings = Settings { config: quick() };
         let doc = doc("figXX", "smoke", &settings, Json::Arr(vec![]));
         for field in [
             "schema_version",
@@ -1833,10 +941,16 @@ mod tests {
             "rows",
             "failures",
             "executor",
+            "runs",
         ] {
             assert!(doc.get(field).is_some(), "missing {field}");
         }
         assert_eq!(doc.get("schema_version").unwrap(), &Json::uint(4));
+        assert_eq!(
+            doc.get("runs").unwrap(),
+            &runs,
+            "the context journalled its run"
+        );
         // Schema v3: the executor section carries the phase profile.
         let phases = doc.get("executor").unwrap().get("phases").unwrap();
         for field in ["warmup_seconds", "measure_seconds", "snapshot_io_seconds"] {
@@ -1862,162 +976,21 @@ mod tests {
     #[test]
     fn phase_profile_accounts_for_run_time() {
         let mut cache = RunCache::new();
-        let w = catalog::workload("astar").unwrap();
-        cache.run(quick(), w, Variant::NoPrefetch);
-        let stats = global_stats();
-        // This process just simulated a warm-up and a measured run, so
-        // both phases must have accumulated wall time.
-        assert!(stats.phase_warm > Duration::ZERO, "warm phase untimed");
-        assert!(
-            stats.phase_measure > Duration::ZERO,
-            "measure phase untimed"
+        cache.run_ref(
+            quick(),
+            catalog::workload("astar").unwrap(),
+            Variant::NoPrefetch,
         );
-    }
-
-    #[test]
-    fn strict_env_parsing_reports_the_offender() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_THREADS", "banana");
-        let e = try_threads().unwrap_err();
-        std::env::remove_var("PSA_THREADS");
-        match e {
-            SimError::EnvVar { var, value, .. } => {
-                assert_eq!(var, "PSA_THREADS");
-                assert_eq!(value, "banana");
-            }
-            other => panic!("expected EnvVar, got {other}"),
+        // This context just simulated a warm-up and a measured run, so
+        // both phases must have accumulated wall time — in the context
+        // and in the process-wide sum.
+        for stats in [cache.stats(), global_stats()] {
+            assert!(stats.phase_warm > Duration::ZERO, "warm phase untimed");
+            assert!(
+                stats.phase_measure > Duration::ZERO,
+                "measure phase untimed"
+            );
         }
-
-        // Settings::default() would itself panic on a malformed variable
-        // (it routes through RunnerOptions::from_env), so probe the
-        // fallible accessors on an explicit value.
-        let settings = Settings { config: quick() };
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "0");
-        let e = settings.try_workloads().unwrap_err();
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
-        assert!(e.to_string().contains("PSA_WORKLOAD_LIMIT"), "{e}");
-
-        std::env::set_var("PSA_MIXES", "-3");
-        let e = settings.try_mixes().unwrap_err();
-        std::env::remove_var("PSA_MIXES");
-        assert!(e.to_string().contains("-3"), "{e}");
-
-        // The consolidated reader is just as strict, for every knob kind:
-        // flags, u64 budgets, and the u32 observability shape.
-        for (var, value) in [
-            ("PSA_OBS", "yes"),
-            ("PSA_CHECK", "true"),
-            ("PSA_WARMUP", "10k"),
-            ("PSA_OBS_RING", "0"),
-            ("PSA_OBS_SAMPLE", "-1"),
-            ("PSA_CKPT_DISK_MB", "0"),
-            ("PSA_CKPT_LAYOUT", "shallow"),
-            ("PSA_FAULT_PLAN", "torn=2.0"),
-        ] {
-            std::env::set_var(var, value);
-            let e = RunnerOptions::from_env().unwrap_err();
-            std::env::remove_var(var);
-            let msg = e.to_string();
-            assert!(msg.contains(var) && msg.contains(value), "{msg}");
-        }
-    }
-
-    #[test]
-    fn runner_options_read_the_whole_environment() {
-        let _guard = env_lock();
-        for (var, value) in [
-            ("PSA_THREADS", "3"),
-            ("PSA_WARMUP", "500"),
-            ("PSA_INSTRUCTIONS", "2000"),
-            ("PSA_WATCHDOG", "0"),
-            ("PSA_CHECK", "1"),
-            ("PSA_JSON_RUNS", "1"),
-            ("PSA_CKPT_MEM_MB", "64"),
-            ("PSA_CKPT_DIR", "/tmp/ckpt"),
-            ("PSA_CKPT_DISK_MB", "512"),
-            ("PSA_CKPT_LAYOUT", "flat"),
-            ("PSA_FAULT_PLAN", "seed=3,eio=0.1"),
-            ("PSA_INJECT_PANIC", "lbm"),
-            ("PSA_OBS", "1"),
-            ("PSA_OBS_RING", "128"),
-            ("PSA_OBS_SAMPLE", "4"),
-            ("PSA_OBS_TRACE", "/tmp/trace.json"),
-        ] {
-            std::env::set_var(var, value);
-        }
-        let opts = RunnerOptions::from_env();
-        for var in [
-            "PSA_THREADS",
-            "PSA_WARMUP",
-            "PSA_INSTRUCTIONS",
-            "PSA_WATCHDOG",
-            "PSA_CHECK",
-            "PSA_JSON_RUNS",
-            "PSA_CKPT_MEM_MB",
-            "PSA_CKPT_DIR",
-            "PSA_CKPT_DISK_MB",
-            "PSA_CKPT_LAYOUT",
-            "PSA_FAULT_PLAN",
-            "PSA_INJECT_PANIC",
-            "PSA_OBS",
-            "PSA_OBS_RING",
-            "PSA_OBS_SAMPLE",
-            "PSA_OBS_TRACE",
-        ] {
-            std::env::remove_var(var);
-        }
-        let opts = opts.expect("every variable parses");
-        assert_eq!(opts.threads, Some(3));
-        assert_eq!(opts.effective_threads(), 3);
-        assert_eq!((opts.warmup, opts.instructions), (Some(500), Some(2000)));
-        assert_eq!(opts.watchdog, Some(0));
-        assert_eq!(opts.check, Some(true));
-        assert!(opts.json_runs);
-        assert_eq!(opts.ckpt_mem_mb, Some(64));
-        assert_eq!(
-            opts.ckpt_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/ckpt"))
-        );
-        assert_eq!(opts.ckpt_disk_mb, Some(512));
-        assert_eq!(opts.ckpt_layout, Some(CkptLayout::Flat));
-        assert_eq!(opts.fault_plan.as_deref(), Some("seed=3,eio=0.1"));
-        assert_eq!(opts.inject_panic.as_deref(), Some("lbm"));
-        let obs = opts.obs.expect("PSA_OBS* sets the obs shape");
-        assert!(obs.enabled);
-        assert_eq!((obs.ring_capacity, obs.sample_every), (128, 4));
-        assert_eq!(
-            opts.obs_trace.as_deref(),
-            Some(std::path::Path::new("/tmp/trace.json"))
-        );
-
-        // apply() threads the run-shape subset into a SimConfig…
-        let cfg = opts.apply(SimConfig::default());
-        assert_eq!((cfg.warmup, cfg.instructions), (500, 2000));
-        assert_eq!(cfg.watchdog_cycles, 0);
-        assert!(cfg.check);
-        assert_eq!(cfg.obs, obs);
-        // …while an empty options value leaves the config untouched.
-        let untouched = RunnerOptions::default().apply(cfg);
-        assert_eq!(untouched.warmup, cfg.warmup);
-        assert_eq!(untouched.obs, cfg.obs);
-        assert!(untouched.check);
-    }
-
-    #[test]
-    fn programmatic_options_override_the_environment() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_WARMUP", "111");
-        std::env::set_var("PSA_OBS", "1");
-        let opts = RunnerOptions::from_env();
-        std::env::remove_var("PSA_WARMUP");
-        std::env::remove_var("PSA_OBS");
-        let opts = opts
-            .expect("clean parse")
-            .with_warmup(222)
-            .with_obs(ObsConfig::default());
-        let cfg = opts.apply(SimConfig::default());
-        assert_eq!(cfg.warmup, 222);
-        assert!(!cfg.obs.enabled, "builder beat the PSA_OBS=1 in the env");
     }
 
     #[test]
@@ -2031,23 +1004,25 @@ mod tests {
 
     #[test]
     fn injected_panic_is_isolated_and_memoised() {
-        let _guard = env_lock();
-        let lbm = catalog::workload("lbm").unwrap();
         let milc = catalog::workload("milc").unwrap();
 
         // Clean reference for the job that survives the faulty batch.
-        let mut clean = RunCache::new();
-        let reference = clean.run(quick(), milc, Variant::NoPrefetch).clone();
+        let reference = RunCache::new()
+            .run_ref(quick(), milc, Variant::NoPrefetch)
+            .clone();
 
-        std::env::set_var("PSA_INJECT_PANIC", "lbm/no-prefetch");
-        let mut cache = RunCache::new();
-        cache.run_batch(
+        let settings = Settings::new(RunnerOptions {
+            inject_panic: Some("lbm/no-prefetch".into()),
+            ..RunnerOptions::default()
+        });
+        let mut cache = settings.cache();
+        cache.run_batch_refs(
             quick(),
-            &[(lbm, Variant::NoPrefetch), (milc, Variant::NoPrefetch)],
+            &[(lbm(), Variant::NoPrefetch), (milc, Variant::NoPrefetch)],
         );
         // The panicking job became a Failed value; the batch completed and
         // the surviving run is bit-identical to the clean reference.
-        match cache.outcome(quick(), lbm, Variant::NoPrefetch) {
+        match cache.outcome_ref(quick(), lbm(), Variant::NoPrefetch) {
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {
@@ -2056,42 +1031,39 @@ mod tests {
             }
             RunOutcome::Ok(_) => panic!("injected panic was not recorded"),
         }
-        assert_eq!(cache.run(quick(), milc, Variant::NoPrefetch), &reference);
+        assert_eq!(
+            cache.run_ref(quick(), milc, Variant::NoPrefetch),
+            &reference
+        );
         assert_eq!(cache.stats().failed, 1);
         assert_eq!(
-            cache.surviving(&[lbm, milc], &[Variant::NoPrefetch]),
+            cache.surviving_refs(&[lbm(), milc], &[Variant::NoPrefetch]),
             vec![milc]
         );
         // Faults are deterministic, so the failure is memoised: asking
-        // again (even with the injection cleared) must not re-simulate.
-        std::env::remove_var("PSA_INJECT_PANIC");
+        // again must not re-simulate.
         let hits = cache.stats().memo_hits;
-        assert!(!cache.completed(lbm, Variant::NoPrefetch));
+        assert!(!cache.completed_ref(lbm(), Variant::NoPrefetch));
         assert!(matches!(
-            cache.outcome(quick(), lbm, Variant::NoPrefetch),
+            cache.outcome_ref(quick(), lbm(), Variant::NoPrefetch),
             RunOutcome::Failed { .. }
         ));
         assert_eq!(cache.stats().memo_hits, hits + 1);
-        // The process-wide failure journal picked the fault up.
-        let failures = failures_json();
+        // The context's failure journal picked the fault up.
+        let failures = settings.ctx.failures_json();
         let arr = failures.as_arr().unwrap();
-        assert!(arr.iter().any(|f| {
-            f.get("workload").unwrap().as_str() == Some("lbm")
-                && f.get("variant").unwrap().as_str() == Some("no-prefetch")
-        }));
+        assert_eq!(arr.len(), 1);
+        assert_eq!(arr[0].get("workload").unwrap().as_str(), Some("lbm"));
+        assert_eq!(arr[0].get("variant").unwrap().as_str(), Some("no-prefetch"));
     }
 
     #[test]
     fn injected_stall_trips_the_watchdog() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_INJECT_STALL", "lbm/no-prefetch");
-        let outcome = run_job(
-            quick(),
-            catalog::workload("lbm").unwrap().into(),
-            Variant::NoPrefetch,
-        );
-        std::env::remove_var("PSA_INJECT_STALL");
-        match outcome {
+        let ctx = Context::new(RunnerOptions {
+            inject_stall: Some("lbm/no-prefetch".into()),
+            ..RunnerOptions::default()
+        });
+        match run_job(&ctx, quick(), lbm().into(), Variant::NoPrefetch) {
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {
@@ -2100,6 +1072,15 @@ mod tests {
             }
             RunOutcome::Ok(_) => panic!("stall injection did not trip the watchdog"),
         }
+    }
+
+    #[test]
+    fn injection_targets_a_workload_or_one_of_its_jobs() {
+        assert!(targets(Some("lbm"), "lbm", "SPP"));
+        assert!(targets(Some("lbm/SPP"), "lbm", "SPP"));
+        assert!(!targets(Some("lbm/SPP"), "lbm", "SPP-PSA"));
+        assert!(!targets(Some("lbm/SPP"), "lb", "m/SPP"));
+        assert!(!targets(None, "lbm", "SPP"));
     }
 
     #[test]

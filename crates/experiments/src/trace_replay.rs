@@ -4,7 +4,7 @@
 //! Unlike the synthetic figures, this experiment replays a *committed*
 //! trace file — by default the sample fixture at
 //! `crates/experiments/tests/golden/sample.psatrace`, overridable with
-//! `PSA_TRACE_FILE` — so its `BENCH_trace_replay.json` rows are
+//! the options' `trace_file` (`PSA_TRACE_FILE`) — so its `BENCH_trace_replay.json` rows are
 //! reproducible bit-for-bit from the repository alone. The workload name
 //! embeds the file's content hash (`trace:<name>@<hash>`), which makes
 //! every checkpoint and report-memo key content-addressed for free.
@@ -19,7 +19,12 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{intern, TraceRef, WorkloadRef};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Settings, Variant};
+use std::path::PathBuf;
+
+/// The committed sample fixture the figure replays unless the options
+/// name another file (`PSA_TRACE_FILE`).
+const SAMPLE_TRACE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sample.psatrace");
 
 /// The variant ladder the replay runs: the speedup baseline, original
 /// SPP, and the paper's page-size-aware refinements.
@@ -64,23 +69,20 @@ pub struct TraceReplayRow {
 /// file is corrupted underneath the run) is likewise journalled and its
 /// row dropped.
 pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
-    let path = runner::trace_replay_path();
+    let path = settings
+        .ctx
+        .options()
+        .trace_file
+        .clone()
+        .unwrap_or_else(|| PathBuf::from(SAMPLE_TRACE));
     let opened = match path.to_str() {
-        Some(p) => TraceRef::open(p),
-        None => {
-            runner::journal_failure(
-                intern(&format!("trace-file:{}", path.display())),
-                "open".into(),
-                "trace replay failed: path is not valid UTF-8",
-                false,
-            );
-            return (None, Vec::new());
-        }
+        Some(p) => TraceRef::open(p).map_err(|e| e.to_string()),
+        None => Err("path is not valid UTF-8".into()),
     };
     let tref = match opened {
         Ok(t) => t,
         Err(e) => {
-            runner::journal_failure(
+            settings.ctx.journal_failure(
                 intern(&format!("trace-file:{}", path.display())),
                 "open".into(),
                 &format!("trace replay failed: {e}"),
@@ -91,7 +93,7 @@ pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
     };
 
     let wref = WorkloadRef::TraceFile(tref);
-    let mut cache = RunCache::new();
+    let mut cache = settings.cache();
     let ladder = variants();
     let jobs: Vec<(WorkloadRef, Variant)> = ladder.iter().map(|&(_, v)| (wref, v)).collect();
     cache.run_batch_refs(settings.config, &jobs);
@@ -197,10 +199,9 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
     use psa_traces::format::TraceWriter;
     use psa_traces::{catalog, TraceGenerator};
-    use std::path::PathBuf;
 
     struct TempTrace(PathBuf);
 
@@ -233,24 +234,24 @@ mod tests {
         w.finish().expect("finish");
     }
 
-    fn small_settings() -> Settings {
-        Settings {
-            config: SimConfig::default()
-                .with_warmup(2_000)
-                .with_instructions(8_000),
-        }
+    fn small_settings(trace_file: Option<PathBuf>) -> Settings {
+        Settings::new(
+            RunnerOptions {
+                trace_file,
+                ..RunnerOptions::default()
+            }
+            .with_warmup(2_000)
+            .with_instructions(8_000),
+        )
     }
 
     #[test]
     fn replay_figure_is_deterministic_with_explicit_baseline() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("det");
         record(&tmp.0, "mcf", 3, 4_000);
-        std::env::set_var("PSA_TRACE_FILE", &tmp.0);
-        let settings = small_settings();
+        let settings = small_settings(Some(tmp.0.clone()));
         let (tref, rows) = collect(&settings);
         let (_, rows2) = collect(&settings);
-        std::env::remove_var("PSA_TRACE_FILE");
 
         let tref = tref.expect("fixture opens");
         assert!(tref.name.starts_with("trace:mcf@"), "{}", tref.name);
@@ -265,7 +266,6 @@ mod tests {
 
     #[test]
     fn mid_replay_corruption_is_a_typed_failure_row_not_a_panic() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("corrupt");
         record(&tmp.0, "lbm", 9, 4_000);
         let tref = TraceRef::open(tmp.0.to_str().expect("utf-8")).expect("verified");
@@ -279,34 +279,30 @@ mod tests {
         std::fs::write(&tmp.0, &bytes).expect("rewrite");
 
         let wref = WorkloadRef::TraceFile(tref);
-        let mark = runner::failures_mark();
-        let mut cache = RunCache::new();
-        cache.run_batch_refs(small_settings().config, &[(wref, Variant::NoPrefetch)]);
+        let settings = small_settings(None);
+        let mut cache = settings.cache();
+        cache.run_batch_refs(settings.config, &[(wref, Variant::NoPrefetch)]);
         assert!(!cache.completed_ref(wref, Variant::NoPrefetch));
-        let failures = runner::failures_json_since(mark, &[tref.name]).pretty();
+        let failures = settings.ctx.failures_json().pretty();
         assert!(failures.contains("trace replay failed"), "{failures}");
         assert!(failures.contains(tref.name), "{failures}");
     }
 
     #[test]
     fn unopenable_trace_is_a_journalled_gap_not_a_panic() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("gone");
-        std::env::set_var("PSA_TRACE_FILE", &tmp.0);
-        let settings = small_settings();
+        let settings = small_settings(Some(tmp.0.clone()));
         let (tref, rows) = collect(&settings);
-        let (text, doc) = report(&settings);
-        std::env::remove_var("PSA_TRACE_FILE");
-
         assert!(tref.is_none());
         assert!(rows.is_empty());
+
+        let settings = small_settings(Some(tmp.0.clone()));
+        let (text, doc) = report(&settings);
         assert!(text.contains("trace unavailable"), "{text}");
-        let rendered = doc.pretty();
-        assert!(rendered.contains("trace replay failed"), "{rendered}");
+        let failures = doc.get("failures").unwrap().pretty();
+        assert!(failures.contains("trace replay failed"), "{failures}");
         assert!(
-            runner::failures_json()
-                .pretty()
-                .contains("trace_replay_fig"),
+            failures.contains("trace_replay_fig"),
             "failure journalled under the trace-file pseudo-workload"
         );
     }

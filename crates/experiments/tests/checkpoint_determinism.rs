@@ -1,19 +1,17 @@
 //! End-to-end determinism of the tiered checkpoint/result store through
 //! the real `RunCache` batch executor: memory hits, tiered disk hits,
-//! memoised finished reports, legacy flat-file migration, corrupt-store
-//! recovery and injected-fault storms must all reproduce the cold path
-//! bit for bit.
+//! memoised finished reports, corrupt-store recovery and injected-fault
+//! storms must all reproduce the cold path bit for bit.
 //!
-//! Mutates `PSA_CKPT_DIR` / `PSA_CKPT_LAYOUT` / `PSA_FAULT_PLAN` and the
-//! process-wide store state, so the whole scenario lives in a single
-//! `#[test]` in its own binary (its own process) — the same isolation
-//! pattern as `fault_isolation.rs`.
+//! Each phase runs in its own execution context; a fresh context on the
+//! same directory reopens the store exactly as a fresh process would.
 
 use psa_core::PageSizePolicy;
-use psa_experiments::ckpt;
-use psa_experiments::runner::{self, RunCache, Variant};
+use psa_experiments::runner::{self, Variant};
+use psa_experiments::{RunnerOptions, Settings};
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::SimConfig;
+use psa_store::fault::FaultPlan;
 use psa_traces::WorkloadSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,33 +30,46 @@ fn jobs() -> Vec<(&'static WorkloadSpec, Variant)> {
         .collect()
 }
 
-/// Run the whole batch through a fresh cache and Debug-format every
-/// report — bit-identical state produces byte-identical strings.
-fn run_all(config: SimConfig, jobs: &[(&'static WorkloadSpec, Variant)]) -> Vec<String> {
-    let mut cache = RunCache::new();
-    cache.run_batch(config, jobs);
+fn config() -> SimConfig {
+    SimConfig::default()
+        .with_warmup(2_000)
+        .with_instructions(6_000)
+}
+
+/// Run the whole batch through a fresh cache in `settings`' context and
+/// Debug-format every report — bit-identical state produces
+/// byte-identical strings.
+fn run_all(settings: &Settings) -> Vec<String> {
+    let jobs = jobs();
+    let mut cache = settings.cache();
+    cache.run_batch_refs(config(), &jobs);
     jobs.iter()
-        .map(|&(w, v)| format!("{:?}", cache.run(config, w, v)))
+        .map(|&(w, v)| format!("{:?}", cache.run_ref(config(), w, v)))
         .collect()
 }
 
-/// Files in `dir` whose name satisfies `pred`, sorted.
-fn files_matching(dir: &Path, pred: impl Fn(&str) -> bool) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(&pred))
-        .collect();
-    files.sort();
-    files
-}
-
-fn ckpt_files(dir: &Path) -> Vec<PathBuf> {
-    files_matching(dir, |n| n.ends_with(".ckpt"))
+/// A fresh context (a "fresh process") over a store in `dir`, optionally
+/// under a fault plan.
+fn on_disk(dir: &Path, fault_plan: Option<&str>) -> Settings {
+    Settings::new(RunnerOptions {
+        ckpt_dir: Some(dir.to_path_buf()),
+        fault_plan: fault_plan.map(|spec| FaultPlan::parse(spec).unwrap()),
+        ..RunnerOptions::default()
+    })
 }
 
 fn seg_files(dir: &Path) -> Vec<PathBuf> {
-    files_matching(dir, |n| n.starts_with("seg-") && n.ends_with(".psg"))
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".psg"))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -70,64 +81,48 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
-    let config = SimConfig::default()
-        .with_warmup(2_000)
-        .with_instructions(6_000);
-    let jobs = jobs();
-    for var in ["PSA_CKPT_DIR", "PSA_CKPT_LAYOUT", "PSA_FAULT_PLAN"] {
-        std::env::remove_var(var);
-    }
+    let n = jobs().len() as u64;
 
     // Phase A: cold reference (no disk store, empty memory store).
-    ckpt::clear_memory();
-    let reference = run_all(config, &jobs);
+    let memory = Settings::default();
+    let reference = run_all(&memory);
 
-    // Phase B: a second cache in the same process shares every warm-up
+    // Phase B: a second cache in the same context shares every warm-up
     // from the memory tier — and reproduces the reports exactly.
-    let before = runner::global_stats();
-    let warm = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let before = memory.ctx.stats();
+    let warm = run_all(&memory);
+    let after = memory.ctx.stats();
     assert_eq!(warm, reference, "memory-warm run diverged from cold run");
     assert_eq!(
         after.warmups_shared - before.warmups_shared,
-        jobs.len() as u64,
+        n,
         "every job should share its warm-up from memory"
     );
-    assert_eq!(after.ckpt_hits, before.ckpt_hits, "no disk store is set");
+    assert_eq!(after.ckpt_hits, 0, "no disk store is set");
 
-    // Phase C: with PSA_CKPT_DIR set, warm-ups and finished reports
-    // persist in the tiered store. Clearing the in-process state
-    // simulates a fresh process — the reopened store must serve every
-    // job bit-identically (memoised reports, counted as ckpt_hits).
+    // Phase C: with a store directory, warm-ups and finished reports
+    // persist in the tiered store. A fresh context reopens the store
+    // and must serve every job bit-identically (memoised reports,
+    // counted as ckpt_hits).
     let dir = temp_dir("tiered");
-    std::env::set_var("PSA_CKPT_DIR", &dir);
-    ckpt::clear_memory();
-    let seeded = run_all(config, &jobs);
+    let seeded = run_all(&on_disk(&dir, None));
     assert_eq!(seeded, reference, "disk-seeding run diverged");
     assert!(
         dir.join("MANIFEST").exists(),
         "tiered store manifest missing"
     );
     assert!(!seg_files(&dir).is_empty(), "no store segments written");
-    assert!(
-        ckpt_files(&dir).is_empty(),
-        "tiered layout must not write legacy flat files"
-    );
 
-    ckpt::clear_memory(); // drops the store handle: reopen + recovery
-    let before = runner::global_stats();
-    let from_disk = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let reopened = on_disk(&dir, None);
+    let from_disk = run_all(&reopened);
+    let stats = reopened.ctx.stats();
+    drop(reopened);
     assert_eq!(from_disk, reference, "disk-warm run diverged from cold run");
     assert_eq!(
-        after.ckpt_hits - before.ckpt_hits,
-        jobs.len() as u64,
+        stats.ckpt_hits, n,
         "every job should be served from the store (memoised reports)"
     );
-    assert_eq!(
-        after.failed, before.failed,
-        "store traffic must not fail jobs"
-    );
+    assert_eq!(stats.failed, 0, "store traffic must not fail jobs");
 
     // Phase D: damage the store — truncate every segment and flip a
     // byte of the manifest. Recovery must quarantine the damage, fall
@@ -143,83 +138,38 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     bytes[last] ^= 0x40;
     fs::write(&manifest, bytes).unwrap();
 
-    ckpt::clear_memory();
-    let before = runner::global_stats();
-    let degraded = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let quarantined = runner::global_stats().store.quarantined;
+    let damaged = on_disk(&dir, None);
+    let degraded = run_all(&damaged);
+    let stats = damaged.ctx.stats();
     assert_eq!(degraded, reference, "corrupt-store fallback diverged");
-    assert_eq!(
-        after.ckpt_hits, before.ckpt_hits,
-        "corrupt entries must not count as hits"
-    );
+    assert_eq!(stats.ckpt_hits, 0, "corrupt entries must not count as hits");
     assert!(
-        after.store.quarantined > before.store.quarantined,
+        stats.store.quarantined > quarantined,
         "recovery should have quarantined the damage"
     );
-    assert_eq!(after.failed, before.failed, "fallback is not a failure");
+    assert_eq!(stats.failed, 0, "fallback is not a failure");
 
-    // Phase E: the legacy flat layout still works (and now writes its
-    // files atomically).
-    let flat_dir = temp_dir("flat");
-    std::env::set_var("PSA_CKPT_DIR", &flat_dir);
-    std::env::set_var("PSA_CKPT_LAYOUT", "flat");
-    ckpt::clear_memory();
-    let flat = run_all(config, &jobs);
-    assert_eq!(flat, reference, "flat-layout run diverged");
-    assert_eq!(
-        ckpt_files(&flat_dir).len(),
-        jobs.len(),
-        "flat layout writes one legacy file per warm-up"
-    );
-
-    // Phase F: switching the same directory to the tiered layout
-    // migrates: warm-ups restore from the legacy files (counted as disk
-    // hits) and are imported into the store alongside memoised reports.
-    std::env::remove_var("PSA_CKPT_LAYOUT");
-    ckpt::clear_memory();
-    let before = runner::global_stats();
-    let migrated = run_all(config, &jobs);
-    let after = runner::global_stats();
-    assert_eq!(migrated, reference, "flat-to-tiered migration diverged");
-    assert_eq!(
-        after.ckpt_hits - before.ckpt_hits,
-        jobs.len() as u64,
-        "every warm-up should restore from a legacy flat file"
-    );
-    assert!(
-        flat_dir.join("MANIFEST").exists(),
-        "migration should build the tiered store"
-    );
-
-    // Phase G: a seeded fault storm over a fresh store. Faulted writes
+    // Phase E: a seeded fault storm over a fresh store. Faulted writes
     // and reads degrade to cold work; results never change.
     let storm_dir = temp_dir("storm");
-    std::env::set_var("PSA_CKPT_DIR", &storm_dir);
-    std::env::set_var(
-        "PSA_FAULT_PLAN",
-        "seed=5,torn=0.1,flip=0.1,enospc=0.05,eio=0.15",
-    );
-    let before = runner::global_stats();
-    ckpt::clear_memory();
-    let stormy_cold = run_all(config, &jobs);
-    assert_eq!(stormy_cold, reference, "faulted cold run diverged");
-    ckpt::clear_memory();
-    let stormy_warm = run_all(config, &jobs);
-    let after = runner::global_stats();
-    assert_eq!(stormy_warm, reference, "faulted warm run diverged");
+    let storm = Some("seed=5,torn=0.1,flip=0.1,enospc=0.05,eio=0.15");
+    let injected = runner::global_stats().store.injected_faults;
+    for pass in ["cold", "warm"] {
+        let stormy = on_disk(&storm_dir, storm);
+        assert_eq!(run_all(&stormy), reference, "faulted {pass} run diverged");
+        assert_eq!(
+            stormy.ctx.stats().failed,
+            0,
+            "injected IO faults must not fail jobs"
+        );
+    }
     assert!(
-        after.store.injected_faults > before.store.injected_faults,
+        runner::global_stats().store.injected_faults > injected,
         "the fault plan should actually inject"
     );
-    assert_eq!(
-        after.failed, before.failed,
-        "injected IO faults must not fail jobs"
-    );
 
-    for var in ["PSA_CKPT_DIR", "PSA_CKPT_LAYOUT", "PSA_FAULT_PLAN"] {
-        std::env::remove_var(var);
-    }
-    for d in [dir, flat_dir, storm_dir] {
+    for d in [dir, storm_dir] {
         let _ = fs::remove_dir_all(&d);
     }
 }

@@ -2,14 +2,10 @@
 //! deliberately panicking job and one watchdog-stalled job must complete,
 //! keep every surviving run bit-identical to a clean serial run, and
 //! record both faults in the `BENCH_*.json` document's `failures` array.
-//!
-//! Lives in its own integration-test binary (one `#[test]`) so the
-//! `PSA_INJECT_*` / `PSA_THREADS` environment variables cannot race with
-//! the unit-test suite's environment-sensitive tests.
 
 use psa_core::PageSizePolicy;
-use psa_experiments::runner::{self, RunCache, RunOutcome, Variant};
-use psa_experiments::Settings;
+use psa_experiments::runner::{self, RunOutcome, Variant};
+use psa_experiments::{RunnerOptions, Settings};
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::SimConfig;
 
@@ -33,21 +29,26 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         (milc, psa),
     ];
 
-    // Clean serial reference first, before any injection is armed.
-    std::env::set_var("PSA_THREADS", "1");
-    let mut clean = RunCache::new();
-    clean.run_batch(quick(), &jobs);
+    // Clean serial reference, in a context with no injection armed.
+    let mut clean = Settings::new(RunnerOptions::default().with_threads(1)).cache();
+    clean.run_batch_refs(quick(), &jobs);
 
     // Faulty parallel batch: one injected panic, one injected stall.
-    std::env::set_var("PSA_THREADS", "2");
-    std::env::set_var("PSA_INJECT_PANIC", "lbm/no-prefetch");
-    std::env::set_var("PSA_INJECT_STALL", "milc/no-prefetch");
-    let mut faulty = RunCache::new();
-    let executed = faulty.run_batch(quick(), &jobs);
+    let faulty_settings = Settings {
+        config: quick(),
+        ..Settings::new(RunnerOptions {
+            threads: Some(2),
+            inject_panic: Some("lbm/no-prefetch".into()),
+            inject_stall: Some("milc/no-prefetch".into()),
+            ..RunnerOptions::default()
+        })
+    };
+    let mut faulty = faulty_settings.cache();
+    let executed = faulty.run_batch_refs(quick(), &jobs);
     assert_eq!(executed, jobs.len(), "the batch must complete");
 
     // Both faults were contained as values, with the right diagnosis.
-    match faulty.outcome(quick(), lbm, Variant::NoPrefetch) {
+    match faulty.outcome_ref(quick(), lbm, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -56,7 +57,7 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         }
         RunOutcome::Ok(_) => panic!("injected panic not recorded"),
     }
-    match faulty.outcome(quick(), milc, Variant::NoPrefetch) {
+    match faulty.outcome_ref(quick(), milc, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -69,33 +70,33 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
     // Every surviving job is bit-identical to the clean serial run.
     for &(w, v) in &[(soplex, Variant::NoPrefetch), (lbm, psa), (milc, psa)] {
         assert!(
-            faulty.completed(w, v),
+            faulty.completed_ref(w, v),
             "{}/{} should survive",
             w.name,
             v.label()
         );
         assert_eq!(
-            faulty.run(quick(), w, v),
-            clean.run(quick(), w, v),
+            faulty.run_ref(quick(), w, v),
+            clean.run_ref(quick(), w, v),
             "{}/{} diverged from the clean serial run",
             w.name,
             v.label()
         );
     }
     assert_eq!(
-        faulty.surviving(&[lbm, milc, soplex], &[Variant::NoPrefetch]),
+        faulty.surviving_refs(&[lbm, milc, soplex], &[Variant::NoPrefetch]),
         vec![soplex]
     );
     assert_eq!(faulty.stats().failed, 2);
     assert_eq!(faulty.stats().watchdog_aborted, 1);
+    assert_eq!(clean.stats().failed, 0, "contexts never share failures");
 
     // The emitted document carries both failure records, and would trip
     // the shell gate (which greps for the empty `"failures": []`).
-    let settings = Settings { config: quick() };
     let doc = runner::doc(
         "fault_smoke",
         "fault isolation smoke",
-        &settings,
+        &faulty_settings,
         psa_sim::Json::Arr(vec![]),
     );
     let failures = doc.get("failures").unwrap().as_arr().unwrap();
@@ -108,8 +109,11 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
             )
         })
         .collect();
-    assert!(recorded.contains(&("lbm", "no-prefetch")), "{recorded:?}");
-    assert!(recorded.contains(&("milc", "no-prefetch")), "{recorded:?}");
+    assert_eq!(
+        recorded,
+        [("lbm", "no-prefetch"), ("milc", "no-prefetch")],
+        "exactly the two injected faults"
+    );
     assert!(!doc.pretty().contains("\"failures\": []"));
     let executor = doc.get("executor").unwrap();
     assert_eq!(
@@ -120,8 +124,9 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         executor.get("watchdog_aborted").unwrap(),
         &psa_sim::Json::uint(1)
     );
-
-    for var in ["PSA_THREADS", "PSA_INJECT_PANIC", "PSA_INJECT_STALL"] {
-        std::env::remove_var(var);
-    }
+    assert_eq!(
+        executor.get("simulated_runs").unwrap(),
+        &psa_sim::Json::uint(jobs.len() as u64),
+        "the executor block counts this context's runs only"
+    );
 }

@@ -1,14 +1,9 @@
-//! Fault isolation for the `parallel_map_isolated` figure paths (the PR 2
-//! caveat closed): injected panics and watchdog stalls inside fig11-style
-//! and fig14-style jobs must become explicit gaps plus `failures` entries,
+//! Fault isolation for the `parallel_map_isolated` figure paths:
+//! injected panics and watchdog stalls inside fig11-style and
+//! fig14-style jobs must become explicit gaps plus `failures` entries,
 //! while untouched cells stay bit-identical to a clean run.
-//!
-//! Mutates `PSA_INJECT_*` / `PSA_WORKLOAD_LIMIT` / `PSA_MIXES`, so the
-//! whole scenario lives in a single `#[test]` in its own binary (its own
-//! process) — the same isolation pattern as `fault_isolation.rs`.
 
-use psa_experiments::runner::{self, Settings};
-use psa_experiments::{fig11, fig1415};
+use psa_experiments::{fig11, fig1415, RunnerOptions, Settings};
 use psa_sim::SimConfig;
 use psa_traces::mixes::random_mixes;
 
@@ -18,34 +13,36 @@ fn quick() -> SimConfig {
         .with_instructions(4_000)
 }
 
-#[test]
-fn injected_faults_in_map_jobs_become_gaps_and_failures() {
-    // ---- fig11-style: custom-configured single-core cells ----
-    std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-    std::env::set_var("PSA_THREADS", "2");
-    let settings = Settings { config: quick() };
-    let workloads = settings.workloads();
-    assert_eq!(workloads.len(), 3);
+/// Settings over three workloads and two mixes, two threads, with the
+/// given fault injections.
+fn settings(inject_panic: Option<String>, inject_stall: Option<String>) -> Settings {
+    Settings {
+        config: quick(),
+        ..Settings::new(RunnerOptions {
+            workload_limit: Some(3),
+            mixes: Some(2),
+            threads: Some(2),
+            inject_panic,
+            inject_stall,
+            ..RunnerOptions::default()
+        })
+    }
+}
 
-    let clean = fig11::collect(&settings);
+#[test]
+fn injected_faults_in_fig11_jobs_become_gaps_and_failures() {
+    let clean_settings = settings(None, None);
+    let workloads = clean_settings.workloads();
+    assert_eq!(workloads.len(), 3);
+    let clean = fig11::collect(&clean_settings);
 
     // Panic one SPP/SD-Proposed cell and stall one VLDP/SD-Standard cell;
     // injection matches on `<workload>/<job label>`.
-    let w_panic = workloads[0].name;
-    let w_stall = workloads[1].name;
-    std::env::set_var(
-        "PSA_INJECT_PANIC",
-        format!("{w_panic}/fig11/SPP/SD-Proposed"),
+    let faulty_settings = settings(
+        Some(format!("{}/fig11/SPP/SD-Proposed", workloads[0].name)),
+        Some(format!("{}/fig11/VLDP/SD-Standard", workloads[1].name)),
     );
-    std::env::set_var(
-        "PSA_INJECT_STALL",
-        format!("{w_stall}/fig11/VLDP/SD-Standard"),
-    );
-    let before = runner::global_stats();
-    let faulty = fig11::collect(&settings);
-    let after = runner::global_stats();
-    std::env::remove_var("PSA_INJECT_PANIC");
-    std::env::remove_var("PSA_INJECT_STALL");
+    let faulty = fig11::collect(&faulty_settings);
 
     // The figure still renders every row; untouched prefetchers are
     // bit-identical to the clean run.
@@ -62,31 +59,27 @@ fn injected_faults_in_map_jobs_become_gaps_and_failures() {
             assert!(s > 0.2 && s < 5.0, "{}: implausible speedup {s}", row.kind);
         }
     }
-    assert_eq!(after.failed - before.failed, 2, "both faults journalled");
+    let stats = faulty_settings.ctx.stats();
+    assert_eq!(stats.failed, 2, "both faults journalled");
     assert_eq!(
-        after.watchdog_aborted - before.watchdog_aborted,
-        1,
+        stats.watchdog_aborted, 1,
         "the stall is aborted by the forward-progress watchdog"
     );
-    let journal = runner::failures_json().pretty();
+    let journal = faulty_settings.ctx.failures_json().pretty();
     assert!(journal.contains("fig11/SPP/SD-Proposed"), "{journal}");
     assert!(journal.contains("injected panic"), "{journal}");
     assert!(journal.contains("fig11/VLDP/SD-Standard"), "{journal}");
     assert!(journal.contains("\"watchdog\": true"), "{journal}");
+    assert_eq!(clean_settings.ctx.stats().failed, 0);
+}
 
-    // ---- fig14-style: multi-core mix evaluations ----
-    std::env::set_var("PSA_MIXES", "2");
+#[test]
+fn injected_stall_in_a_mix_job_becomes_a_gap_and_a_failure() {
     // The injected label must name the job exactly: the SPP-PSA-SD
     // evaluation of mix 0, keyed by the mix's first workload.
-    let mix_w = random_mixes(2, 2, settings.config.seed)[0][0].name;
-    std::env::set_var("PSA_INJECT_STALL", format!("{mix_w}/spp-s/mix0"));
-    let before = runner::global_stats();
+    let mix_w = random_mixes(2, 2, quick().seed)[0][0].name;
+    let settings = settings(None, Some(format!("{mix_w}/spp-s/mix0")));
     let bars = fig1415::collect(&settings, 2);
-    let after = runner::global_stats();
-    std::env::remove_var("PSA_INJECT_STALL");
-    std::env::remove_var("PSA_MIXES");
-    std::env::remove_var("PSA_WORKLOAD_LIMIT");
-    std::env::remove_var("PSA_THREADS");
 
     assert_eq!(bars.len(), 7, "every bar renders despite the fault");
     for b in &bars {
@@ -98,8 +91,8 @@ fn injected_faults_in_map_jobs_become_gaps_and_failures() {
             b.label
         );
     }
-    assert!(after.failed > before.failed);
-    assert!(after.watchdog_aborted > before.watchdog_aborted);
-    let journal = runner::failures_json().pretty();
+    let stats = settings.ctx.stats();
+    assert_eq!((stats.failed, stats.watchdog_aborted), (1, 1));
+    let journal = settings.ctx.failures_json().pretty();
     assert!(journal.contains("spp-s/mix0"), "{journal}");
 }

@@ -2,12 +2,9 @@
 //! typed [`psa_sim::SimError::PhysMemExhausted`] value — reported through
 //! `try_run`, contained by the executor as a job failure, and journalled
 //! in the `BENCH_*.json` `failures` array — never as a panic.
-//!
-//! Lives in its own integration-test binary because the failure journal
-//! and `PSA_THREADS` are process-wide.
 
-use psa_experiments::runner::{self, RunCache, RunOutcome, Variant};
-use psa_experiments::Settings;
+use psa_experiments::runner::{self, RunOutcome, Variant};
+use psa_experiments::{RunnerOptions, Settings};
 use psa_sim::{SimConfig, SimError, System};
 
 /// lbm's 32MB footprint cannot fit in 4MB of physical memory.
@@ -36,13 +33,16 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
     assert!(err.to_string().contains("enlarge PhysMemConfig"), "{err}");
 
     // Through the executor: the job fails in isolation and lands in the
-    // process-wide failure journal.
-    std::env::set_var("PSA_THREADS", "1");
+    // context's failure journal.
+    let settings = Settings {
+        config: tiny_phys(),
+        ..Settings::new(RunnerOptions::default().with_threads(1))
+    };
     let jobs = vec![(lbm, Variant::NoPrefetch)];
-    let mut cache = RunCache::new();
-    let executed = cache.run_batch(tiny_phys(), &jobs);
+    let mut cache = settings.cache();
+    let executed = cache.run_batch_refs(settings.config, &jobs);
     assert_eq!(executed, jobs.len(), "the batch must complete");
-    match cache.outcome(tiny_phys(), lbm, Variant::NoPrefetch) {
+    match cache.outcome_ref(settings.config, lbm, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -52,9 +52,6 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
         RunOutcome::Ok(_) => panic!("exhaustion must fail the job"),
     }
 
-    let settings = Settings {
-        config: tiny_phys(),
-    };
     let doc = runner::doc(
         "phys_smoke",
         "phys exhaustion smoke",
@@ -68,6 +65,4 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
         .expect("lbm failure journalled");
     let reason = rec.get("reason").unwrap().as_str().unwrap();
     assert!(reason.contains("physical memory exhausted"), "{reason}");
-
-    std::env::remove_var("PSA_THREADS");
 }

@@ -2,12 +2,15 @@
 //!
 //! * `psa_serve serve [--addr A] [--workers N] [--queue-capacity N]
 //!   [--max-body-bytes N] [--job-delay-ms N] [--port-file PATH]` —
-//!   run the daemon until SIGTERM/SIGINT, then drain and exit 0.
+//!   run the daemon until SIGTERM/SIGINT, then drain and exit 0. The
+//!   `PSA_*` environment is read once, before binding: a malformed
+//!   variable prints the typed error and exits 2.
 //! * `psa_serve client METHOD URL [--body JSON]` — issue one request
 //!   (CI and scripting; no external HTTP tools needed). Prints the
 //!   response body to stdout; exits non-zero on a 4xx/5xx status.
 
 use crate::{http, signal, RunningServer, ServerConfig};
+use psa_experiments::RunnerOptions;
 use std::time::Duration;
 
 /// Run the CLI; returns the process exit code.
@@ -47,6 +50,13 @@ fn serve(args: &[String]) -> i32 {
     let mut config = ServerConfig::default();
     let port_file = match serve_config(args, &mut config) {
         Ok(port_file) => port_file,
+        Err(e) => {
+            eprintln!("psa_serve: {e}");
+            return 2;
+        }
+    };
+    config.options = match RunnerOptions::from_env() {
+        Ok(options) => options,
         Err(e) => {
             eprintln!("psa_serve: {e}");
             return 2;

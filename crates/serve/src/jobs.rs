@@ -24,6 +24,7 @@
 
 use crate::metrics::Metrics;
 use psa_experiments::service::{self, SweepSpec};
+use psa_experiments::Settings;
 use psa_store::sync::{Entered, InFlight};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,17 +136,21 @@ pub struct JobQueue {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     job_delay: Duration,
+    /// The server's settings: its base config and execution context,
+    /// which every job forks.
+    settings: Settings,
 }
 
 impl JobQueue {
-    /// Build a queue and start `workers` worker threads. Returns the
-    /// queue handle and the worker join handles (join them after
-    /// [`JobQueue::begin_shutdown`] to drain).
+    /// Build a queue over the server's `settings` and start `workers`
+    /// worker threads. Returns the queue handle and the worker join
+    /// handles (join them after [`JobQueue::begin_shutdown`] to drain).
     pub fn start(
         capacity: usize,
         workers: usize,
         job_delay: Duration,
         metrics: Arc<Metrics>,
+        settings: Settings,
     ) -> (Arc<JobQueue>, Vec<std::thread::JoinHandle<()>>) {
         let queue = Arc::new(JobQueue {
             state: Mutex::new(QueueState {
@@ -160,6 +165,7 @@ impl JobQueue {
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             job_delay,
+            settings,
         });
         let handles = (0..queue.workers)
             .map(|i| {
@@ -175,7 +181,7 @@ impl JobQueue {
 
     /// Submit a spec: dedup first, then bounded admission.
     pub fn submit(&self, spec: SweepSpec) -> Submitted {
-        let key = spec.key();
+        let key = spec.key(self.settings.config);
         // The admission check runs inside the registry lock, so
         // key-registration and queue-entry are one atomic step; a shed
         // submission registers nothing.
@@ -274,7 +280,9 @@ impl JobQueue {
             st.completed = done;
             st.total = total;
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| service::run_job(&job.spec, &progress)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            service::run_job(&self.settings, &job.spec, &progress)
+        }));
         self.metrics.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
         match outcome {
             Ok(served) => {
@@ -355,7 +363,13 @@ mod tests {
     #[test]
     fn identical_specs_dedup_distinct_specs_queue() {
         let metrics = Arc::new(Metrics::new(8));
-        let (queue, handles) = JobQueue::start(8, 1, Duration::ZERO, Arc::clone(&metrics));
+        let (queue, handles) = JobQueue::start(
+            8,
+            1,
+            Duration::ZERO,
+            Arc::clone(&metrics),
+            Settings::default(),
+        );
         let first = match queue.submit(tiny_spec(1)) {
             Submitted::Accepted(job) => job,
             other => panic!("expected acceptance, got {other:?}"),
@@ -386,8 +400,13 @@ mod tests {
     fn full_queue_sheds_with_positive_retry_after() {
         let metrics = Arc::new(Metrics::new(1));
         // Slow worker, capacity 1: the second distinct spec must shed.
-        let (queue, handles) =
-            JobQueue::start(1, 1, Duration::from_millis(300), Arc::clone(&metrics));
+        let (queue, handles) = JobQueue::start(
+            1,
+            1,
+            Duration::from_millis(300),
+            Arc::clone(&metrics),
+            Settings::default(),
+        );
         let mut accepted = 0;
         let mut shed = 0;
         for seed in 10..16 {

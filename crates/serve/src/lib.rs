@@ -32,6 +32,7 @@ pub mod signal;
 
 use jobs::JobQueue;
 use metrics::Metrics;
+use psa_experiments::{RunnerOptions, Settings};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,6 +53,10 @@ pub struct ServerConfig {
     /// Artificial pre-execution delay per job (tests and ops drills;
     /// zero in production).
     pub job_delay: Duration,
+    /// The runner options every job executes under: budgets, executor
+    /// width, the checkpoint store every job shares, fault injection.
+    /// `psa_serve serve` reads them from the environment once, at boot.
+    pub options: RunnerOptions,
 }
 
 impl Default for ServerConfig {
@@ -62,6 +67,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_body_bytes: 256 * 1024,
             job_delay: Duration::ZERO,
+            options: RunnerOptions::default(),
         }
     }
 }
@@ -78,7 +84,9 @@ pub struct RunningServer {
 }
 
 impl RunningServer {
-    /// Bind `config.addr` and start serving.
+    /// Bind `config.addr` and start serving. The server's execution
+    /// context — and with it the checkpoint store — opens here, once;
+    /// each job runs in its own fork of it.
     ///
     /// # Errors
     ///
@@ -93,6 +101,7 @@ impl RunningServer {
             config.workers,
             config.job_delay,
             metrics,
+            Settings::new(config.options),
         );
         let stop_accepting = Arc::new(AtomicBool::new(false));
         let accept_handle = {

@@ -3,9 +3,11 @@
 //! sockets, poll jobs to completion, and read Prometheus samples.
 #![allow(dead_code)]
 
+use psa_experiments::RunnerOptions;
 use psa_serve::http::{self, ClientResponse};
 use psa_serve::{RunningServer, ServerConfig};
 use psa_sim::report::Json;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Spawn a server and return it with its `host:port` address string.
@@ -13,6 +15,25 @@ pub fn spawn(config: ServerConfig) -> (RunningServer, String) {
     let server = RunningServer::spawn(config).expect("server binds an ephemeral port");
     let addr = server.addr.to_string();
     (server, addr)
+}
+
+/// A default server whose jobs share a tiered checkpoint store in `dir`.
+pub fn on_store(dir: &Path) -> ServerConfig {
+    ServerConfig {
+        options: RunnerOptions {
+            ckpt_dir: Some(dir.to_path_buf()),
+            ..RunnerOptions::default()
+        },
+        ..ServerConfig::default()
+    }
+}
+
+/// A numeric field of a served document's `executor` block.
+pub fn executor(doc: &Json, field: &str) -> f64 {
+    doc.get("executor")
+        .and_then(|e| e.get(field))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("document has no executor.{field}"))
 }
 
 /// One GET over a fresh connection.

@@ -1,16 +1,12 @@
 //! Concurrent dedup and the memoised document tier across a restart:
 //! N racing identical submissions run exactly one simulation and read
-//! back bit-identical bytes; after a "restart" (in-memory store state
-//! dropped, disk tier reopened cold) the same spec is answered from
-//! disk with zero simulated cycles.
-//!
-//! This file owns `PSA_CKPT_DIR` for its process, so it holds exactly
-//! one `#[test]` — nothing else may race the process environment.
+//! back bit-identical bytes; after a restart (a new server on the same
+//! store directory) the same spec is answered from
+//! disk without simulating.
 
 mod common;
 
-use psa_experiments::{ckpt, runner};
-use psa_serve::{http, ServerConfig};
+use psa_serve::http;
 use psa_sim::report::Json;
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
@@ -22,12 +18,7 @@ const SPEC: &str = r#"{"figure": "fig08", "workloads": ["lbm"],
 #[test]
 fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
     let dir = std::env::temp_dir().join(format!("psa-serve-dedup-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    std::env::set_var("PSA_CKPT_DIR", &dir);
-    ckpt::clear_memory();
-
-    let before = runner::global_stats();
-    let (server, addr) = common::spawn(ServerConfig::default());
+    let (server, addr) = common::spawn(common::on_store(&dir));
 
     const N: usize = 6;
     let barrier = Barrier::new(N);
@@ -90,10 +81,9 @@ fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
         assert_eq!(again.body, first.body, "every response is bit-identical");
     }
 
-    let after = runner::global_stats();
     assert_eq!(
-        after.simulated - before.simulated,
-        1,
+        common::executor(&common::json(&first), "simulated_runs"),
+        1.0,
         "N submissions, exactly one simulation"
     );
     let m = &server.queue().metrics;
@@ -103,11 +93,9 @@ fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
     assert_eq!(m.jobs_from_cache.load(Ordering::Relaxed), 0);
     server.shutdown();
 
-    // "Restart": drop every in-memory tier; the next access reopens the
-    // disk store from scratch, exactly as a fresh process would.
-    ckpt::clear_memory();
-    let cold = runner::global_stats();
-    let (server2, addr2) = common::spawn(ServerConfig::default());
+    // Restart: a new server opens the store from scratch, exactly as a
+    // fresh process would.
+    let (server2, addr2) = common::spawn(common::on_store(&dir));
     let resubmit = common::post(&addr2, "/jobs", SPEC);
     assert_eq!(resubmit.status, 202, "fresh server, fresh dedup registry");
     let id2 = common::submitted_id(&resubmit);
@@ -120,21 +108,7 @@ fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
     let replay = common::get(&addr2, &format!("/results/{id2}"));
     assert_eq!(
         replay.body, first.body,
-        "the disk-served document is bit-identical"
-    );
-
-    let warm = runner::global_stats();
-    assert_eq!(
-        warm.simulated, cold.simulated,
-        "nothing simulated after restart"
-    );
-    assert_eq!(
-        warm.sim_cycles, cold.sim_cycles,
-        "zero simulated cycles after restart"
-    );
-    assert!(
-        warm.ckpt_hits > cold.ckpt_hits,
-        "the document came from the store"
+        "the disk-served document is bit-identical, executor block included"
     );
     assert_eq!(
         server2
@@ -145,8 +119,5 @@ fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
         1
     );
     server2.shutdown();
-
-    std::env::remove_var("PSA_CKPT_DIR");
-    ckpt::clear_memory();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,14 @@
 //! End-to-end: a sweep submitted to a live server over real sockets
 //! yields a BENCH document whose stable sections (everything before the
-//! per-process `executor` block) are byte-identical to a direct
-//! [`RunCache::run_batch`] of the same spec through the public runner
+//! per-job `executor` block) are byte-identical to a direct
+//! `RunCache::run_batch_refs` of the same spec through the public runner
 //! primitives — the server adds transport and queueing, never drift.
 
 mod common;
 
-use psa_experiments::runner::{self, RunCache, Settings};
+use psa_experiments::runner;
 use psa_experiments::service::SweepSpec;
+use psa_experiments::Settings;
 use psa_serve::ServerConfig;
 use psa_sim::report::Json;
 use std::time::Duration;
@@ -63,25 +64,21 @@ fn served_document_matches_direct_run_batch_byte_for_byte() {
     // run_batch over the workload x variant cross product, rendered
     // with the standard document assembler.
     let spec = SweepSpec::from_body(SPEC.as_bytes()).expect("the spec is valid");
-    let config = spec.config();
-    let mark = runner::failures_mark();
-    let mut cache = RunCache::new();
+    let server_config = Settings::default().config;
+    let settings = Settings {
+        config: spec.config(server_config),
+        ..Settings::default()
+    };
+    let mut cache = settings.cache();
     let jobs: Vec<_> = spec
         .workloads
         .iter()
         .flat_map(|&w| spec.variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(config, &jobs);
-    let names: Vec<&str> = spec.workloads.iter().map(|w| w.name).collect();
-    let direct = runner::doc_with_failures(
-        &spec.figure,
-        &spec.title(),
-        &Settings { config },
-        cache.runs_json(),
-        runner::failures_json_since(mark, &names),
-    )
-    .pretty()
-    .into_bytes();
+    cache.run_batch_refs(settings.config, &jobs);
+    let direct = runner::doc(&spec.figure, &spec.title(), &settings, cache.runs_json())
+        .pretty()
+        .into_bytes();
 
     let served_stable = stable_prefix(&served);
     let direct_stable = stable_prefix(&direct);

@@ -3,17 +3,12 @@
 //! matrix, runs through the queue, and — because expansion happens at
 //! parse time — shares its dedup/memo key with the equivalent
 //! explicit-variants spec: the two race to one simulation, and after a
-//! "restart" (in-memory store dropped, disk tier reopened cold) the
-//! family spec is answered from the memoised document tier with zero
-//! simulated cycles.
-//!
-//! This file owns `PSA_CKPT_DIR` for its process, so it holds exactly
-//! one `#[test]` — nothing else may race the process environment.
+//! restart (a new server on the same store directory) the family spec
+//! is answered from the memoised document tier without simulating.
 
 mod common;
 
-use psa_experiments::{ckpt, runner};
-use psa_serve::{http, ServerConfig};
+use psa_serve::http;
 use psa_sim::report::Json;
 use std::sync::Barrier;
 use std::time::Duration;
@@ -30,12 +25,7 @@ const EXPLICIT_SPEC: &str = r#"{"figure": "fig16", "workloads": ["lbm"],
 #[test]
 fn family_spec_runs_dedups_against_explicit_labels_and_survives_restart() {
     let dir = std::env::temp_dir().join(format!("psa-serve-family-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    std::env::set_var("PSA_CKPT_DIR", &dir);
-    ckpt::clear_memory();
-
-    let before = runner::global_stats();
-    let (server, addr) = common::spawn(ServerConfig::default());
+    let (server, addr) = common::spawn(common::on_store(&dir));
 
     // Race the family spec against its explicit-labels equivalent:
     // identical keys, so exactly one leads and the other joins.
@@ -101,19 +91,16 @@ fn family_spec_runs_dedups_against_explicit_labels_and_survives_restart() {
             "document carries the {label} rows"
         );
     }
-    let after = runner::global_stats();
     assert_eq!(
-        after.simulated - before.simulated,
-        4,
+        common::executor(&common::json(&first), "simulated_runs"),
+        4.0,
         "two spellings, one simulation per cell"
     );
     server.shutdown();
 
-    // "Restart": drop every in-memory tier; the next access reopens the
-    // disk store from scratch, exactly as a fresh process would.
-    ckpt::clear_memory();
-    let cold = runner::global_stats();
-    let (server2, addr2) = common::spawn(ServerConfig::default());
+    // Restart: a new server opens the store from scratch, exactly as a
+    // fresh process would.
+    let (server2, addr2) = common::spawn(common::on_store(&dir));
     let resubmit = common::post(&addr2, "/jobs", FAMILY_SPEC);
     assert_eq!(resubmit.status, 202, "fresh server, fresh dedup registry");
     let id2 = common::submitted_id(&resubmit);
@@ -126,20 +113,8 @@ fn family_spec_runs_dedups_against_explicit_labels_and_survives_restart() {
     let replay = common::get(&addr2, &format!("/results/{id2}"));
     assert_eq!(
         replay.body, first.body,
-        "the disk-served document is bit-identical"
-    );
-    let warm = runner::global_stats();
-    assert_eq!(
-        warm.simulated, cold.simulated,
-        "nothing simulated after restart"
-    );
-    assert_eq!(
-        warm.sim_cycles, cold.sim_cycles,
-        "zero simulated cycles after restart"
+        "the disk-served document is bit-identical, executor block included"
     );
     server2.shutdown();
-
-    std::env::remove_var("PSA_CKPT_DIR");
-    ckpt::clear_memory();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -93,8 +93,6 @@ pub enum CheckpointError {
         /// Key the caller expected.
         expected: u64,
     },
-    /// The filesystem failed underneath the checkpoint store.
-    Io(String),
     /// The checkpoint store's disk is out of space; writes degraded to
     /// memory-only for the rest of the process.
     Enospc(String),
@@ -122,7 +120,6 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint key {found:#018x} does not match expected {expected:#018x}"
             ),
-            CheckpointError::Io(what) => write!(f, "checkpoint I/O: {what}"),
             CheckpointError::Enospc(what) => {
                 write!(f, "checkpoint store out of disk space: {what}")
             }

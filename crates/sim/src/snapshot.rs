@@ -30,13 +30,6 @@
 //! [`CheckpointError`] inside
 //! [`SimError::Checkpoint`]; hostile bytes never panic and never produce
 //! a silently wrong machine — callers fall back to a cold warm-up.
-//!
-//! File writes go through a uniquely named temp file followed by an
-//! atomic rename, so concurrent writers and crashes can leave stale temp
-//! files at worst, never a torn checkpoint at the final path.
-
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use psa_common::rng::fnv1a;
 use psa_common::{CodecError, Dec, Enc};
@@ -139,62 +132,6 @@ impl Snapshot {
             key,
             payload: payload.to_vec(),
         })
-    }
-
-    /// Write the framed snapshot to `path` via a unique temp file, an
-    /// fsync, an atomic rename, and a directory fsync — so a concurrent
-    /// reader never sees a torn file *and* a crash right after this
-    /// returns cannot leave a truncated file under a valid key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Checkpoint`] with
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn write_file(&self, path: &Path) -> Result<(), SimError> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let io = |e: std::io::Error| {
-            SimError::Checkpoint(CheckpointError::Io(format!("{}: {e}", path.display())))
-        };
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(io)?;
-        }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(&self.to_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            io(e)
-        })?;
-        if let Some(dir) = path.parent() {
-            // Make the rename itself durable; platforms that cannot
-            // open a directory for syncing skip this quietly.
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-
-    /// Read and validate a framed snapshot from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Checkpoint`]: [`CheckpointError::Io`] when the
-    /// file cannot be read, otherwise whatever [`Snapshot::from_bytes`]
-    /// rejects.
-    pub fn read_file(path: &Path) -> Result<Self, SimError> {
-        let bytes = std::fs::read(path).map_err(|e| {
-            SimError::Checkpoint(CheckpointError::Io(format!("{}: {e}", path.display())))
-        })?;
-        Self::from_bytes(&bytes)
     }
 }
 
@@ -428,24 +365,5 @@ mod tests {
             other.restore(&snap, 5).unwrap_err(),
             SimError::Checkpoint(CheckpointError::Corrupt("core count mismatch"))
         ));
-    }
-
-    #[test]
-    fn file_round_trip_and_io_errors() {
-        let dir = std::env::temp_dir().join(format!("psa-snap-test-{}", std::process::id()));
-        let path = dir.join("ckpt.bin");
-        let mut sys = build();
-        sys.run_to_warm().unwrap();
-        let snap = sys.snapshot(9);
-        snap.write_file(&path).unwrap();
-        let back = Snapshot::read_file(&path).unwrap();
-        assert_eq!(back, snap);
-
-        let missing = dir.join("nope.bin");
-        assert!(matches!(
-            Snapshot::read_file(&missing).unwrap_err(),
-            SimError::Checkpoint(CheckpointError::Io(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

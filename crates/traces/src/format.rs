@@ -511,8 +511,9 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(
 /// # Errors
 ///
 /// [`TraceError::Truncated`] on a partial block,
-/// [`TraceError::Corrupt`] on a length out of range, a checksum
-/// mismatch, a record-count mismatch, or undecodable records.
+/// [`TraceError::Corrupt`] on a length out of range, a record count the
+/// payload cannot hold, a checksum mismatch, a record-count mismatch, or
+/// undecodable records.
 pub fn read_block(
     r: &mut impl Read,
     mut hash: Option<&mut Fnv1a>,
@@ -536,6 +537,12 @@ pub fn read_block(
     let crc = u64::from_le_bytes(head[8..].try_into().expect("8 bytes"));
     if payload_len == 0 || payload_len > MAX_BLOCK_BYTES || nrecords == 0 {
         return Err(TraceError::Corrupt("block shape"));
+    }
+    // Every record takes at least two bytes (length and kind), so a
+    // larger count is corruption by construction — and must be rejected
+    // before it sizes an allocation.
+    if nrecords > payload_len / 2 {
+        return Err(TraceError::Corrupt("block record count"));
     }
     let mut payload = vec![0u8; payload_len as usize];
     read_exact(r, &mut payload, "block payload")?;

@@ -339,6 +339,31 @@ fn header_count_disagreement_is_corrupt() {
 }
 
 #[test]
+fn oversized_record_count_is_corrupt_not_an_allocation() {
+    let tmp = TempTrace::new("nrecords");
+    record_workload(tmp.path(), "milc", 3, 100);
+    let bytes = std::fs::read(&tmp.0).unwrap();
+    let name_len = u16::from_le_bytes([bytes[12], bytes[13]]) as usize;
+    let mut crafted = bytes[..14 + name_len + 32].to_vec();
+    // A block whose checksum is valid but whose 1-byte payload claims
+    // u32::MAX records: sizing the record vector from the count alone
+    // would ask for ~100GB and abort the process.
+    let payload = [0u8];
+    let mut crc = format::Fnv1a::new();
+    crc.update(&payload);
+    crafted.extend_from_slice(&1u32.to_le_bytes());
+    crafted.extend_from_slice(&u32::MAX.to_le_bytes());
+    crafted.extend_from_slice(&crc.finish().to_le_bytes());
+    crafted.extend_from_slice(&payload);
+    let bad = TempTrace::new("nrecords_crafted");
+    std::fs::write(&bad.0, &crafted).unwrap();
+    assert!(matches!(
+        TraceRef::open(bad.path()).unwrap_err(),
+        TraceError::Corrupt("block record count")
+    ));
+}
+
+#[test]
 fn pinned_open_rejects_foreign_hash() {
     let tmp = TempTrace::new("pin");
     record_workload(tmp.path(), "lbm", 9, 200);

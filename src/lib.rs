@@ -60,7 +60,8 @@ pub mod prelude {
     pub use psa_common::stats::weighted_speedup;
     pub use psa_common::{PLine, PageSize, Table, VAddr};
     pub use psa_core::{IndexGrain, PageSizePolicy};
-    pub use psa_experiments::runner::{self, RunnerOptions, Settings, Variant};
+    pub use psa_experiments::runner::{self, Variant};
+    pub use psa_experiments::{RunnerOptions, Settings};
     pub use psa_prefetchers::PrefetcherKind;
     pub use psa_sim::prelude::*;
     pub use psa_traces::{catalog, PatternMix, Suite, WorkloadSpec};
