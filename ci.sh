@@ -50,10 +50,11 @@ trap 'rm -rf "$TMP"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || tru
 stable() { sed -n '1,/"executor"/p' "$1"; }
 
 # Checkpoint determinism gate (see docs/CHECKPOINT.md): run the fig08
-# bench cold, then again warmed from the on-disk checkpoint store. The
-# stable document sections must match byte for byte, and the warmed
-# batch must be >=1.5x faster (the warm-up work is skipped, not redone).
-echo "== checkpoint determinism gate (fig08 cold vs warm) =="
+# bench cold, then again on the same on-disk store, where every run is
+# answered by its memoised finished report. The stable document sections
+# must match byte for byte, and the memoised batch must be >=1.5x faster
+# (the simulations are skipped, not redone).
+echo "== checkpoint determinism gate (fig08 cold vs memoised) =="
 mkdir -p "$TMP/ckpt" "$TMP/cold" "$TMP/warm"
 # Warm-up-dominated budget so the gate measures checkpointing, not
 # parallelism (it must hold on a single-core runner too).
@@ -84,7 +85,7 @@ if [ "$ratio_ok" != yes ]; then
                               "$TMP/warm/BENCH_fig08.json"
   exit 1
 fi
-echo "rows identical, warm-up sharing >=1.5x faster"
+echo "rows identical, memoised reports >=1.5x faster"
 
 # Observability smoke: a tiny observed fig08 run must export a valid
 # Chrome trace_event document (chrome://tracing / Perfetto loadable) and
@@ -198,14 +199,17 @@ fi
 echo "rows identical under injected faults, plan verifiably active"
 
 # Server smoke gate (see docs/SERVER.md): boot the psa_serve daemon on
-# an ephemeral port, run one sweep end to end over real sockets with
-# the bundled client (no curl needed), schema-validate the served
-# document, scrape /metrics, prove a repeat submission dedups, then
-# SIGTERM with queued work in flight — the daemon must drain and exit 0.
+# an ephemeral port over a persistent store, as it is deployed, run one
+# sweep end to end over real sockets with the bundled client (no curl
+# needed), schema-validate the served document, scrape /metrics, prove
+# a repeat submission dedups, then SIGTERM with queued work in flight —
+# the daemon must drain and exit 0. A served run memoises only its
+# report, so the store stays small: no warm-up snapshots (~1 MB each).
 echo "== server smoke gate (psa_serve e2e + SIGTERM drain) =="
 SERVE_TMP="$TMP/serve"
 mkdir -p "$SERVE_TMP"
-target/release/psa_serve serve --addr 127.0.0.1:0 --job-delay-ms 200 \
+PSA_CKPT_DIR="$SERVE_TMP/store" \
+  target/release/psa_serve serve --addr 127.0.0.1:0 --job-delay-ms 200 \
   --port-file "$SERVE_TMP/port" > "$SERVE_TMP/log" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SERVE_TMP/port" ] && break; sleep 0.1; done
@@ -254,6 +258,11 @@ grep -q 'draining' "$SERVE_TMP/log" || {
   echo "daemon never reported draining:"; cat "$SERVE_TMP/log"; exit 1; }
 grep -q 'shutdown complete' "$SERVE_TMP/log" || {
   echo "daemon never reported shutdown:"; cat "$SERVE_TMP/log"; exit 1; }
-echo "served document validated, dedup live, metrics scraped, drain clean"
+STORE_BYTES="$(cat "$SERVE_TMP"/store/seg-*.psg 2>/dev/null | wc -c || true)"
+[ "$STORE_BYTES" -gt 0 ] && [ "$STORE_BYTES" -lt 1048576 ] || {
+  echo "served store segments hold $STORE_BYTES bytes (want 1..1MiB):"
+  ls -l "$SERVE_TMP/store"; exit 1; }
+echo "served document validated, dedup live, metrics scraped, drain clean," \
+  "store $STORE_BYTES bytes"
 
 echo "ci.sh: all green"

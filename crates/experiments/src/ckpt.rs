@@ -10,17 +10,25 @@
 //! warm-up and every variant therefore reaches a different warm state.
 //! The wins are still real:
 //!
-//! * the same `(workload, variant)` warms once per **store** even when
+//! * a warm-up shared through [`warm_via_checkpoint`] runs once per
+//!   **store**: the same `(workload, variant)` warms once even when
 //!   several figures build their own [`crate::runner::RunCache`] over one
-//!   context, or several served jobs fork the daemon's context (memory
-//!   tier; counted as `warmups_shared`);
-//! * with `PSA_CKPT_DIR` set, warm states persist **across processes**
-//!   (disk tier; counted as `ckpt_hits`), so a repeated bench run skips
-//!   every warm-up it has seen before;
-//! * with the disk tier available (and observability off), finished
-//!   [`RunReport`]s are memoised too — a repeated bench run at the same
-//!   budget skips the *measured* phase as well, serving bit-identical
-//!   report bytes (also counted as `ckpt_hits`).
+//!   context, or several served jobs fork a memory-only daemon's context
+//!   (memory tier; counted as `warmups_shared`). With `PSA_CKPT_DIR` set,
+//!   these snapshots persist **across processes** (disk tier; counted as
+//!   `ckpt_hits`). The paths that write them are the ones without a
+//!   report memo: the custom-configured jobs of
+//!   [`crate::runner::parallel_map_isolated`] (fig11 ISO storage, fig14/15
+//!   mixes, ablations), observed runs, and every run on a memory-only
+//!   store;
+//! * with the disk tier available (and observability off), a
+//!   `(workload, variant)` run memoises its finished [`RunReport`] and
+//!   stores nothing else: a repeated bench run or served job at the same
+//!   budget skips the whole simulation, serving bit-identical report
+//!   bytes (counted as `ckpt_hits`). Its warm key names the same run as
+//!   its report key, so a warm snapshot could only be read after a
+//!   process died between the warm-up and the report put; such a run
+//!   warms up again instead.
 //!
 //! # Storage
 //!

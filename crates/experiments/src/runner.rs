@@ -37,8 +37,9 @@
 //! variant)` key executes the warm-up and snapshots the machine; later
 //! runs under the same exact key restore the snapshot and skip straight
 //! to measurement. Results are bit-identical to a cold warm-up (the
-//! `psa-sim` snapshot tests prove it); `PSA_CKPT_DIR` extends the store
-//! across processes. See `docs/CHECKPOINT.md`.
+//! `psa-sim` snapshot tests prove it). With `PSA_CKPT_DIR` set the store
+//! memoises each finished report instead, across processes, and the run
+//! writes no snapshot. See `docs/CHECKPOINT.md`.
 //!
 //! # Fault isolation
 //!
@@ -278,9 +279,11 @@ impl RunOutcome {
 /// Simulate one `(workload, variant)` pair. Pure: the run owns its
 /// [`System`] and seeded RNG, so the result depends only on the
 /// arguments — this is what makes parallel execution bit-identical to
-/// serial. The warm-up goes through the context's checkpoint store
-/// ([`ckpt::warm_via_checkpoint`]), which is transparent: a restored
-/// warm state is bit-identical to a freshly simulated one.
+/// serial. Without a report memo the warm-up goes through the context's
+/// checkpoint store ([`ckpt::warm_via_checkpoint`]), which is
+/// transparent: a restored warm state is bit-identical to a freshly
+/// simulated one. With one, the run warms up cold and stores only its
+/// report.
 fn try_simulate(
     ctx: &Context,
     config: SimConfig,
@@ -306,7 +309,19 @@ fn try_simulate(
             return Ok(report);
         }
     }
-    let sys = ckpt::warm_via_checkpoint(ctx, &build, &label)?;
+    // A memoised run takes no warm snapshot: its warm key names the same
+    // run as its report key, so the memoised report always answers
+    // before a snapshot could.
+    let sys = match memo_key {
+        Some(_) => {
+            let mut sys = build()?;
+            let t0 = Instant::now();
+            sys.run_to_warm()?;
+            ctx.count_time(Counter::PhaseWarmNanos, t0.elapsed());
+            sys
+        }
+        None => ckpt::warm_via_checkpoint(ctx, &build, &label)?,
+    };
     let t0 = Instant::now();
     let result = sys.try_run_observed();
     ctx.count_time(Counter::PhaseMeasureNanos, t0.elapsed());

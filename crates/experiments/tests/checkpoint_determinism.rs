@@ -1,17 +1,20 @@
 //! End-to-end determinism of the tiered checkpoint/result store through
-//! the real `RunCache` batch executor: memory hits, tiered disk hits,
-//! memoised finished reports, corrupt-store recovery and injected-fault
-//! storms must all reproduce the cold path bit for bit.
+//! the real executors: memory hits, tiered disk hits, memoised finished
+//! reports, warm snapshots restored from disk, corrupt-store recovery
+//! and injected-fault storms must all reproduce the cold path bit for
+//! bit.
 //!
 //! Each phase runs in its own execution context; a fresh context on the
 //! same directory reopens the store exactly as a fresh process would.
 
 use psa_core::PageSizePolicy;
-use psa_experiments::runner::{self, Variant};
-use psa_experiments::{RunnerOptions, Settings};
+use psa_experiments::runner::{self, JobSpec, Variant};
+use psa_experiments::{ckpt, RunnerOptions, Settings};
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::SimConfig;
+use psa_sim::{SimConfig, System};
 use psa_store::fault::FaultPlan;
+use psa_store::{EntryKind, Store, StoreConfig};
+use psa_traces::mixes::random_mixes;
 use psa_traces::WorkloadSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -100,10 +103,10 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     );
     assert_eq!(after.ckpt_hits, 0, "no disk store is set");
 
-    // Phase C: with a store directory, warm-ups and finished reports
-    // persist in the tiered store. A fresh context reopens the store
-    // and must serve every job bit-identically (memoised reports,
-    // counted as ckpt_hits).
+    // Phase C: with a store directory, finished reports persist in the
+    // tiered store. A fresh context reopens the store and must serve
+    // every job bit-identically (memoised reports, counted as
+    // ckpt_hits).
     let dir = temp_dir("tiered");
     let seeded = run_all(&on_disk(&dir, None));
     assert_eq!(seeded, reference, "disk-seeding run diverged");
@@ -112,6 +115,20 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
         "tiered store manifest missing"
     );
     assert!(!seg_files(&dir).is_empty(), "no store segments written");
+
+    // A memoised run's only artifact is its report: the store holds no
+    // warm snapshot under any run's warm key.
+    let mut store = Store::open(StoreConfig::new(dir.clone()));
+    for (w, v) in jobs() {
+        let key = ckpt::warm_key(&v.build_config(config()), &[w.name], &v.label());
+        assert!(
+            store.get(EntryKind::Warmup, key).is_none(),
+            "{}/{}: a memoised run stored a warm snapshot",
+            w.name,
+            v.label()
+        );
+    }
+    drop(store);
 
     let reopened = on_disk(&dir, None);
     let from_disk = run_all(&reopened);
@@ -172,4 +189,59 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     for d in [dir, storm_dir] {
         let _ = fs::remove_dir_all(&d);
     }
+}
+
+/// The warm-snapshot path that remains with a disk store: fig14-style
+/// multi-core mix jobs through `parallel_map_isolated` and
+/// `warm_via_checkpoint`. A second fresh context on the same store
+/// restores every warm-up from disk and reproduces the first bit for bit.
+#[test]
+fn isolated_jobs_restore_every_warm_up_from_disk() {
+    let mut mix_config = SimConfig::for_cores(2);
+    mix_config.warmup = config().warmup;
+    mix_config.instructions = config().instructions;
+    let mixes = random_mixes(2, 2, mix_config.seed);
+    let jobs: Vec<(usize, PageSizePolicy)> = (0..mixes.len())
+        .flat_map(|i| [PageSizePolicy::Original, PageSizePolicy::Psa].map(|p| (i, p)))
+        .collect();
+    let label = |policy| Variant::Pref(PrefetcherKind::Spp, policy).label();
+    let run = |settings: &Settings| -> Vec<String> {
+        runner::parallel_map_isolated(
+            &settings.ctx,
+            &jobs,
+            |&(i, policy)| JobSpec {
+                workload: mixes[i][0].name,
+                label: format!("{}/mix{i}", label(policy)),
+            },
+            |&(i, policy), env| {
+                let cfg = env.config(mix_config);
+                let mix = &mixes[i];
+                let build = move || System::try_multi_core(cfg, mix, PrefetcherKind::Spp, policy);
+                ckpt::warm_via_checkpoint(&settings.ctx, &build, &label(policy))?.try_run_multi()
+            },
+        )
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect()
+    };
+
+    let dir = temp_dir("isolated");
+    let cold = on_disk(&dir, None);
+    let first = run(&cold);
+    let stats = cold.ctx.stats();
+    drop(cold);
+    assert!(first.iter().all(|r| r.starts_with("Some(")), "{first:?}");
+    assert_eq!((stats.ckpt_hits, stats.failed), (0, 0));
+
+    let warm = on_disk(&dir, None);
+    let second = run(&warm);
+    let stats = warm.ctx.stats();
+    drop(warm);
+    assert_eq!(second, first, "disk-restored warm-ups diverged");
+    assert_eq!(
+        stats.ckpt_hits,
+        jobs.len() as u64,
+        "every warm-up should be restored from disk"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

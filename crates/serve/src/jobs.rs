@@ -29,7 +29,7 @@ use psa_store::sync::{Entered, InFlight};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a job is in its life cycle.
@@ -145,6 +145,12 @@ impl JobQueue {
     /// Build a queue over the server's `settings` and start `workers`
     /// worker threads. Returns the queue handle and the worker join
     /// handles (join them after [`JobQueue::begin_shutdown`] to drain).
+    ///
+    /// Returns only once every worker thread is running. A thread takes
+    /// its name when it first runs, and the server answers requests as
+    /// soon as it binds, so anything that finds the workers by name
+    /// (`/proc/<pid>/task/*/comm`, `top -H`) must never see a live server
+    /// without them.
     pub fn start(
         capacity: usize,
         workers: usize,
@@ -167,15 +173,21 @@ impl JobQueue {
             job_delay,
             settings,
         });
+        let running = Arc::new(Barrier::new(queue.workers + 1));
         let handles = (0..queue.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
+                let running = Arc::clone(&running);
                 std::thread::Builder::new()
                     .name(format!("psa-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue))
+                    .spawn(move || {
+                        running.wait();
+                        worker_loop(&queue)
+                    })
                     .expect("spawn worker thread")
             })
             .collect();
+        running.wait();
         (queue, handles)
     }
 

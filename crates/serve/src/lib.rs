@@ -33,7 +33,7 @@ pub mod signal;
 use jobs::JobQueue;
 use metrics::Metrics;
 use psa_experiments::{RunnerOptions, Settings};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,7 +93,6 @@ impl RunningServer {
     /// Propagates socket bind/configuration failures.
     pub fn spawn(config: ServerConfig) -> std::io::Result<RunningServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new(config.queue_capacity as u64));
         let (queue, worker_handles) = JobQueue::start(
@@ -134,13 +133,29 @@ impl RunningServer {
 
     /// Stop accepting connections and admitting jobs, drain queued and
     /// in-flight jobs to completion, and join every thread.
+    ///
+    /// The accept thread blocks in `accept`; one connection to the bound
+    /// address (loopback when bound to an unspecified one) wakes it to
+    /// see the stop flag. If that connection cannot be made, the accept
+    /// thread is left blocked rather than joined, so shutdown still
+    /// returns.
     pub fn shutdown(self) {
         self.stop_accepting.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
         self.queue.begin_shutdown();
         for handle in self.worker_handles {
             let _ = handle.join();
         }
-        let _ = self.accept_handle.join();
+        if woke {
+            let _ = self.accept_handle.join();
+        }
     }
 }
 
@@ -148,6 +163,9 @@ fn accept_loop(listener: &TcpListener, queue: &Arc<JobQueue>, stop: &AtomicBool,
     let live = Arc::new(AtomicU64::new(0));
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The connection that woke a stopping server (or one that
+            // raced it) is dropped unserved.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 let queue = Arc::clone(queue);
                 let conn_live = Arc::clone(&live);
@@ -165,9 +183,7 @@ fn accept_loop(listener: &TcpListener, queue: &Arc<JobQueue>, stop: &AtomicBool,
                     live.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Back off on accept errors (e.g. EMFILE) instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -180,7 +196,6 @@ fn accept_loop(listener: &TcpListener, queue: &Arc<JobQueue>, stop: &AtomicBool,
 }
 
 fn serve_connection(mut stream: TcpStream, queue: &Arc<JobQueue>, max_body: usize) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let response = match http::read_request(&mut stream, max_body) {

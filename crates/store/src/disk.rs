@@ -91,13 +91,15 @@ pub struct FrameHeader {
 }
 
 /// Encode a frame (header + payload) ready to append to a segment.
-pub fn encode_frame(kind: u8, key: u64, payload: &[u8]) -> Vec<u8> {
+/// `checksum` must be `fnv1a(payload)`; the caller has already computed
+/// it, and hashing a snapshot-sized payload twice is a measurable cost.
+pub fn encode_frame(kind: u8, key: u64, payload: &[u8], checksum: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(kind);
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -282,7 +284,7 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let payload = b"page size aware prefetching";
-        let frame = encode_frame(1, 0xabcd, payload);
+        let frame = encode_frame(1, 0xabcd, payload, fnv1a(payload));
         assert_eq!(frame.len(), FRAME_HEADER_LEN + payload.len());
         let h = parse_frame_header(&frame).expect("header");
         assert_eq!(h.kind, 1);
@@ -294,7 +296,7 @@ mod tests {
 
     #[test]
     fn frame_header_rejects_corruption() {
-        let frame = encode_frame(0, 9, b"xyz");
+        let frame = encode_frame(0, 9, b"xyz", fnv1a(b"xyz"));
         let mut bad = frame.clone();
         bad[0] ^= 0xff;
         assert!(parse_frame_header(&bad).is_err());

@@ -552,7 +552,7 @@ impl Store {
                 return Ok(());
             }
         }
-        let frame = encode_frame(kind.tag(), key, &payload);
+        let frame = encode_frame(kind.tag(), key, &payload, checksum);
         let (seg, offset) = match self.append_frame(&frame) {
             Ok(v) => v,
             Err(e) => {
