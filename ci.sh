@@ -87,16 +87,31 @@ if [ "$ratio_ok" != yes ]; then
 fi
 echo "rows identical, memoised reports >=1.5x faster"
 
-# Observability smoke: a tiny observed fig08 run must export a valid
-# Chrome trace_event document (chrome://tracing / Perfetto loadable) and
-# a schema-valid bench document (see docs/OBSERVABILITY.md).
-echo "== observability trace smoke (PSA_OBS=1) =="
+# Observability smoke: tiny observed fig08 and fig16 runs at the golden
+# gates' budget. fig08 must export a valid Chrome trace_event document
+# (chrome://tracing / Perfetto loadable); both bench documents must be
+# schema-valid, and their stable sections must equal the committed
+# goldens byte for byte — turning observability on must not move a
+# figure (see docs/OBSERVABILITY.md).
+echo "== observability smoke (PSA_OBS=1) =="
 mkdir -p "$TMP/obs"
-env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2 PSA_THREADS=1 \
-    PSA_OBS=1 PSA_OBS_TRACE="$TMP/obs/trace.json" PSA_BENCH_JSON_DIR="$TMP/obs" \
+OBS_ENV=(PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_WORKLOAD_LIMIT=2
+         PSA_THREADS=1 PSA_OBS=1 PSA_BENCH_JSON_DIR="$TMP/obs")
+env "${OBS_ENV[@]}" PSA_OBS_TRACE="$TMP/obs/trace.json" \
   cargo bench -q -p psa-bench --bench fig08_spp_variants > /dev/null
+env "${OBS_ENV[@]}" cargo bench -q -p psa-bench --bench fig16_new_families > /dev/null
 cargo run --release --quiet --bin validate_bench -- --trace "$TMP/obs/trace.json"
-cargo run --release --quiet --bin validate_bench -- "$TMP/obs/BENCH_fig08.json"
+for figure in fig08 fig16; do
+  cargo run --release --quiet --bin validate_bench -- "$TMP/obs/BENCH_$figure.json"
+  golden="crates/experiments/tests/golden/${figure}_stable.json"
+  stable "$TMP/obs/BENCH_$figure.json" > "$TMP/obs/$figure.stable.json"
+  if ! cmp -s "$TMP/obs/$figure.stable.json" "$golden"; then
+    echo "observed $figure stable sections drifted from $golden:"
+    diff "$golden" "$TMP/obs/$figure.stable.json" | head -20
+    exit 1
+  fi
+done
+echo "observed fig08 and fig16 stable sections bit-identical to the goldens"
 
 # Golden bit-identity gate (see docs/HIERARCHY.md): a fixed-budget sweep
 # must produce byte-for-byte the committed stable sections — any

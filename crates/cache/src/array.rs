@@ -201,50 +201,43 @@ psa_common::persist_struct!(CacheStats {
 });
 
 // `config` and `sets` are geometry, rebuilt from the simulation
-// configuration; only the array contents and counters are state.
-//
-// Hand-written so the byte stream stays identical to the historical
-// `Vec<Block>` layout (length prefix, then per-block line / valid / dirty
-// / prefetched / source / used / last_use, then stamp and stats): the SoA
-// planes are an in-memory layout change only, and checkpoints written
-// before it restore unchanged.
+// configuration; only the array contents and counters are state. The SoA
+// planes are written as they are held, and a plane of any other length
+// than the built geometry's is rejected: it was written by a cache of
+// another shape, and the next probe would index past the planes.
 impl Persist for Cache {
     fn save(&self, e: &mut Enc) {
-        e.put_usize(self.tags.len());
-        for i in 0..self.tags.len() {
-            let f = self.flags[i];
-            e.put_u64(self.tags[i]);
-            e.put_u8(u8::from(f & F_VALID != 0));
-            e.put_u8(u8::from(f & F_DIRTY != 0));
-            e.put_u8(u8::from(f & F_PREFETCHED != 0));
-            e.put_u8(self.source[i]);
-            e.put_u8(u8::from(f & F_USED != 0));
-            e.put_u64(self.last_use[i]);
-        }
+        self.tags.save(e);
+        self.last_use.save(e);
+        self.flags.save(e);
+        self.source.save(e);
         self.stamp.save(e);
         self.stats.save(e);
     }
 
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
-        fn bit(d: &mut Dec, mask: u8) -> Result<u8, CodecError> {
-            let mut b = false;
-            b.load(d)?;
-            Ok(if b { mask } else { 0 })
+        self.tags.load(d)?;
+        self.last_use.load(d)?;
+        self.flags.load(d)?;
+        self.source.load(d)?;
+        let n = self.sets * self.config.ways;
+        if [
+            self.tags.len(),
+            self.last_use.len(),
+            self.flags.len(),
+            self.source.len(),
+        ] != [n; 4]
+        {
+            return Err(CodecError::Corrupt(
+                "cache planes do not match the geometry",
+            ));
         }
-        let n = d.get_len()?;
-        self.tags.clear();
-        self.last_use.clear();
-        self.flags.clear();
-        self.source.clear();
-        for _ in 0..n {
-            self.tags.push(d.get_u64()?);
-            let mut f = bit(d, F_VALID)?;
-            f |= bit(d, F_DIRTY)?;
-            f |= bit(d, F_PREFETCHED)?;
-            self.source.push(d.get_u8()?);
-            f |= bit(d, F_USED)?;
-            self.flags.push(f);
-            self.last_use.push(d.get_u64()?);
+        if self
+            .flags
+            .iter()
+            .any(|&f| f & !(F_VALID | F_DIRTY | F_PREFETCHED | F_USED) != 0)
+        {
+            return Err(CodecError::Corrupt("cache status flags"));
         }
         self.stamp.load(d)?;
         self.stats.load(d)
@@ -578,6 +571,40 @@ mod tests {
             mshr_entries: 1
         })
         .is_err());
+    }
+
+    #[test]
+    fn persist_rejects_another_shape_and_unknown_flags() {
+        let mut c = tiny();
+        c.fill(line(4), FillKind::Prefetch { source: 1 }, true);
+        let mut e = Enc::new();
+        c.save(&mut e);
+        let bytes = e.into_bytes();
+        let mut same = tiny();
+        same.load(&mut Dec::new(&bytes)).unwrap();
+        assert!(same.contains(line(4)));
+
+        // Four sets instead of two: every plane is twice as long.
+        let mut wider = Cache::new(CacheConfig {
+            bytes: 8 * LINE_BYTES,
+            ..*tiny().config()
+        })
+        .unwrap();
+        assert!(wider.load(&mut Dec::new(&bytes)).is_err());
+
+        // A status byte with a bit outside the four flags.
+        let mut e = Enc::new();
+        vec![0u64; 4].save(&mut e);
+        vec![0u64; 4].save(&mut e);
+        vec![F_USED << 1, 0, 0, 0].save(&mut e);
+        vec![0u8; 4].save(&mut e);
+        0u64.save(&mut e);
+        CacheStats::default().save(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            tiny().load(&mut Dec::new(&bytes)),
+            Err(CodecError::Corrupt("cache status flags"))
+        );
     }
 
     #[test]

@@ -284,46 +284,6 @@ pub struct HistSummary {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// Observability bundle for one prefetcher instance: how bursty its
-/// candidate emission is and how its predictions fared. Carried by the
-/// `Observed` wrapper in `psa-prefetchers` and surfaced through the
-/// `Prefetcher::obs` trait hook.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PrefetcherObs {
-    /// Candidates emitted per training access (degree distribution).
-    pub candidates_per_access: Histogram,
-    /// Requests actually issued to the memory system.
-    pub issued: Counter,
-    /// Issued prefetches that completed into a cache.
-    pub fills: Counter,
-    /// Prefetched blocks that were demanded (useful).
-    pub useful: Counter,
-    /// Prefetched blocks evicted unused.
-    pub useless: Counter,
-}
-
-impl PrefetcherObs {
-    /// A recording bundle.
-    pub fn enabled() -> Self {
-        Self {
-            candidates_per_access: Histogram::new(true),
-            issued: Counter::new(true),
-            fills: Counter::new(true),
-            useful: Counter::new(true),
-            useless: Counter::new(true),
-        }
-    }
-
-    /// Clear everything recorded so far (warm-up boundary reset).
-    pub fn reset(&mut self) {
-        self.candidates_per_access.reset();
-        self.issued.reset();
-        self.fills.reset();
-        self.useful.reset();
-        self.useless.reset();
-    }
-}
-
 /// The structured event vocabulary of the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -624,10 +584,10 @@ impl ObsReport {
 }
 
 /// Process-wide counters of the checkpoint/result storage tier
-/// (`psa-store` and the legacy flat-file path). Unlike the per-component
-/// primitives above, these are always-on atomics: storage-tier health
-/// must be observable even in runs where the simulation-level obs layer
-/// is disabled, and the store is shared across worker threads. They are
+/// (`psa-store`). Unlike the per-component primitives above, these are
+/// always-on atomics: storage-tier health must be observable even in
+/// runs where the simulation-level obs layer is disabled, and the store
+/// is shared across worker threads. They are
 /// surfaced through the experiment executor's `ExecStats` and the
 /// `executor.store` section of every `BENCH_*.json` (schema v4).
 pub mod store {

@@ -7,7 +7,7 @@
 //! (useful hits, useless evictions, fills) flows back through the
 //! `on_*` methods, routed to the issuing prefetcher via the annotation bit.
 
-use psa_common::obs::Counter;
+use psa_common::obs::{Counter, Histogram};
 use psa_common::{CodecError, Dec, Enc, PLine, PageSize, Persist, VAddr};
 
 use crate::boundary::{BoundaryChecker, BoundaryPolicy, BoundaryStats, Verdict};
@@ -66,11 +66,17 @@ pub struct ModuleStats {
 /// Per-competitor observability counters for the issue path and the
 /// timeliness of its prefetches. Disabled by default; purely
 /// observational and never part of the checkpoint byte stream. Indexed
-/// `[Psa, Psa2m]` like [`ModuleStats::issued_by`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// by the competitor an event is credited to: `[Psa, Psa2m]` when the
+/// module has both (Pref-PSA-SD), slot 0 alone otherwise — so
+/// Pref-PSA-2MB's single 2MB-indexed prefetcher counts in slot 0 even
+/// though its requests carry [`SOURCE_PSA_2MB`]. Issue counts are not
+/// repeated here: they are [`ModuleStats::issued_by`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModuleObs {
-    /// Prefetches issued, per competitor.
-    pub issued: [Counter; 2],
+    /// Candidates emitted per `on_access` call, per competitor —
+    /// including the training-only calls of Pref-PSA-SD's unselected
+    /// competitor.
+    pub candidates_per_access: [Histogram; 2],
     /// Prefetch fills that completed into a cache, per competitor.
     pub fills: [Counter; 2],
     /// Useful prefetches that beat their demand (timely), per competitor.
@@ -83,15 +89,20 @@ pub struct ModuleObs {
 }
 
 impl ModuleObs {
-    fn enable(&mut self) {
-        let all = [
-            &mut self.issued,
+    fn counters(&mut self) -> [&mut [Counter; 2]; 4] {
+        [
             &mut self.fills,
             &mut self.useful_timely,
             &mut self.useful_late,
             &mut self.useless,
-        ];
-        for group in all {
+        ]
+    }
+
+    fn enable(&mut self) {
+        for h in &mut self.candidates_per_access {
+            *h = Histogram::new(true);
+        }
+        for group in self.counters() {
             for c in group.iter_mut() {
                 *c = Counter::new(true);
             }
@@ -99,31 +110,19 @@ impl ModuleObs {
     }
 
     fn reset(&mut self) {
-        let all = [
-            &mut self.issued,
-            &mut self.fills,
-            &mut self.useful_timely,
-            &mut self.useful_late,
-            &mut self.useless,
-        ];
-        for group in all {
+        for h in &mut self.candidates_per_access {
+            h.reset();
+        }
+        for group in self.counters() {
             for c in group.iter_mut() {
                 c.reset();
             }
         }
     }
 
-    /// Total issued across both competitors.
-    pub fn issued_total(&self) -> u64 {
-        self.issued[0].get() + self.issued[1].get()
-    }
-
-    /// Total useful (timely + late) across both competitors.
-    pub fn useful_total(&self) -> u64 {
-        self.useful_timely[0].get()
-            + self.useful_timely[1].get()
-            + self.useful_late[0].get()
-            + self.useful_late[1].get()
+    /// Useful prefetches (timely + late) credited to competitor `slot`.
+    pub fn useful(&self, slot: usize) -> u64 {
+        self.useful_timely[slot].get() + self.useful_late[slot].get()
     }
 }
 
@@ -139,7 +138,9 @@ pub struct PsaModule {
     scratch: Vec<Candidate>,
     scratch_alt: Vec<Candidate>,
     stats: ModuleStats,
-    obs: ModuleObs,
+    /// Boxed so its histograms stay out of the bytes moved when the walk
+    /// takes the module out of its level on every trigger access.
+    obs: Box<ModuleObs>,
 }
 
 psa_common::persist_struct!(ModuleStats {
@@ -249,7 +250,7 @@ impl PsaModule {
             scratch: Vec::with_capacity(32),
             scratch_alt: Vec::with_capacity(32),
             stats: ModuleStats::default(),
-            obs: ModuleObs::default(),
+            obs: Box::default(),
         })
     }
 
@@ -264,22 +265,16 @@ impl PsaModule {
         &self.obs
     }
 
-    /// Clear observability state (warm-up boundary reset), including the
-    /// contained prefetchers' bundles when they are instrumented.
+    /// Clear observability state (warm-up boundary reset).
     pub fn reset_obs(&mut self) {
         self.obs.reset();
-        if let Some(o) = self.psa.obs_mut() {
-            o.reset();
-        }
-        if let Some(o) = self.psa_2mb.as_mut().and_then(|p| p.obs_mut()) {
-            o.reset();
-        }
     }
 
-    /// Observability bundles of the contained prefetchers, `[Psa, Psa2m]`;
-    /// `None` for competitors that are absent or not instrumented.
-    pub fn prefetcher_obs(&self) -> [Option<&psa_common::obs::PrefetcherObs>; 2] {
-        [self.psa.obs(), self.psa_2mb.as_ref().and_then(|p| p.obs())]
+    /// Number of competing prefetchers: 2 for a Pref-PSA-SD module over
+    /// a page-indexed family, 1 otherwise. [`ModuleObs`] slots below this
+    /// count are the ones events can be credited to.
+    pub fn competitors(&self) -> usize {
+        1 + usize::from(self.psa_2mb.is_some())
     }
 
     /// The variant this module implements.
@@ -325,27 +320,29 @@ impl PsaModule {
 
         self.scratch.clear();
         self.scratch_alt.clear();
+        let bursts = &mut self.obs.candidates_per_access;
         let source_id = match (&mut self.dueling, &mut self.psa_2mb) {
             (Some(duel), Some(psa_2mb)) => {
                 let selected = duel.select(set, page_size);
                 // Train both competitors on all accesses (SD-Proposed) or
                 // only the selected one (SD-Standard); candidates are taken
                 // from the selected competitor only.
-                if duel.should_train(Selected::Psa, selected) {
-                    if selected == Selected::Psa {
-                        self.psa.on_access(&ctx, &mut self.scratch);
-                    } else {
-                        self.psa.on_access(&ctx, &mut self.scratch_alt);
-                        self.scratch_alt.clear();
+                let competitors = [
+                    (Selected::Psa, self.psa.as_mut()),
+                    (Selected::Psa2m, psa_2mb.as_mut()),
+                ];
+                for ((which, p), burst) in competitors.into_iter().zip(bursts) {
+                    if !duel.should_train(which, selected) {
+                        continue;
                     }
-                }
-                if duel.should_train(Selected::Psa2m, selected) {
-                    if selected == Selected::Psa2m {
-                        psa_2mb.on_access(&ctx, &mut self.scratch);
+                    let out = if which == selected {
+                        &mut self.scratch
                     } else {
-                        psa_2mb.on_access(&ctx, &mut self.scratch_alt);
-                        self.scratch_alt.clear();
-                    }
+                        &mut self.scratch_alt
+                    };
+                    p.on_access(&ctx, out);
+                    burst.record(out.len() as u64);
+                    self.scratch_alt.clear();
                 }
                 match selected {
                     Selected::Psa => SOURCE_PSA,
@@ -354,6 +351,7 @@ impl PsaModule {
             }
             _ => {
                 self.psa.on_access(&ctx, &mut self.scratch);
+                bursts[0].record(self.scratch.len() as u64);
                 match self.policy {
                     PageSizePolicy::Psa2m => SOURCE_PSA_2MB,
                     _ => SOURCE_PSA,
@@ -361,6 +359,7 @@ impl PsaModule {
             }
         };
         self.stats.selected_by[source_id as usize] += 1;
+        let slot = self.route(source_id);
 
         self.stats.candidates += self.scratch.len() as u64;
         let mut issued_now = 0;
@@ -393,27 +392,33 @@ impl PsaModule {
                 fill_level: cand.fill_level,
                 source: source_id,
             });
-            self.route(source_id).on_issue(cand.line);
+            self.competitor(slot).on_issue(cand.line);
             self.stats.issued += 1;
             self.stats.issued_by[source_id as usize] += 1;
-            self.obs.issued[source_id as usize].inc();
             issued_now += 1;
         }
     }
 
-    fn route(&mut self, source: u8) -> &mut dyn Prefetcher {
-        if source == SOURCE_PSA_2MB {
-            if let Some(b) = &mut self.psa_2mb {
-                return b.as_mut();
-            }
+    /// The competitor slot credited with a prefetch annotated `source`:
+    /// the 2MB-indexed competitor when the module has one, else the lone
+    /// prefetcher (Pref-PSA-2MB annotates with [`SOURCE_PSA_2MB`] but has
+    /// a single prefetcher).
+    fn route(&self, source: u8) -> usize {
+        usize::from(source == SOURCE_PSA_2MB && self.psa_2mb.is_some())
+    }
+
+    fn competitor(&mut self, slot: usize) -> &mut dyn Prefetcher {
+        match &mut self.psa_2mb {
+            Some(b) if slot == 1 => b.as_mut(),
+            _ => self.psa.as_mut(),
         }
-        self.psa.as_mut()
     }
 
     /// A prefetched block (annotated with `source`) filled into the cache.
     pub fn on_prefetch_fill(&mut self, line: PLine, source: u8) {
-        self.obs.fills[usize::from(source == SOURCE_PSA_2MB)].inc();
-        self.route(source).on_prefetch_fill(line);
+        let slot = self.route(source);
+        self.obs.fills[slot].inc();
+        self.competitor(slot).on_prefetch_fill(line);
     }
 
     /// First demand hit on a prefetched block: credit the issuing
@@ -425,13 +430,13 @@ impl PsaModule {
     /// was correctly predicted), but only timely hits move `Csel`: a
     /// barely-ahead competitor must not out-vote a genuinely timely one.
     pub fn on_useful(&mut self, line: PLine, pc: VAddr, source: u8, timely: bool) {
-        let s = usize::from(source == SOURCE_PSA_2MB);
+        let slot = self.route(source);
         if timely {
-            self.obs.useful_timely[s].inc();
+            self.obs.useful_timely[slot].inc();
         } else {
-            self.obs.useful_late[s].inc();
+            self.obs.useful_late[slot].inc();
         }
-        self.route(source).on_useful(line, pc);
+        self.competitor(slot).on_useful(line, pc);
         if timely {
             if let Some(duel) = &mut self.dueling {
                 duel.on_useful_prefetch(if source == SOURCE_PSA_2MB {
@@ -445,8 +450,9 @@ impl PsaModule {
 
     /// A prefetched block was evicted without use.
     pub fn on_useless(&mut self, line: PLine, source: u8) {
-        self.obs.useless[usize::from(source == SOURCE_PSA_2MB)].inc();
-        self.route(source).on_useless(line);
+        let slot = self.route(source);
+        self.obs.useless[slot].inc();
+        self.competitor(slot).on_useless(line);
     }
 
     /// Issue-path statistics.
@@ -479,6 +485,12 @@ impl PsaModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// `(on_issue, on_useful)` calls a fake prefetcher received, shared
+    /// with the test that built it.
+    type Hooks = Rc<Cell<(u64, u64)>>;
 
     /// Emits the next `n` lines after the trigger, within the indexing
     /// grain's addressing range.
@@ -489,10 +501,15 @@ mod tests {
         fills: u64,
         usefuls: u64,
         useless: u64,
+        hooks: Hooks,
     }
 
     impl FakePref {
         fn boxed(grain: IndexGrain, degree: i64) -> Box<dyn Prefetcher> {
+            Self::with_hooks(grain, degree, &Hooks::default())
+        }
+
+        fn with_hooks(grain: IndexGrain, degree: i64, hooks: &Hooks) -> Box<dyn Prefetcher> {
             Box::new(Self {
                 grain,
                 degree,
@@ -500,6 +517,7 @@ mod tests {
                 fills: 0,
                 usefuls: 0,
                 useless: 0,
+                hooks: Rc::clone(hooks),
             })
         }
     }
@@ -518,11 +536,17 @@ mod tests {
                 }
             }
         }
+        fn on_issue(&mut self, _line: PLine) {
+            let (issues, usefuls) = self.hooks.get();
+            self.hooks.set((issues + 1, usefuls));
+        }
         fn on_prefetch_fill(&mut self, _line: PLine) {
             self.fills += 1;
         }
         fn on_useful(&mut self, _line: PLine, _pc: VAddr) {
             self.usefuls += 1;
+            let (issues, usefuls) = self.hooks.get();
+            self.hooks.set((issues, usefuls + 1));
         }
         fn on_useless(&mut self, _line: PLine) {
             self.useless += 1;
@@ -712,13 +736,17 @@ mod tests {
     }
 
     #[test]
-    fn obs_counters_track_issue_and_timeliness() {
+    fn obs_counters_track_bursts_and_timeliness() {
         let mut m = module(PageSizePolicy::Psa);
         let first = run(&mut m, 62, true, 3);
-        assert_eq!(m.obs().issued_total(), 0, "disabled by default");
+        assert_eq!(
+            m.obs().candidates_per_access[0].total(),
+            0,
+            "disabled by default"
+        );
         m.enable_obs();
-        let reqs = run(&mut m, 1062, true, 3);
-        assert_eq!(m.obs().issued[0].get(), reqs.len() as u64);
+        run(&mut m, 1062, true, 3);
+        assert_eq!(m.obs().candidates_per_access[0].sum(), 4);
         m.on_prefetch_fill(first[0].line, SOURCE_PSA);
         m.on_useful(first[0].line, VAddr::new(0), SOURCE_PSA, true);
         m.on_useful(first[1].line, VAddr::new(0), SOURCE_PSA, false);
@@ -728,11 +756,63 @@ mod tests {
         assert_eq!(o.useful_timely[0].get(), 1);
         assert_eq!(o.useful_late[0].get(), 1);
         assert_eq!(o.useless[0].get(), 1);
-        assert_eq!(o.useful_total(), 2);
+        assert_eq!(o.useful(0), 2);
         m.reset_obs();
-        assert_eq!(m.obs().issued_total(), 0);
+        assert_eq!(m.obs().candidates_per_access[0].total(), 0);
+        assert_eq!(m.obs().useful(0), 0);
         // The aggregate stats are untouched by obs resets.
         assert!(m.stats().issued > 0);
+    }
+
+    #[test]
+    fn lone_2mb_prefetcher_is_credited_in_slot_0() {
+        // Pref-PSA-2MB annotates its requests with the 2MB source bit but
+        // has one prefetcher: every event belongs to it, in slot 0.
+        let hooks = Hooks::default();
+        let mut m = PsaModule::new(
+            PageSizePolicy::Psa2m,
+            PageSizeSource::Ppm,
+            &|grain| FakePref::with_hooks(grain, 4, &hooks),
+            1024,
+            SdConfig::default(),
+            ModuleConfig::default(),
+        )
+        .unwrap();
+        m.enable_obs();
+        let reqs = run(&mut m, 62, true, 3);
+        assert!(reqs.iter().all(|r| r.source == SOURCE_PSA_2MB));
+        m.on_prefetch_fill(reqs[0].line, SOURCE_PSA_2MB);
+        m.on_useful(reqs[0].line, VAddr::new(0), SOURCE_PSA_2MB, true);
+        m.on_useless(reqs[1].line, SOURCE_PSA_2MB);
+        assert_eq!(m.competitors(), 1);
+        assert_eq!(hooks.get(), (reqs.len() as u64, 1));
+        let o = m.obs();
+        assert_eq!(o.candidates_per_access[0].total(), 1);
+        assert_eq!(
+            (o.fills[0].get(), o.useful(0), o.useless[0].get()),
+            (1, 1, 1)
+        );
+        assert_eq!(o.candidates_per_access[1].total(), 0);
+        assert_eq!(
+            (o.fills[1].get(), o.useful(1), o.useless[1].get()),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn sd_bursts_count_training_only_calls() {
+        let mut m = module(PageSizePolicy::PsaSd);
+        m.enable_obs();
+        // A PSA leader, a PSA-2MB leader and a follower set: SD-Proposed
+        // trains both competitors on each, but only the selected one's
+        // candidates reach the issue path.
+        for set in [0, 16, 3] {
+            run(&mut m, 62, true, set);
+        }
+        assert_eq!(m.competitors(), 2);
+        let bursts = &m.obs().candidates_per_access;
+        assert_eq!([bursts[0].total(), bursts[1].total()], [3, 3]);
+        assert_eq!(bursts[0].sum() + bursts[1].sum(), 2 * m.stats().candidates);
     }
 
     #[test]

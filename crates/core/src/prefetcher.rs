@@ -118,19 +118,6 @@ pub trait Prefetcher {
     /// (Figure 11).
     fn storage_bytes(&self) -> usize;
 
-    /// Observability bundle, when this instance is instrumented (the
-    /// `Observed` wrapper in `psa-prefetchers`). Plain implementations
-    /// return `None` and pay nothing.
-    fn obs(&self) -> Option<&psa_common::obs::PrefetcherObs> {
-        None
-    }
-
-    /// Mutable access to the observability bundle, for the warm-up
-    /// boundary reset.
-    fn obs_mut(&mut self) -> Option<&mut psa_common::obs::PrefetcherObs> {
-        None
-    }
-
     /// Serialise every mutable training structure into `e`.
     ///
     /// Together with [`Prefetcher::load_state`] this is the checkpointing

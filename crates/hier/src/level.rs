@@ -183,13 +183,11 @@ impl CacheLevel {
         self.cache.config().name
     }
 
-    /// Switch on the level's observability hooks (MSHR occupancy, module
-    /// counters). Off by default; enabling changes no simulated state.
+    /// Switch on the level's MSHR occupancy histogram. Off by default;
+    /// enabling changes no simulated state. A module's counters are
+    /// switched on where it is built (`ModuleSpec::build_module`).
     pub fn enable_obs(&mut self) {
         self.mshr.enable_obs();
-        if let Some(m) = &mut self.module {
-            m.enable_obs();
-        }
     }
 
     /// Clear observability state (warm-up boundary reset).

@@ -52,7 +52,6 @@ pub mod bop;
 pub mod dspatch;
 pub mod ipcp;
 pub mod nextline;
-pub mod observed;
 pub mod pangloss;
 pub mod ppf;
 pub mod spec;
@@ -63,7 +62,6 @@ use psa_core::{IndexGrain, Prefetcher};
 
 pub use ipcp::{Ipcp, IpcpConfig, L1dPrefetcher};
 pub use nextline::{NextLine, NextLineL1d};
-pub use observed::Observed;
 pub use spec::ModuleSpec;
 
 /// The L2C prefetchers evaluated in the paper.
@@ -191,13 +189,6 @@ impl PrefetcherKind {
                 ))
             }
         }
-    }
-
-    /// Like [`PrefetcherKind::build`], but wrapped in the [`Observed`]
-    /// instrumentation so candidate bursts and prediction outcomes are
-    /// recorded. Behaviour is bit-identical to the bare prefetcher.
-    pub fn build_observed(self, grain: IndexGrain) -> Box<dyn Prefetcher> {
-        Observed::boxed(self.build(grain))
     }
 
     /// The paper's name for this prefetcher.

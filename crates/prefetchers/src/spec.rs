@@ -15,7 +15,7 @@ use psa_core::dueling::SdConfigError;
 use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleConfig, PageSizePolicy, PsaModule, SdConfig};
 
-use crate::{Observed, PrefetcherKind};
+use crate::PrefetcherKind;
 
 /// A declarative, persistable description of the L2C prefetching module
 /// a simulated core should carry: the family, the page-size policy, and
@@ -72,8 +72,8 @@ impl ModuleSpec {
     /// * `l2c_sets` — dueling sample-set layout input;
     /// * `sd` / `module` — the system's dueling and issue-path configs;
     /// * `source` — how page-size information reaches the module;
-    /// * `observed` — wrap the prefetchers in [`Observed`]
-    ///   instrumentation (bit-identical behaviour, extra counters).
+    /// * `observed` — switch on the module's observability counters
+    ///   ([`PsaModule::enable_obs`]; bit-identical behaviour).
     ///
     /// # Errors
     ///
@@ -91,15 +91,12 @@ impl ModuleSpec {
             return Ok(None);
         };
         let scale = usize::from(self.storage_scale.max(1));
-        let factory = |grain| {
-            let p = kind.build_scaled(grain, scale);
-            if observed {
-                Observed::boxed(p)
-            } else {
-                p
-            }
-        };
-        PsaModule::new(self.policy, source, &factory, l2c_sets, sd, module).map(Some)
+        let factory = |grain| kind.build_scaled(grain, scale);
+        let mut built = PsaModule::new(self.policy, source, &factory, l2c_sets, sd, module)?;
+        if observed {
+            built.enable_obs();
+        }
+        Ok(Some(built))
     }
 }
 

@@ -132,8 +132,7 @@ pub struct Spp {
     /// window `pt_deltas[i*cap .. i*cap + pt_len[i]]` (`cap` =
     /// `deltas_per_entry`). Every lookahead depth of every access reads
     /// one entry, so the slots live inline in one flat allocation instead
-    /// of behind a per-entry heap vector. Serialized in the original
-    /// `Vec`-of-entries byte format — see `save_state`.
+    /// of behind a per-entry heap vector.
     pt_c_sig: Vec<SatCounter>,
     pt_len: Vec<u8>,
     pt_deltas: Vec<(i64, SatCounter)>,
@@ -519,20 +518,9 @@ impl Prefetcher for Spp {
     // across accesses, so it stays out of the checkpoint.
     fn save_state(&self, e: &mut Enc) {
         self.st.save(e);
-        // The flat pattern table serializes exactly as the former
-        // `Vec`-of-entries layout (count, then per entry: c_sig followed
-        // by a length-prefixed delta list), so checkpoint bytes are
-        // unchanged across the structure-of-arrays refactor.
-        let cap = self.config.deltas_per_entry;
-        e.put_usize(self.pt_c_sig.len());
-        for i in 0..self.pt_c_sig.len() {
-            self.pt_c_sig[i].save(e);
-            let len = usize::from(self.pt_len[i]);
-            e.put_usize(len);
-            for slot in &self.pt_deltas[i * cap..i * cap + len] {
-                slot.save(e);
-            }
-        }
+        self.pt_c_sig.save(e);
+        self.pt_len.save(e);
+        self.pt_deltas.save(e);
         self.ghr.save(e);
         self.ghr_next.save(e);
         self.stamp.save(e);
@@ -543,34 +531,32 @@ impl Prefetcher for Spp {
 
     fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.st.load(d)?;
-        let cap = self.config.deltas_per_entry;
-        let n = d.get_len()?;
-        self.pt_c_sig.clear();
-        self.pt_len.clear();
-        self.pt_deltas.clear();
-        for _ in 0..n {
-            let mut c_sig = SatCounter::default();
-            c_sig.load(d)?;
-            let len = d.get_len()?;
-            if len > cap {
-                return Err(CodecError::Corrupt(
-                    "pattern-table entry overflows its slots",
-                ));
-            }
-            for _ in 0..len {
-                let mut slot = (0i64, SatCounter::default());
-                slot.load(d)?;
-                self.pt_deltas.push(slot);
-            }
-            // Pad the entry's window to the fixed stride; the tail past
-            // `len` is never read or saved.
-            self.pt_deltas
-                .resize(self.pt_deltas.len() + cap - len, (0, SatCounter::default()));
-            self.pt_c_sig.push(c_sig);
-            self.pt_len.push(len as u8);
-        }
+        self.pt_c_sig.load(d)?;
+        self.pt_len.load(d)?;
+        self.pt_deltas.load(d)?;
         self.ghr.load(d)?;
         self.ghr_next.load(d)?;
+        let c = &self.config;
+        if self.st.len() != c.st_sets * c.st_ways
+            || self.pt_c_sig.len() != c.pt_entries
+            || self.pt_len.len() != c.pt_entries
+            || self.pt_deltas.len() != c.pt_entries * c.deltas_per_entry
+            || self.ghr.len() != c.ghr_entries
+            || self.ghr_next >= c.ghr_entries
+        {
+            return Err(CodecError::Corrupt(
+                "SPP table shapes do not match the configuration",
+            ));
+        }
+        if self
+            .pt_len
+            .iter()
+            .any(|&len| usize::from(len) > c.deltas_per_entry)
+        {
+            return Err(CodecError::Corrupt(
+                "pattern-table entry overflows its slots",
+            ));
+        }
         self.stamp.load(d)?;
         self.issued.load(d)?;
         self.useful.load(d)?;
@@ -748,6 +734,24 @@ mod tests {
             spp.on_useful(PLine::new(i), VAddr::new(0));
         }
         assert!((spp.alpha() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn state_loads_only_into_the_same_shape() {
+        let mut spp = Spp::new(SppConfig::default(), IndexGrain::Page4K);
+        train_stride(&mut spp, 0, 2, 30);
+        let mut e = Enc::new();
+        spp.save_state(&mut e);
+        let bytes = e.into_bytes();
+
+        let mut same = Spp::new(SppConfig::default(), IndexGrain::Page4K);
+        same.load_state(&mut Dec::new(&bytes)).expect("clean load");
+        let mut e2 = Enc::new();
+        same.save_state(&mut e2);
+        assert_eq!(bytes, e2.into_bytes(), "save→load→save is a fixpoint");
+
+        let mut doubled = crate::PrefetcherKind::Spp.build_scaled(IndexGrain::Page4K, 2);
+        assert!(doubled.load_state(&mut Dec::new(&bytes)).is_err());
     }
 
     #[test]

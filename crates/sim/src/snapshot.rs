@@ -48,7 +48,13 @@ use crate::system::System;
 /// trace stream cursor — block offset, record index, owed fillers), so
 /// a warm-up checkpoint taken mid-trace-file resumes mid-file. Older
 /// checkpoints are rejected and runs fall back to a cold warm-up.
-pub const SNAPSHOT_VERSION: u32 = 3;
+///
+/// Version 4: cache arrays and SPP's pattern table are written as the
+/// planes they are held in (tag, recency, status and source planes;
+/// signature counters, slot counts and the flat delta slots) instead of
+/// emulating their former per-block and per-entry layouts, and a plane
+/// whose length differs from the rebuilt geometry is corrupt.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

@@ -26,10 +26,10 @@
 //! `single_core`/`baseline` constructors are sugar that fill it in.
 
 use psa_cache::{Cache, CacheStats};
-use psa_common::obs::{EventKind, EventRing, ObsReport};
+use psa_common::obs::{Counter, EventKind, EventRing, ObsReport};
 use psa_common::{CodecError, Dec, Enc, Persist, VAddr};
 use psa_core::ppm::PageSizeSource;
-use psa_core::PageSizePolicy;
+use psa_core::{ModuleObs, PageSizePolicy};
 use psa_cpu::{Core, Instr};
 use psa_dram::Dram;
 use psa_hier::{CacheLevel, Feedback, LevelLat, LevelPolicy, PortDebug, WalkStats, PASS};
@@ -908,49 +908,36 @@ impl System {
             thp_series,
             debug: ctx.stats.debug.since(&snap.debug),
         };
-        let obs = self.obs_report();
+        let obs = self.obs_report(&report);
         Ok((report, obs))
     }
 
-    /// Assemble what the observability layer has captured so far: named
-    /// counters and histogram summaries (reset at the all-warm crossing,
-    /// so they cover the measured window) plus the sampled event
-    /// timeline. `None` when the layer is disabled.
+    /// Assemble what the observability layer captured over the measured
+    /// window of a single-core run (obs state is reset at the all-warm
+    /// crossing): named counters, histogram summaries and the sampled
+    /// event timeline. `None` when the layer is disabled.
     ///
-    /// Per-core histograms carry core-0 names; module counters are summed
-    /// across cores (single-core machines — the paper's main configuration
-    /// — see exactly their own numbers either way).
-    pub fn obs_report(&self) -> Option<ObsReport> {
+    /// Issue counts are not counted twice: `module.issued*` and each
+    /// `pref_*.issued` are read from the windowed `report.module`, so they
+    /// match the report by construction; every other prefetch event comes
+    /// from the module's own [`psa_core::ModuleObs`].
+    fn obs_report(&self, report: &RunReport) -> Option<ObsReport> {
         if !self.config.obs.enabled {
             return None;
         }
-        let sum2 = |f: &dyn Fn(&psa_core::ModuleObs) -> u64| -> u64 {
-            self.ctxs
-                .iter()
-                .filter_map(|c| c.levels[1].module.as_ref())
-                .map(|m| f(m.obs()))
-                .sum()
-        };
+        let module = self.ctxs[0].levels[1].module.as_ref();
+        let stats = report.module.unwrap_or_default();
+        let no_module = ModuleObs::default();
+        let o = module.map_or(&no_module, |m| m.obs());
+        let both = |c: &[Counter; 2]| c[0].get() + c[1].get();
         let mut counters = vec![
-            ("module.issued", sum2(&|o| o.issued_total())),
-            ("module.issued_psa", sum2(&|o| o.issued[0].get())),
-            ("module.issued_psa2m", sum2(&|o| o.issued[1].get())),
-            (
-                "module.fills",
-                sum2(&|o| o.fills[0].get() + o.fills[1].get()),
-            ),
-            (
-                "module.useful_timely",
-                sum2(&|o| o.useful_timely[0].get() + o.useful_timely[1].get()),
-            ),
-            (
-                "module.useful_late",
-                sum2(&|o| o.useful_late[0].get() + o.useful_late[1].get()),
-            ),
-            (
-                "module.useless",
-                sum2(&|o| o.useless[0].get() + o.useless[1].get()),
-            ),
+            ("module.issued", stats.issued),
+            ("module.issued_psa", stats.issued_by[0]),
+            ("module.issued_psa2m", stats.issued_by[1]),
+            ("module.fills", both(&o.fills)),
+            ("module.useful_timely", both(&o.useful_timely)),
+            ("module.useful_late", both(&o.useful_late)),
+            ("module.useless", both(&o.useless)),
         ];
         let mut histograms = vec![
             (
@@ -974,33 +961,41 @@ impl System {
                 self.shared.dram.obs_queue_delay().summary(),
             ),
         ];
-        if let Some(m) = self.ctxs[0].levels[1].module.as_ref() {
-            let hname = [
-                "pref_psa.candidates_per_access",
-                "pref_psa2m.candidates_per_access",
+        if let Some(m) = module {
+            // Each competitor slot's burst histogram, then its issued /
+            // fills / useful / useless counters.
+            let names = [
+                (
+                    "pref_psa.candidates_per_access",
+                    [
+                        "pref_psa.issued",
+                        "pref_psa.fills",
+                        "pref_psa.useful",
+                        "pref_psa.useless",
+                    ],
+                ),
+                (
+                    "pref_psa2m.candidates_per_access",
+                    [
+                        "pref_psa2m.issued",
+                        "pref_psa2m.fills",
+                        "pref_psa2m.useful",
+                        "pref_psa2m.useless",
+                    ],
+                ),
             ];
-            let cname = [
-                [
-                    "pref_psa.issued",
-                    "pref_psa.fills",
-                    "pref_psa.useful",
-                    "pref_psa.useless",
-                ],
-                [
-                    "pref_psa2m.issued",
-                    "pref_psa2m.fills",
-                    "pref_psa2m.useful",
-                    "pref_psa2m.useless",
-                ],
-            ];
-            for (slot, po) in m.prefetcher_obs().into_iter().enumerate() {
-                if let Some(po) = po {
-                    histograms.push((hname[slot], po.candidates_per_access.summary()));
-                    counters.push((cname[slot][0], po.issued.get()));
-                    counters.push((cname[slot][1], po.fills.get()));
-                    counters.push((cname[slot][2], po.useful.get()));
-                    counters.push((cname[slot][3], po.useless.get()));
-                }
+            // A lone prefetcher (slot 0) is credited with every issue,
+            // whichever annotation its requests carry.
+            let issued = match m.competitors() {
+                1 => [stats.issued, 0],
+                _ => stats.issued_by,
+            };
+            for (slot, (hname, cname)) in names.into_iter().enumerate().take(m.competitors()) {
+                histograms.push((hname, o.candidates_per_access[slot].summary()));
+                counters.push((cname[0], issued[slot]));
+                counters.push((cname[1], o.fills[slot].get()));
+                counters.push((cname[2], o.useful(slot)));
+                counters.push((cname[3], o.useless[slot].get()));
             }
         }
         Some(ObsReport {

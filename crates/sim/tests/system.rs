@@ -230,54 +230,3 @@ fn audit_runs_on_a_fresh_machine() {
     let sys = System::baseline(quick(), catalog::workload("lbm").unwrap());
     sys.audit().expect("an untouched machine is consistent");
 }
-
-#[test]
-fn observability_is_bit_identical_and_reconciles() {
-    use psa_sim::ObsConfig;
-    let w = catalog::workload("mcf").unwrap();
-    let (plain, no_obs) =
-        System::single_core(quick(), w, PrefetcherKind::Spp, PageSizePolicy::PsaSd)
-            .try_run_observed()
-            .unwrap();
-    assert!(no_obs.is_none(), "disabled by default");
-
-    let (observed, obs) = System::single_core(
-        quick().with_obs(ObsConfig::on()),
-        w,
-        PrefetcherKind::Spp,
-        PageSizePolicy::PsaSd,
-    )
-    .try_run_observed()
-    .unwrap();
-    let obs = obs.expect("enabled layer yields a report");
-
-    // Purely observational: the simulated outcome must not move.
-    assert_eq!(plain.cycles, observed.cycles);
-    assert_eq!(plain.l2c, observed.l2c);
-    assert_eq!(plain.dram.reads, observed.dram.reads);
-    assert_eq!(
-        plain.module.as_ref().map(|m| m.issued),
-        observed.module.as_ref().map(|m| m.issued)
-    );
-
-    // Obs counters are reset at the all-warm crossing, so they cover
-    // the same window as the report's diffed statistics.
-    let issued = observed.module.as_ref().unwrap().issued;
-    assert_eq!(obs.counter("module.issued"), Some(issued));
-    let qd = obs.histogram("dram.queue_delay").unwrap();
-    assert_eq!(qd.total, observed.dram.reads + observed.dram.writes);
-    let l2u = obs.histogram("core0.load_to_use").unwrap();
-    assert!(l2u.total > 0, "loads retired in the measured window");
-
-    // The timeline recorded the measured window's retires exactly.
-    let retire_seen = obs
-        .seen
-        .iter()
-        .find(|(n, _)| *n == "retire")
-        .map(|&(_, s)| s)
-        .unwrap();
-    assert_eq!(retire_seen, quick().instructions);
-    assert!(!obs.events.is_empty());
-    let trace = obs.to_chrome_trace();
-    assert!(trace.contains("\"traceEvents\""));
-}

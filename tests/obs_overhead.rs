@@ -35,41 +35,102 @@ fn disabled_observability_is_bit_identical() {
 
 #[test]
 fn histograms_reconcile_with_aggregate_counters() {
-    let (report, obs) = build(quick().with_obs(ObsConfig::on()))
-        .try_run_observed()
-        .expect("observed run");
-    let obs = obs.expect("enabled obs produces a report");
+    // `lbm` issues prefetches at this budget under every policy (`mcf`
+    // issues none under most), so each reconciliation below has weight.
+    let runs = [
+        (PrefetcherKind::Spp, PageSizePolicy::Original),
+        (PrefetcherKind::Spp, PageSizePolicy::Psa),
+        (PrefetcherKind::Spp, PageSizePolicy::Psa2m),
+        (PrefetcherKind::Spp, PageSizePolicy::PsaSd),
+        (PrefetcherKind::Bop, PageSizePolicy::PsaSd),
+    ];
+    let w = catalog::workload("lbm").expect("catalog entry");
+    for (kind, policy) in runs {
+        let run = format!("{kind}/{policy:?}");
+        let (report, obs) = System::single_core(quick().with_obs(ObsConfig::on()), w, kind, policy)
+            .try_run_observed()
+            .expect("observed run");
+        let obs = obs.expect("enabled obs produces a report");
+        let c = |name: &str| {
+            obs.counter(name)
+                .unwrap_or_else(|| panic!("{run}: no counter {name}"))
+        };
 
-    // Module counters must equal the windowed aggregate report.
-    let module = report.module.expect("prefetching run");
-    assert_eq!(obs.counter("module.issued"), Some(module.issued));
+        // Module counters must equal the windowed aggregate report.
+        let module = report.module.expect("prefetching run");
+        assert!(module.issued > 0, "{run}: nothing issued");
+        assert_eq!(c("module.issued"), module.issued, "{run}");
+        assert_eq!(c("module.issued_psa"), module.issued_by[0], "{run}");
+        assert_eq!(c("module.issued_psa2m"), module.issued_by[1], "{run}");
 
-    // Every DRAM access passes through the queue-delay histogram.
-    let dram = obs.histogram("dram.queue_delay").expect("dram histogram");
-    assert_eq!(dram.total, report.dram.reads + report.dram.writes);
+        // The per-competitor view partitions the module totals.
+        let two_competitors = obs.counter("pref_psa2m.issued").is_some();
+        let per_competitor = |x: &str| {
+            c(&format!("pref_psa.{x}"))
+                + if two_competitors {
+                    c(&format!("pref_psa2m.{x}"))
+                } else {
+                    0
+                }
+        };
+        assert_eq!(per_competitor("issued"), module.issued, "{run}");
+        assert_eq!(per_competitor("fills"), c("module.fills"), "{run}");
+        assert_eq!(per_competitor("useless"), c("module.useless"), "{run}");
+        assert_eq!(
+            per_competitor("useful"),
+            c("module.useful_timely") + c("module.useful_late"),
+            "{run}"
+        );
+        // Only a page-indexed family under PSA-SD gets a 2MB competitor;
+        // BOP degenerates to one prefetcher (§VI-B1).
+        assert_eq!(
+            two_competitors,
+            kind == PrefetcherKind::Spp && policy == PageSizePolicy::PsaSd,
+            "{run}"
+        );
+        if two_competitors {
+            assert_eq!(c("pref_psa.issued"), module.issued_by[0], "{run}");
+            assert_eq!(c("pref_psa2m.issued"), module.issued_by[1], "{run}");
+        } else {
+            // A lone prefetcher trains on every access and every one of
+            // its candidates reaches the issue path.
+            let bursts = obs
+                .histogram("pref_psa.candidates_per_access")
+                .expect("burst histogram");
+            assert_eq!(bursts.total, module.accesses, "{run}");
+            assert_eq!(bursts.sum, module.candidates, "{run}");
+        }
 
-    // Loads completed, so load-to-use latency has samples and a sane mean.
-    let l2u = obs.histogram("core0.load_to_use").expect("load histogram");
-    assert!(l2u.total > 0 && l2u.mean > 0.0);
+        // Every DRAM access passes through the queue-delay histogram.
+        let dram = obs.histogram("dram.queue_delay").expect("dram histogram");
+        assert_eq!(dram.total, report.dram.reads + report.dram.writes, "{run}");
 
-    // Retire events are recorded (possibly sampled into the ring, but the
-    // `seen` counters are exact) once per measured instruction.
-    let retires = obs
-        .seen
-        .iter()
-        .find(|(name, _)| *name == "retire")
-        .map(|&(_, n)| n)
-        .expect("retire kind is reported");
-    assert_eq!(retires, quick().instructions);
+        // Loads completed, so load-to-use latency has samples and a sane mean.
+        let l2u = obs.histogram("core0.load_to_use").expect("load histogram");
+        assert!(l2u.total > 0 && l2u.mean > 0.0, "{run}");
 
-    // The Chrome export is real JSON with the expected envelope.
-    let trace = obs.to_chrome_trace();
-    let parsed = Json::parse(&trace).expect("trace parses");
-    let events = parsed
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    assert!(!events.is_empty(), "a run this long must sample events");
+        // Retire events are recorded (possibly sampled into the ring, but
+        // the `seen` counters are exact) once per measured instruction.
+        let retires = obs
+            .seen
+            .iter()
+            .find(|(name, _)| *name == "retire")
+            .map(|&(_, n)| n)
+            .expect("retire kind is reported");
+        assert_eq!(retires, quick().instructions, "{run}");
+
+        // The Chrome export is real JSON with the expected envelope.
+        let trace = obs.to_chrome_trace();
+        let parsed = Json::parse(&trace).expect("trace parses");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        assert!(
+            !events.is_empty(),
+            "{run}: a run this long must sample events"
+        );
+    }
 }
 
 #[test]
