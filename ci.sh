@@ -52,8 +52,9 @@ stable() { sed -n '1,/"executor"/p' "$1"; }
 # Checkpoint determinism gate (see docs/CHECKPOINT.md): run the fig08
 # bench cold, then again on the same on-disk store, where every run is
 # answered by its memoised finished report. The stable document sections
-# must match byte for byte, and the memoised batch must be >=1.5x faster
-# (the simulations are skipped, not redone).
+# must match byte for byte, the memoised pass must simulate nothing and
+# count its disk hits, and its batch must be >=1.5x faster (the
+# simulations are skipped, not redone).
 echo "== checkpoint determinism gate (fig08 cold vs memoised) =="
 mkdir -p "$TMP/ckpt" "$TMP/cold" "$TMP/warm"
 # Warm-up-dominated budget so the gate measures checkpointing, not
@@ -72,6 +73,9 @@ if ! cmp -s "$TMP/cold/stable.json" "$TMP/warm/stable.json"; then
 fi
 grep -q '"ckpt_hits": 0' "$TMP/warm/BENCH_fig08.json" && {
   echo "warm run restored nothing from $TMP/ckpt"; exit 1; }
+grep -q '"simulated_runs": 0,' "$TMP/warm/BENCH_fig08.json" || {
+  echo "memoised run simulated jobs its stored reports should answer:"
+  grep '"simulated_runs"' "$TMP/warm/BENCH_fig08.json"; exit 1; }
 ratio_ok="$(awk '
   match($0, /"batch_wall_seconds": [0-9.eE+-]+/) {
     v[++n] = substr($0, RSTART + 22, RLENGTH - 22)

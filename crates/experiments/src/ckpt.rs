@@ -1,34 +1,33 @@
 //! Checkpoint/result sharing through the crash-safe tiered store
-//! (`psa-store`): share the warm-up phase of identical machines — and
-//! memoise whole finished reports — instead of re-simulating them.
+//! (`psa-store`): memoise whole finished reports, and share warm-up
+//! snapshots across processes, instead of re-simulating them.
 //!
 //! # Sharing model
 //!
-//! A warm-up is only reusable under an **exact key**: the effective
-//! [`SimConfig`], the workload list, and the caller's variant label all
-//! hash into the snapshot key, because the prefetcher trains during
-//! warm-up and every variant therefore reaches a different warm state.
-//! The wins are still real:
-//!
-//! * a warm-up shared through [`warm_via_checkpoint`] runs once per
-//!   **store**: the same `(workload, variant)` warms once even when
-//!   several figures build their own [`crate::runner::RunCache`] over one
-//!   context, or several served jobs fork a memory-only daemon's context
-//!   (memory tier; counted as `warmups_shared`). With `PSA_CKPT_DIR` set,
-//!   these snapshots persist **across processes** (disk tier; counted as
-//!   `ckpt_hits`). The paths that write them are the ones without a
-//!   report memo: the custom-configured jobs of
+//! * With observability off, every `(workload, variant)` run memoises its
+//!   finished [`RunReport`] in the context's store, memory-only or
+//!   tiered, and a served job memoises its clean document. A repeat at
+//!   the same key skips the whole simulation and serves bit-identical
+//!   report bytes: another figure's [`crate::runner::RunCache`] over the
+//!   same context, another job forked from a daemon's context, or, with
+//!   `PSA_CKPT_DIR` set, a later process. A memoised run stores nothing
+//!   else: its warm key names the same run as its report key, so the
+//!   report always answers before a warm snapshot could. It warms up in
+//!   place, and so does an observed run, which must execute to produce
+//!   its event stream.
+//! * Warm snapshots are shared only through [`warm_via_checkpoint`], by
+//!   the jobs without a report memo: the custom-configured jobs of
 //!   [`crate::runner::parallel_map_isolated`] (fig11 ISO storage, fig14/15
-//!   mixes, ablations), observed runs, and every run on a memory-only
-//!   store;
-//! * with the disk tier available (and observability off), a
-//!   `(workload, variant)` run memoises its finished [`RunReport`] and
-//!   stores nothing else: a repeated bench run or served job at the same
-//!   budget skips the whole simulation, serving bit-identical report
-//!   bytes (counted as `ckpt_hits`). Its warm key names the same run as
-//!   its report key, so a warm snapshot could only be read after a
-//!   process died between the warm-up and the report put; such a run
-//!   warms up again instead.
+//!   mixes, ablations). It touches the store only when the context has a
+//!   disk tier (`PSA_CKPT_DIR`), where the snapshots persist across
+//!   processes; a memory-only store never holds one. A snapshot is only
+//!   reusable under an **exact key** ([`warm_key`]), because the
+//!   prefetcher trains during warm-up and every variant therefore
+//!   reaches a different warm state.
+//!
+//! Each store hit is counted by the tier that answered it: from memory,
+//! a report or document is a `memo_hits` hit and a warm snapshot a
+//! `warmups_shared` one; from disk, either is a `ckpt_hits` hit.
 //!
 //! # Storage
 //!
@@ -136,10 +135,14 @@ pub fn warm_key(config: &SimConfig, workloads: &[&'static str], label: &str) -> 
 }
 
 /// Build a machine and bring it to its warm-up boundary, sharing the
-/// warm-up work through `ctx`'s checkpoint store when an exact-key match
+/// warm-up work through `ctx`'s disk-backed store when an exact-key match
 /// exists. The returned [`System`] is always positioned exactly where a
 /// cold `run_to_warm` would leave it — results downstream are
 /// bit-identical either way (`crates/sim/src/snapshot.rs` proves it).
+///
+/// Without a disk tier this is a cold warm-up and touches no store: these
+/// jobs are deduplicated within their figure, so a snapshot kept in
+/// memory would never be read.
 ///
 /// `build` must construct the machine deterministically from scratch; it
 /// is called once on the hot paths and once more if a restore is
@@ -160,6 +163,10 @@ pub fn warm_via_checkpoint(
     if sys.config().warmup == 0 {
         return Ok(sys);
     }
+    if !ctx.store().is_tiered() {
+        warm_in_place(ctx, &mut sys)?;
+        return Ok(sys);
+    }
     let key = warm_key(sys.config(), sys.workload_names(), label);
 
     // Memory tier, then disk tier; the first snapshot found gets one
@@ -174,13 +181,7 @@ pub fn warm_via_checkpoint(
                 Ok(()) => {
                     // A disk hit was already promoted into the store's
                     // memory tier by its own get.
-                    ctx.count(
-                        match tier {
-                            Tier::Memory => Counter::WarmupsShared,
-                            Tier::Disk => Counter::CkptHits,
-                        },
-                        1,
-                    );
+                    ctx.count_hit(tier, Counter::WarmupsShared);
                     ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
                     return Ok(sys);
                 }
@@ -192,9 +193,7 @@ pub fn warm_via_checkpoint(
     }
     ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
 
-    let t_warm = Instant::now();
-    sys.run_to_warm()?;
-    ctx.count_time(Counter::PhaseWarmNanos, t_warm.elapsed());
+    warm_in_place(ctx, &mut sys)?;
 
     let t_snap = Instant::now();
     let bytes = Arc::new(sys.snapshot(key).to_bytes());
@@ -203,13 +202,20 @@ pub fn warm_via_checkpoint(
     Ok(sys)
 }
 
+/// Run `sys`'s warm-up, charged to the warm-up phase of the wall-time
+/// profile.
+pub(crate) fn warm_in_place(ctx: &Context, sys: &mut System) -> Result<(), SimError> {
+    let t_warm = Instant::now();
+    sys.run_to_warm()?;
+    ctx.count_time(Counter::PhaseWarmNanos, t_warm.elapsed());
+    Ok(())
+}
+
 /// Whether finished-report and finished-document memoisation is on: it
-/// needs the tiered disk store (a memo only pays off across processes;
-/// the in-process [`crate::runner::RunCache`] already memoises within
-/// one) and observability off (an observed run must actually execute to
-/// produce its event stream).
-pub(crate) fn memo_enabled(ctx: &Context, config: &SimConfig) -> bool {
-    !config.obs.enabled && ctx.store().is_tiered()
+/// needs observability off, because an observed run must actually
+/// execute to produce its event stream. Every store tier memoises.
+pub(crate) fn memo_enabled(config: &SimConfig) -> bool {
+    !config.obs.enabled
 }
 
 /// The identity hash of a finished report: report codec version, the
@@ -229,15 +235,15 @@ pub(crate) fn report_key(config: &SimConfig, workload: &str, label: &str) -> u64
 
 /// Fetch a memoised finished report. Any decode rejection (version,
 /// workload-name mismatch from a key collision) is a miss; a hit counts
-/// as a `ckpt_hits` store hit.
+/// by the tier that answered it (`memo_hits` or `ckpt_hits`).
 pub(crate) fn report_from_store(
     ctx: &Context,
     key: u64,
     workload: &'static str,
 ) -> Option<RunReport> {
-    let (bytes, _) = ctx.store().get(EntryKind::Report, key)?;
+    let (bytes, tier) = ctx.store().get(EntryKind::Report, key)?;
     let report = RunReport::from_store_bytes(&bytes, workload).ok()?;
-    ctx.count(Counter::CkptHits, 1);
+    ctx.count_hit(tier, Counter::MemoHits);
     Some(report)
 }
 
@@ -248,14 +254,77 @@ pub(crate) fn report_to_store(ctx: &Context, key: u64, report: &RunReport) {
 }
 
 /// Fetch memoised finished-document bytes (a whole BENCH JSON served
-/// without simulating). A hit counts as a `ckpt_hits` store hit.
+/// without simulating). A hit counts by the tier that answered it
+/// (`memo_hits` or `ckpt_hits`).
 pub(crate) fn document_from_store(ctx: &Context, key: u64) -> Option<Arc<Vec<u8>>> {
-    let (bytes, _) = ctx.store().get(EntryKind::Document, key)?;
-    ctx.count(Counter::CkptHits, 1);
+    let (bytes, tier) = ctx.store().get(EntryKind::Document, key)?;
+    ctx.count_hit(tier, Counter::MemoHits);
     Some(bytes)
 }
 
 /// Memoise finished-document bytes.
 pub(crate) fn document_to_store(ctx: &Context, key: u64, bytes: Arc<Vec<u8>>) {
     ctx.store().put(EntryKind::Document, key, bytes);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{Settings, Variant};
+    use psa_core::PageSizePolicy;
+    use psa_prefetchers::PrefetcherKind;
+    use psa_traces::{catalog, WorkloadRef};
+
+    /// A memory-only context memoises reports and never holds a warm
+    /// snapshot: not after a run-cache batch, and not after a
+    /// `warm_via_checkpoint` job.
+    #[test]
+    fn memory_only_store_memoises_reports_and_holds_no_warm_snapshot() {
+        let config = SimConfig::default()
+            .with_warmup(1_000)
+            .with_instructions(4_000);
+        let settings = Settings::default();
+        let lbm: WorkloadRef = catalog::workload("lbm").unwrap().into();
+        let jobs = [
+            (lbm, Variant::NoPrefetch),
+            (lbm, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)),
+        ];
+        // The warm key of `label` over the machine `config` builds.
+        let warm_entry = |config: SimConfig, label: &str| {
+            let sys = System::try_from_refs(config, &[lbm]).unwrap();
+            let key = warm_key(sys.config(), sys.workload_names(), label);
+            settings.ctx.store().get(EntryKind::Warmup, key)
+        };
+
+        let mut first = settings.cache();
+        first.run_batch_refs(config, &jobs);
+        for &(_, v) in &jobs {
+            let entry = warm_entry(v.build_config(config), &v.label());
+            assert!(entry.is_none(), "{}: a warm snapshot", v.label());
+        }
+
+        let iso = Variant::NoPrefetch.build_config(config);
+        let build = move || System::try_from_refs(iso, &[lbm]);
+        warm_via_checkpoint(&settings.ctx, &build, "iso/lbm").unwrap();
+        assert!(warm_entry(iso, "iso/lbm").is_none(), "an isolated job");
+
+        let before = settings.ctx.stats();
+        let mut second = settings.cache();
+        second.run_batch_refs(config, &jobs);
+        let after = settings.ctx.stats();
+        assert_eq!(
+            (after.simulated, after.sim_cycles),
+            (before.simulated, before.sim_cycles),
+            "a memoised job simulated"
+        );
+        assert_eq!(after.memo_hits - before.memo_hits, jobs.len() as u64);
+        for &(w, v) in &jobs {
+            assert_eq!(
+                second.run_ref(config, w, v).to_store_bytes(),
+                first.run_ref(config, w, v).to_store_bytes(),
+                "{}: the memoised report differs",
+                v.label()
+            );
+        }
+    }
 }

@@ -15,6 +15,7 @@ use crate::options::RunnerOptions;
 use psa_common::obs::store::StoreSnapshot;
 use psa_sim::report::{self, Json};
 use psa_sim::RunReport;
+use psa_store::Tier;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -154,6 +155,16 @@ impl Context {
         self.count(counter, elapsed.as_nanos() as u64);
     }
 
+    /// Count one store hit by the tier that answered it: `memory` from
+    /// the memory tier, [`Counter::CkptHits`] from disk.
+    pub(crate) fn count_hit(&self, tier: Tier, memory: Counter) {
+        let counter = match tier {
+            Tier::Memory => memory,
+            Tier::Disk => Counter::CkptHits,
+        };
+        self.count(counter, 1);
+    }
+
     /// Add one pool's per-worker run counts.
     pub(crate) fn count_threads(&self, runs: &[u64]) {
         let mut per_thread = self.per_thread.lock().expect("unpoisoned thread counts");
@@ -252,15 +263,18 @@ pub(crate) fn run_entry(workload: &str, label: &str, r: &RunReport) -> Json {
 /// process).
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Simulations actually executed.
+    /// Jobs simulated, failed ones included. A job answered by a
+    /// memoised report is not one.
     pub simulated: u64,
-    /// `run()`/`speedup()` calls served from a run-cache memo instead.
+    /// Runs served from an in-process memo instead of simulated: run-cache
+    /// lookups of an already-cached run, and reports and documents
+    /// answered by the store's memory tier.
     pub memo_hits: u64,
     /// Summed per-run wall-clock (CPU-side work across all threads).
     pub busy: Duration,
     /// Wall-clock spent executing batches and maps (elapsed time).
     pub wall: Duration,
-    /// Simulated cycles across executed runs.
+    /// Simulated cycles across simulated single-core runs.
     pub sim_cycles: u64,
     /// Deepest work queue handed to the executor at once.
     pub queue_peak: u64,
@@ -323,25 +337,18 @@ impl ExecStats {
                 self.failed, self.watchdog_aborted
             )
         };
-        let warm = if self.warmups_shared == 0 && self.ckpt_hits == 0 {
-            String::new()
-        } else {
-            format!(
-                ", {} warm-ups shared ({} from disk)",
-                self.warmups_shared + self.ckpt_hits,
-                self.ckpt_hits
-            )
-        };
         format!(
-            "{} simulated, {} memo hits, {:.2}s wall / {:.2}s busy, {:.1} Mcycles/s, queue peak {}{}{}{}",
+            "{} simulated, {} memo hits, {} disk-store hits, {} warm-ups shared, \
+             {:.2}s wall / {:.2}s busy, {:.1} Mcycles/s, queue peak {}{}{}",
             self.simulated,
             self.memo_hits,
+            self.ckpt_hits,
+            self.warmups_shared,
             self.wall.as_secs_f64(),
             self.busy.as_secs_f64(),
             self.cycles_per_sec() / 1e6,
             self.queue_peak,
             per_thread,
-            warm,
             failures,
         )
     }

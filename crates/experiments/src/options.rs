@@ -37,10 +37,12 @@ pub struct RunnerOptions {
     pub check: Option<bool>,
     /// `PSA_JSON_RUNS=1` — embed raw per-run reports in emitted JSON.
     pub json_runs: bool,
-    /// `PSA_CKPT_MEM_MB` — in-memory warm-up checkpoint store cap
-    /// (`None`: 256MB).
+    /// `PSA_CKPT_MEM_MB` — memory-tier cap of the checkpoint/result
+    /// store: memoised reports and documents, and with a disk tier warm
+    /// snapshots too (`None`: 256MB).
     pub ckpt_mem_mb: Option<usize>,
-    /// `PSA_CKPT_DIR` — on-disk warm-up checkpoint store directory.
+    /// `PSA_CKPT_DIR` — directory of the checkpoint/result store's disk
+    /// tier (`None`: memory only).
     pub ckpt_dir: Option<PathBuf>,
     /// `PSA_CKPT_DISK_MB` — disk-tier budget of the tiered checkpoint
     /// store (`None`: 2048MB).

@@ -25,21 +25,21 @@
 //! # Observability
 //!
 //! Every job charges its context's [`ExecStats`]: simulations executed,
-//! memo hits, per-run wall-clock, simulated cycles (and the derived
-//! cycles/second throughput), peak queue depth and per-thread run counts.
-//! Each emitted `BENCH_*.json` embeds its context's counters under
-//! `"executor"`; [`global_stats`] sums every context in the process.
+//! memo and store hits, per-run wall-clock, simulated cycles (and the
+//! derived cycles/second throughput), peak queue depth and per-thread
+//! run counts. A job answered by a memoised report counts as a hit, not
+//! as a simulation. Each emitted `BENCH_*.json` embeds its context's
+//! counters under `"executor"`; [`global_stats`] sums every context in
+//! the process.
 //!
-//! # Warm-up checkpointing
+//! # Report memoisation
 //!
-//! Every memoised simulation warms up through the context's
-//! [`crate::ckpt`] store: the first run of a `(config, workload,
-//! variant)` key executes the warm-up and snapshots the machine; later
-//! runs under the same exact key restore the snapshot and skip straight
-//! to measurement. Results are bit-identical to a cold warm-up (the
-//! `psa-sim` snapshot tests prove it). With `PSA_CKPT_DIR` set the store
-//! memoises each finished report instead, across processes, and the run
-//! writes no snapshot. See `docs/CHECKPOINT.md`.
+//! With observability off, every `(workload, variant)` run memoises its
+//! finished report in the context's [`crate::ckpt`] store, memory-only
+//! or tiered: a later run under the same exact key — another cache over
+//! the same context, or with `PSA_CKPT_DIR` set a later process — is
+//! served the bit-identical report without simulating. A run warms up in
+//! place and writes no warm snapshot. See `docs/CHECKPOINT.md`.
 //!
 //! # Fault isolation
 //!
@@ -276,52 +276,41 @@ impl RunOutcome {
     }
 }
 
-/// Simulate one `(workload, variant)` pair. Pure: the run owns its
-/// [`System`] and seeded RNG, so the result depends only on the
-/// arguments — this is what makes parallel execution bit-identical to
-/// serial. Without a report memo the warm-up goes through the context's
-/// checkpoint store ([`ckpt::warm_via_checkpoint`]), which is
-/// transparent: a restored warm state is bit-identical to a freshly
-/// simulated one. With one, the run warms up cold and stores only its
-/// report.
+/// Where a memoised job's report came from.
+enum Answer {
+    /// The context's store held the finished report.
+    Memo(RunReport),
+    /// The job simulated it.
+    Simulated(RunReport),
+}
+
+/// Simulate one `(workload, variant)` pair, or answer it from the
+/// context's memoised reports. Pure: the run owns its [`System`] and
+/// seeded RNG, so the result depends only on the arguments — this is
+/// what makes parallel execution bit-identical to serial, and a memoised
+/// report bit-identical to a fresh one.
 fn try_simulate(
     ctx: &Context,
     config: SimConfig,
     workload: WorkloadRef,
     variant: Variant,
-) -> Result<RunReport, SimError> {
-    let build_config = variant.build_config(config);
-    let build = move || System::try_from_refs(build_config, &[workload]);
-    let label = variant.label();
-    // Finished-report memoisation: with the tiered disk store available
-    // (and observability off), a report computed by an earlier process
-    // at the same (config, workload, variant) key is served bit-identical
-    // from the store instead of re-simulated. The key hashes the
-    // pre-variant config plus the label, which encodes every config
-    // mutation a variant applies.
-    let memo_key = ckpt::memo_enabled(ctx, &config)
-        .then(|| ckpt::report_key(&config, workload.name(), &label));
+) -> Result<Answer, SimError> {
+    // The key hashes the pre-variant config plus the label, which
+    // encodes every config mutation a variant applies.
+    let memo_key = ckpt::memo_enabled(&config)
+        .then(|| ckpt::report_key(&config, workload.name(), &variant.label()));
     if let Some(key) = memo_key {
         let t0 = Instant::now();
         let hit = ckpt::report_from_store(ctx, key, workload.name());
         ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
         if let Some(report) = hit {
-            return Ok(report);
+            return Ok(Answer::Memo(report));
         }
     }
-    // A memoised run takes no warm snapshot: its warm key names the same
-    // run as its report key, so the memoised report always answers
-    // before a snapshot could.
-    let sys = match memo_key {
-        Some(_) => {
-            let mut sys = build()?;
-            let t0 = Instant::now();
-            sys.run_to_warm()?;
-            ctx.count_time(Counter::PhaseWarmNanos, t0.elapsed());
-            sys
-        }
-        None => ckpt::warm_via_checkpoint(ctx, &build, &label)?,
-    };
+    // No warm snapshot: the run's warm key names the same run as its
+    // report key, so the memoised report always answers first.
+    let mut sys = System::try_from_refs(variant.build_config(config), &[workload])?;
+    ckpt::warm_in_place(ctx, &mut sys)?;
     let t0 = Instant::now();
     let result = sys.try_run_observed();
     ctx.count_time(Counter::PhaseMeasureNanos, t0.elapsed());
@@ -334,7 +323,7 @@ fn try_simulate(
         ckpt::report_to_store(ctx, key, &report);
         ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
     }
-    Ok(report)
+    Ok(Answer::Simulated(report))
 }
 
 /// Write the first observed run's Chrome `trace_event` JSON to `path`
@@ -401,7 +390,8 @@ fn isolated<R>(
 }
 
 /// Run one memoised job in isolation; a fault becomes a
-/// [`RunOutcome::Failed`] row.
+/// [`RunOutcome::Failed`] row. Every job but one a memoised report
+/// answered counts as simulated, failed ones included.
 fn run_job(
     ctx: &Context,
     config: SimConfig,
@@ -412,21 +402,30 @@ fn run_job(
         try_simulate(ctx, env.config(config), workload, variant)
     });
     match result {
-        Ok(report) => RunOutcome::Ok(Box::new(report)),
-        Err((reason, watchdog)) => RunOutcome::Failed {
-            workload: workload.name(),
-            variant,
-            reason,
-            watchdog,
-        },
+        Ok(Answer::Memo(report)) => RunOutcome::Ok(Box::new(report)),
+        Ok(Answer::Simulated(report)) => {
+            ctx.count(Counter::Simulated, 1);
+            ctx.count(Counter::SimCycles, report.cycles);
+            RunOutcome::Ok(Box::new(report))
+        }
+        Err((reason, watchdog)) => {
+            ctx.count(Counter::Simulated, 1);
+            RunOutcome::Failed {
+                workload: workload.name(),
+                variant,
+                reason,
+                watchdog,
+            }
+        }
     }
 }
 
 /// Map `f` over `items` on the context's worker pool (a work queue over
 /// `std::thread::scope`), preserving input order — the output equals a
-/// serial `items.iter().map(f)` whenever `f` is pure. Each item counts
-/// as one executed simulation of `ctx`; a `batch` (a [`RunCache`]
-/// batch) also counts its wall time as `batch_wall`.
+/// serial `items.iter().map(f)` whenever `f` is pure. The pool counts
+/// its timing and queue depth in `ctx`, not simulations: `f` counts
+/// those. A `batch` (a [`RunCache`] batch) also counts its wall time as
+/// `batch_wall`.
 fn pool_map<T, R>(ctx: &Context, items: &[T], batch: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
@@ -463,7 +462,6 @@ where
         })
     };
     let wall = started.elapsed();
-    ctx.count(Counter::Simulated, items.len() as u64);
     ctx.count(Counter::QueuePeak, items.len() as u64);
     ctx.count(Counter::BusyNanos, busy.into_inner());
     ctx.count_time(Counter::WallNanos, wall);
@@ -521,7 +519,8 @@ impl JobEnv {
 /// isolation, preserving input order — the executor for simulation jobs
 /// outside the memoised `(workload, variant)` space (custom Set-Dueling
 /// shapes, doubled-storage modules, multi-core mixes). `f` must be pure
-/// for the order-independence to hold.
+/// for the order-independence to hold. Each item counts as one
+/// simulation of `ctx`.
 ///
 /// Each job is described by `spec` (workload + unique label) and executed
 /// by `f` under [`std::panic::catch_unwind`]; `f` reports simulator
@@ -542,6 +541,7 @@ where
     S: Fn(&T) -> JobSpec + Sync,
     F: Fn(&T, &JobEnv) -> Result<R, SimError> + Sync,
 {
+    ctx.count(Counter::Simulated, items.len() as u64);
     pool_map(ctx, items, false, |item| {
         let s = spec(item);
         isolated(ctx, s.workload, &s.label, |env| f(item, env))
@@ -594,10 +594,7 @@ impl RunCache {
     /// in the context.
     fn admit(&mut self, name: &'static str, v: Variant, outcome: RunOutcome) {
         match &outcome {
-            RunOutcome::Ok(report) => {
-                self.ctx.count(Counter::SimCycles, report.cycles);
-                self.ctx.journal_run(name, v.label(), report);
-            }
+            RunOutcome::Ok(report) => self.ctx.journal_run(name, v.label(), report),
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => self.ctx.journal_failure(name, v.label(), reason, *watchdog),

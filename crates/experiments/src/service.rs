@@ -16,10 +16,10 @@
 //! that job's runs only, however many jobs run concurrently, while every
 //! job shares the server's checkpoint store.
 //!
-//! Finished documents are memoised in the tiered checkpoint store
-//! under [`SweepSpec::key`] (entry kind `Document`): a repeat of an
-//! already-served spec — even after a process restart — is answered
-//! from disk without simulating anything.
+//! Finished clean documents are memoised in the server's checkpoint
+//! store under [`SweepSpec::key`] (entry kind `Document`): a repeat of
+//! an already-served spec is answered without simulating anything, from
+//! memory, or from disk after a restart when the store has a disk tier.
 
 use crate::ckpt;
 use crate::runner::{self, Settings, Variant, BENCH_SCHEMA_VERSION};
@@ -505,10 +505,10 @@ pub struct ServedDocument {
 }
 
 /// Execute a spec in `job` (the job's own settings, see
-/// [`Settings::fork`]) and assemble its BENCH document. Always simulates
-/// (through the run cache's own warm-up/report memo tiers); the
-/// document-level memo is [`run_job`]'s concern. `progress(done,
-/// total)` fires per finished simulation, from worker threads.
+/// [`Settings::fork`]) and assemble its BENCH document. Each run is
+/// simulated or answered by a memoised report; the document-level memo
+/// is [`run_job`]'s concern. `progress(done, total)` fires per finished
+/// run, from worker threads.
 pub fn execute(job: &Settings, spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Json {
     let mut cache = job.cache();
     let jobs: Vec<(WorkloadRef, Variant)> = spec
@@ -521,10 +521,10 @@ pub fn execute(job: &Settings, spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + 
 }
 
 /// Serve a spec on `server`'s settings: a memoised finished document
-/// when one exists (no simulation at all, counted as a `ckpt_hits`
-/// store hit), else [`execute`] it in a fork of the server's context
-/// and — when the result is clean and the disk tier is available —
-/// memoise the rendered bytes for every later request.
+/// when one exists (no simulation at all, counted as a store hit of the
+/// tier that answered), else [`execute`] it in a fork of the server's
+/// context and — when the result is clean — memoise the rendered bytes
+/// for every later request.
 pub fn run_job(
     server: &Settings,
     spec: &SweepSpec,
@@ -532,7 +532,7 @@ pub fn run_job(
 ) -> ServedDocument {
     let job = server.fork(spec.config(server.config));
     let key = spec.key(server.config);
-    let memo = ckpt::memo_enabled(&job.ctx, &job.config);
+    let memo = ckpt::memo_enabled(&job.config);
     if memo {
         if let Some(bytes) = ckpt::document_from_store(&job.ctx, key) {
             return ServedDocument {

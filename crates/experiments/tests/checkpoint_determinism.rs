@@ -1,8 +1,7 @@
 //! End-to-end determinism of the tiered checkpoint/result store through
-//! the real executors: memory hits, tiered disk hits, memoised finished
-//! reports, warm snapshots restored from disk, corrupt-store recovery
-//! and injected-fault storms must all reproduce the cold path bit for
-//! bit.
+//! the real executors: finished reports memoised in the memory and disk
+//! tiers, warm snapshots restored from disk, corrupt-store recovery and
+//! injected-fault storms must all reproduce the cold path bit for bit.
 //!
 //! Each phase runs in its own execution context; a fresh context on the
 //! same directory reopens the store exactly as a fresh process would.
@@ -90,18 +89,31 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     let memory = Settings::default();
     let reference = run_all(&memory);
 
-    // Phase B: a second cache in the same context shares every warm-up
-    // from the memory tier — and reproduces the reports exactly.
+    // Phase B: a second cache in the same context is answered by the
+    // reports the first one memoised in the memory-only store: the same
+    // bytes, and nothing simulated. `run_all` also looks each job up in
+    // its own cache once, so Phase A counted `n` run-cache hits and
+    // Phase B counts those `n` plus `n` store hits.
     let before = memory.ctx.stats();
-    let warm = run_all(&memory);
+    assert_eq!(before.memo_hits, n, "phase A: one run-cache lookup per job");
+    let memoised = run_all(&memory);
     let after = memory.ctx.stats();
-    assert_eq!(warm, reference, "memory-warm run diverged from cold run");
+    assert_eq!(memoised, reference, "memoised run diverged from cold run");
     assert_eq!(
-        after.warmups_shared - before.warmups_shared,
-        n,
-        "every job should share its warm-up from memory"
+        (after.simulated, after.sim_cycles),
+        (before.simulated, before.sim_cycles),
+        "a memoised job simulated"
     );
-    assert_eq!(after.ckpt_hits, 0, "no disk store is set");
+    assert_eq!(
+        after.memo_hits - before.memo_hits,
+        2 * n,
+        "every job should be a memory-tier report hit"
+    );
+    assert_eq!(
+        (after.ckpt_hits, after.warmups_shared),
+        (0, 0),
+        "no disk store is set, and a memory-only store holds no snapshot"
+    );
 
     // Phase C: with a store directory, finished reports persist in the
     // tiered store. A fresh context reopens the store and must serve
@@ -138,6 +150,11 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     assert_eq!(
         stats.ckpt_hits, n,
         "every job should be served from the store (memoised reports)"
+    );
+    assert_eq!(
+        (stats.simulated, stats.sim_cycles),
+        (0, 0),
+        "a job answered by a memoised report is not a simulation"
     );
     assert_eq!(stats.failed, 0, "store traffic must not fail jobs");
 

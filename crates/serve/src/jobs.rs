@@ -68,7 +68,7 @@ pub struct JobStatus {
     pub total: u64,
     /// Submissions that joined this job instead of creating a new one.
     pub joined: u64,
-    /// The finished document was served from the memoised disk tier.
+    /// The finished document was served from the memoised document tier.
     pub from_cache: bool,
     /// The finished document's `failures` array is empty.
     pub clean: bool,

@@ -1,12 +1,13 @@
-//! Concurrent dedup and the memoised document tier across a restart:
-//! N racing identical submissions run exactly one simulation and read
-//! back bit-identical bytes; after a restart (a new server on the same
-//! store directory) the same spec is answered from
-//! disk without simulating.
+//! Concurrent dedup and the memoised tiers: N racing identical
+//! submissions run exactly one simulation and read back bit-identical
+//! bytes; after a restart (a new server on the same store directory) the
+//! same spec is answered from disk without simulating; and a server
+//! without a store directory memoises each run's report in memory, so a
+//! later spec that overlaps an earlier one simulates only what is new.
 
 mod common;
 
-use psa_serve::http;
+use psa_serve::{http, ServerConfig};
 use psa_sim::report::Json;
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
@@ -120,4 +121,43 @@ fn racing_identical_submissions_share_one_simulation_and_survive_restart() {
     );
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+const ONE: &str = r#"{"figure": "fig08", "workloads": ["lbm"],
+    "variants": ["SPP"], "seed": 4, "warmup": 300, "instructions": 900}"#;
+const TWO: &str = r#"{"figure": "fig08", "workloads": ["lbm"],
+    "variants": ["SPP", "no-prefetch"], "seed": 4, "warmup": 300, "instructions": 900}"#;
+
+/// The `rows` entry of `doc` for `variant`.
+fn row<'a>(doc: &'a Json, variant: &str) -> &'a Json {
+    doc.get("rows")
+        .and_then(Json::as_arr)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("variant").and_then(Json::as_str) == Some(variant))
+        })
+        .unwrap_or_else(|| panic!("no {variant} row: {}", doc.pretty()))
+}
+
+#[test]
+fn memory_only_server_memoises_runs_across_specs() {
+    let (server, addr) = common::spawn(ServerConfig::default());
+    let run = |spec: &str| {
+        let id = common::submitted_id(&common::post(&addr, "/jobs", spec));
+        common::wait_done(&addr, &id, Duration::from_secs(300));
+        common::json(&common::get(&addr, &format!("/results/{id}")))
+    };
+    let one = run(ONE);
+    let two = run(TWO);
+    server.shutdown();
+
+    assert_eq!(common::executor(&one, "simulated_runs"), 1.0);
+    assert_eq!(
+        common::executor(&two, "simulated_runs"),
+        1.0,
+        "lbm/SPP is answered by the first job's memoised report"
+    );
+    assert_eq!(common::executor(&two, "memo_hits"), 1.0);
+    assert_eq!(common::executor(&two, "warmups_shared"), 0.0);
+    assert_eq!(row(&two, "SPP"), row(&one, "SPP"));
 }
