@@ -33,20 +33,20 @@ pub fn sweep_shapes() -> Vec<(usize, u32)> {
 /// Run the sweep.
 pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
     let kind = PrefetcherKind::Spp;
-    let mut cache = settings.cache();
-    let workloads = settings.workloads();
-    let base_jobs: Vec<_> = workloads
-        .iter()
-        .map(|&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
-        .collect();
-    cache.run_batch_refs(settings.config, &base_jobs);
     let base = Variant::Pref(kind, PageSizePolicy::Original);
+    // A workload whose baseline failed is not swept.
+    let (survivors, base_ipc): (Vec<&psa_traces::WorkloadSpec>, Vec<f64>) = settings
+        .cache()
+        .rows(settings.config, &settings.workloads(), &[base])
+        .into_iter()
+        .map(|(w, r)| (w, r[0].ipc()))
+        .unzip();
     sweep_shapes()
         .into_iter()
         .map(|(dedicated_sets, csel_bits)| {
             let ipcs = runner::parallel_map_isolated(
                 &settings.ctx,
-                &workloads,
+                &survivors,
                 |&w| runner::JobSpec {
                     workload: w.name,
                     label: format!("ablation/sd-{dedicated_sets}-{csel_bits}"),
@@ -71,32 +71,20 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
                     .ipc())
                 },
             );
-            let per: Vec<f64> = workloads
-                .iter()
-                .zip(ipcs)
-                .filter_map(|(&w, ipc)| {
-                    // Gaps: failed sweep cells (or a failed baseline)
-                    // drop the workload from this point's geomean.
-                    let ipc = ipc?;
-                    if !cache.completed_ref(w, base) {
-                        return None;
-                    }
-                    let orig = cache.run_ref(settings.config, w, base).ipc();
-                    Some(if orig > 0.0 { ipc / orig } else { 1.0 })
-                })
+            // Gaps: failed sweep cells drop the workload from this
+            // point's geomean.
+            let per: Vec<f64> = ipcs
+                .into_iter()
+                .zip(&base_ipc)
+                .filter_map(|(ipc, &orig)| Some(runner::speedup(ipc?, orig)))
                 .collect();
             AblationPoint {
                 dedicated_sets,
                 csel_bits,
-                speedup: if per.is_empty() { 1.0 } else { geomean(&per) },
+                speedup: geomean(&per),
             }
         })
         .collect()
-}
-
-/// Render the ablation.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_ablations.json` document.

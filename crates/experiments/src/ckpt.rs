@@ -270,7 +270,7 @@ pub(crate) fn document_to_store(ctx: &Context, key: u64, bytes: Arc<Vec<u8>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Settings, Variant};
+    use crate::runner::{RunOutcome, Settings, Variant};
     use psa_core::PageSizePolicy;
     use psa_prefetchers::PrefetcherKind;
     use psa_traces::{catalog, WorkloadRef};
@@ -319,9 +319,12 @@ mod tests {
         );
         assert_eq!(after.memo_hits - before.memo_hits, jobs.len() as u64);
         for &(w, v) in &jobs {
+            let bytes = |outcome: &RunOutcome| outcome.report().map(|r| r.to_store_bytes());
+            let cold = bytes(first.outcome_ref(config, w, v));
+            assert!(cold.is_some(), "{}: the cold job failed", v.label());
             assert_eq!(
-                second.run_ref(config, w, v).to_store_bytes(),
-                first.run_ref(config, w, v).to_store_bytes(),
+                bytes(second.outcome_ref(config, w, v)),
+                cold,
                 "{}: the memoised report differs",
                 v.label()
             );

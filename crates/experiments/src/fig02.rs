@@ -20,58 +20,36 @@ pub struct Fig02Row {
     pub probabilities: Vec<f64>,
 }
 
-/// Run the experiment.
-pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
+/// Run the experiment: the surviving workloads, in order, and one row per
+/// prefetcher whose probabilities align with them. A workload with any
+/// failed job is left out of every row.
+pub fn collect(settings: &Settings) -> (Vec<&'static str>, Vec<Fig02Row>) {
+    let variants =
+        PrefetcherKind::EVALUATED.map(|kind| Variant::Pref(kind, PageSizePolicy::Original));
     let mut cache = settings.cache();
-    let workloads = settings.workloads();
-    let jobs: Vec<_> = PrefetcherKind::EVALUATED
+    let rows = cache.rows(settings.config, &settings.workloads(), &variants);
+    let workloads = rows.iter().map(|(w, _)| w.name).collect();
+    let rows = PrefetcherKind::EVALUATED
         .into_iter()
-        .flat_map(|kind| {
-            workloads
+        .enumerate()
+        .map(|(i, kind)| Fig02Row {
+            kind,
+            probabilities: rows
                 .iter()
-                .map(move |&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
-        })
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
-    PrefetcherKind::EVALUATED
-        .into_iter()
-        .map(|kind| {
-            let probabilities = settings
-                .workloads()
-                .into_iter()
-                .map(|w| {
-                    cache
-                        .run_ref(
-                            settings.config,
-                            w,
-                            Variant::Pref(kind, PageSizePolicy::Original),
-                        )
-                        .boundary
+                .map(|(_, r)| {
+                    r[i].boundary
                         .expect("prefetching run has boundary stats")
                         .discard_probability()
                 })
-                .collect();
-            Fig02Row {
-                kind,
-                probabilities,
-            }
+                .collect(),
         })
-        .collect()
-}
-
-/// Render as the paper's figure (distribution summaries).
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+        .collect();
+    (workloads, rows)
 }
 
 /// Text rendering plus the `BENCH_fig02.json` document.
 pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings);
-    let workloads: Vec<Json> = settings
-        .workloads()
-        .iter()
-        .map(|w| Json::str(w.name))
-        .collect();
+    let (workloads, rows) = collect(settings);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|row| {
@@ -103,7 +81,10 @@ pub fn report(settings: &Settings) -> (String, Json) {
         settings,
         json_rows,
     );
-    doc.push("workloads", Json::Arr(workloads));
+    doc.push(
+        "workloads",
+        Json::Arr(workloads.into_iter().map(Json::str).collect()),
+    );
 
     let mut t = Table::new(vec![
         "prefetcher".into(),
@@ -146,9 +127,11 @@ mod tests {
                 .with_warmup(1_000)
                 .with_instructions(6_000),
         );
-        let rows = collect(&settings);
+        let (workloads, rows) = collect(&settings);
         assert_eq!(rows.len(), 4);
+        assert_eq!(workloads.len(), settings.workloads().len());
         for row in &rows {
+            assert_eq!(row.probabilities.len(), workloads.len());
             assert!(row.probabilities.iter().all(|&p| (0.0..=1.0).contains(&p)));
         }
         // At least one (prefetcher, workload) pair must discard something —

@@ -25,29 +25,16 @@ pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
         .iter()
         .map(|name| runner::workload(name).unwrap_or_else(|e| panic!("{e}")))
         .collect();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .map(|&w| (w, Variant::NoPrefetch))
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
-        .surviving_refs(&workloads, &[Variant::NoPrefetch])
+        .rows(settings.config, &workloads, &[Variant::NoPrefetch])
         .into_iter()
-        .map(|w| {
-            let report = cache.run_ref(settings.config, w, Variant::NoPrefetch);
-            Fig03Row {
-                name: w.name,
-                series: report.thp_series.clone(),
-            }
+        .map(|(w, reports)| Fig03Row {
+            name: w.name,
+            series: reports[0].thp_series.clone(),
         })
         .collect()
-}
-
-/// Render: 2MB usage at 25/50/75/100% of execution.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_fig03.json` document.

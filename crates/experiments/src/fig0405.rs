@@ -38,46 +38,21 @@ pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
         .iter()
         .map(|name| runner::workload(name).unwrap_or_else(|e| panic!("{e}")))
         .collect();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
     // Failed jobs leave explicit gaps: their workload's row is dropped and
     // the fault is recorded in the document's `failures` array.
     cache
-        .surviving_refs(&workloads, &variants)
+        .rows(settings.config, &workloads, &variants)
         .into_iter()
-        .map(|w| {
-            let base = Variant::NoPrefetch;
+        .map(|(w, r)| {
+            let over_base = |i: usize| runner::speedup(r[i].ipc(), r[0].ipc());
             MotivationRow {
                 name: w.name,
-                spp: cache.speedup_ref(
-                    settings.config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::Original),
-                    base,
-                ),
-                psa_magic: cache.speedup_ref(
-                    settings.config,
-                    w,
-                    Variant::PrefMagic(kind, PageSizePolicy::Psa),
-                    base,
-                ),
-                psa_magic_2mb: cache.speedup_ref(
-                    settings.config,
-                    w,
-                    Variant::PrefMagic(kind, PageSizePolicy::Psa2m),
-                    base,
-                ),
+                spp: over_base(1),
+                psa_magic: over_base(2),
+                psa_magic_2mb: over_base(3),
             }
         })
         .collect()
-}
-
-/// Render both figures.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_fig0405.json` document.

@@ -5,7 +5,6 @@ use psa_common::{geomean, table::pct, Table};
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
-use psa_traces::WorkloadSpec;
 
 use crate::runner::{self, Settings, Variant};
 
@@ -24,48 +23,21 @@ pub struct Fig08Row {
 
 /// Run the sweep for one prefetcher kind (Figure 8 uses SPP).
 pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
-    let mut cache = settings.cache();
-    let base = Variant::Pref(kind, PageSizePolicy::Original);
-    let workloads = settings.workloads();
-    let variants: Vec<Variant> = [
-        PageSizePolicy::Original,
-        PageSizePolicy::Psa,
-        PageSizePolicy::Psa2m,
-        PageSizePolicy::PsaSd,
-    ]
-    .into_iter()
-    .map(|policy| Variant::Pref(kind, policy))
-    .collect();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
+    let variants = PageSizePolicy::ALL.map(|policy| Variant::Pref(kind, policy));
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
+    let mut cache = settings.cache();
     cache
-        .surviving_refs(&workloads, &variants)
+        .rows(settings.config, &settings.workloads(), &variants)
         .into_iter()
-        .map(|w: &'static WorkloadSpec| Fig08Row {
-            name: w.name,
-            psa: cache.speedup_ref(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::Psa),
-                base,
-            ),
-            psa_2mb: cache.speedup_ref(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::Psa2m),
-                base,
-            ),
-            psa_sd: cache.speedup_ref(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::PsaSd),
-                base,
-            ),
+        .map(|(w, r)| {
+            let over_original = |i: usize| runner::speedup(r[i].ipc(), r[0].ipc());
+            Fig08Row {
+                name: w.name,
+                psa: over_original(1),
+                psa_2mb: over_original(2),
+                psa_sd: over_original(3),
+            }
         })
         .collect()
 }
@@ -77,11 +49,6 @@ pub fn geomeans(rows: &[Fig08Row]) -> (f64, f64, f64) {
         geomean(&rows.iter().map(|r| r.psa_2mb).collect::<Vec<_>>()),
         geomean(&rows.iter().map(|r| r.psa_sd).collect::<Vec<_>>()),
     )
-}
-
-/// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_fig08.json` document.

@@ -10,13 +10,14 @@ use psa_traces::{SuiteGroup, WorkloadSpec};
 
 use crate::runner::{self, Settings, Variant};
 
-/// Geomean speedups for one (prefetcher, variant) cell.
-#[derive(Debug, Clone)]
-pub struct Fig09Cell {
+/// Geomean speedups of one (prefetcher, variant) cell over that
+/// prefetcher's Original implementation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SuiteCell {
     /// Prefetcher.
     pub kind: PrefetcherKind,
-    /// Variant.
-    pub policy: PageSizePolicy,
+    /// The measured variant's name in the table and the JSON rows.
+    pub label: String,
     /// Geomean per group, in [SPEC, GAP+ML+CLOUD, QMM] order.
     pub per_group: [f64; 3],
     /// Geomean across all workloads.
@@ -25,38 +26,27 @@ pub struct Fig09Cell {
 
 const GROUPS: [SuiteGroup; 3] = [SuiteGroup::Spec, SuiteGroup::GapMlCloud, SuiteGroup::Qmm];
 
-/// Run the full sweep over the given workloads (injectable so the
-/// non-intensive experiment can reuse it).
-pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<Fig09Cell> {
-    let mut out = Vec::new();
-    for kind in PrefetcherKind::EVALUATED {
-        let mut cache = settings.cache();
-        let base = Variant::Pref(kind, PageSizePolicy::Original);
-        let variants: Vec<Variant> = PageSizePolicy::ALL
-            .into_iter()
-            .map(|policy| Variant::Pref(kind, policy))
-            .collect();
-        let jobs: Vec<_> = workloads
-            .iter()
-            .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
-            .collect();
-        cache.run_batch_refs(settings.config, &jobs);
-        // A failed workload drops out of every geomean for this kind; the
-        // fault is recorded in the document's `failures` array.
-        let survivors = cache.surviving_refs(workloads, &variants);
-        for policy in [
-            PageSizePolicy::Psa,
-            PageSizePolicy::Psa2m,
-            PageSizePolicy::PsaSd,
-        ] {
-            let speedups: Vec<(SuiteGroup, f64)> = survivors
+/// One cell per `(label, variant)` of `measured`: its geomean speedup
+/// over `kind`'s Original across `workloads`, per suite group and over
+/// all. A workload with any failed job drops out of every cell; the
+/// fault is recorded in the document's `failures` array.
+pub fn suite_cells(
+    settings: &Settings,
+    workloads: &[&'static WorkloadSpec],
+    kind: PrefetcherKind,
+    measured: &[(String, Variant)],
+) -> Vec<SuiteCell> {
+    let mut variants = vec![Variant::Pref(kind, PageSizePolicy::Original)];
+    variants.extend(measured.iter().map(|&(_, v)| v));
+    let mut cache = settings.cache();
+    let rows = cache.rows(settings.config, workloads, &variants);
+    measured
+        .iter()
+        .enumerate()
+        .map(|(i, (label, _))| {
+            let speedups: Vec<(SuiteGroup, f64)> = rows
                 .iter()
-                .map(|&w| {
-                    (
-                        w.suite.group(),
-                        cache.speedup_ref(settings.config, w, Variant::Pref(kind, policy), base),
-                    )
-                })
+                .map(|(w, r)| (w.suite.group(), runner::speedup(r[i + 1].ipc(), r[0].ipc())))
                 .collect();
             let per_group = GROUPS.map(|g| {
                 geomean(
@@ -68,28 +58,36 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
                 )
             });
             let all = geomean(&speedups.iter().map(|(_, s)| *s).collect::<Vec<_>>());
-            out.push(Fig09Cell {
+            SuiteCell {
                 kind,
-                policy,
+                label: label.clone(),
                 per_group,
                 all,
-            });
-        }
-    }
-    out
+            }
+        })
+        .collect()
+}
+
+/// Run the full sweep over the given workloads (injectable so the
+/// non-intensive experiment can reuse it).
+pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<SuiteCell> {
+    PrefetcherKind::EVALUATED
+        .into_iter()
+        .flat_map(|kind| {
+            let measured = [
+                PageSizePolicy::Psa,
+                PageSizePolicy::Psa2m,
+                PageSizePolicy::PsaSd,
+            ]
+            .map(|policy| (policy.to_string(), Variant::Pref(kind, policy)));
+            suite_cells(settings, workloads, kind, &measured)
+        })
+        .collect()
 }
 
 /// Run over the standard workload selection.
-pub fn collect(settings: &Settings) -> Vec<Fig09Cell> {
+pub fn collect(settings: &Settings) -> Vec<SuiteCell> {
     collect_over(settings, &settings.workloads())
-}
-
-/// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    render(
-        &collect(settings),
-        "Figure 9 — geomean speedup over each prefetcher's original (%)",
-    )
 }
 
 /// Text rendering plus the `BENCH_fig09.json` document.
@@ -108,15 +106,16 @@ pub fn report(settings: &Settings) -> (String, Json) {
     (text, doc)
 }
 
-/// Cells as JSON rows (shared with the non-intensive experiment).
-pub fn cells_json(cells: &[Fig09Cell]) -> Json {
+/// Cells as JSON rows (shared with Figure 16 and the non-intensive
+/// experiment).
+pub fn cells_json(cells: &[SuiteCell]) -> Json {
     Json::Arr(
         cells
             .iter()
             .map(|c| {
                 Json::obj([
                     ("prefetcher", Json::str(c.kind.name())),
-                    ("variant", Json::str(c.policy.to_string())),
+                    ("variant", Json::str(&c.label)),
                     ("spec_geomean", Json::Num(c.per_group[0])),
                     ("gap_ml_cloud_geomean", Json::Num(c.per_group[1])),
                     ("qmm_geomean", Json::Num(c.per_group[2])),
@@ -128,7 +127,7 @@ pub fn cells_json(cells: &[Fig09Cell]) -> Json {
 }
 
 /// Render a cell list under a title.
-pub fn render(cells: &[Fig09Cell], title: &str) -> String {
+pub fn render(cells: &[SuiteCell], title: &str) -> String {
     let mut t = Table::new(vec![
         "prefetcher".into(),
         "variant".into(),
@@ -140,7 +139,7 @@ pub fn render(cells: &[Fig09Cell], title: &str) -> String {
     for c in cells {
         t.row(vec![
             c.kind.name().into(),
-            c.policy.to_string(),
+            c.label.clone(),
             pct((c.per_group[0] - 1.0) * 100.0),
             pct((c.per_group[1] - 1.0) * 100.0),
             pct((c.per_group[2] - 1.0) * 100.0),
@@ -167,7 +166,7 @@ mod tests {
         assert_eq!(cells.len(), 12);
         // §VI-B1: BOP has no page-indexed structure, so PSA == PSA-2MB ==
         // PSA-SD exactly.
-        let bop: Vec<&Fig09Cell> = cells
+        let bop: Vec<&SuiteCell> = cells
             .iter()
             .filter(|c| c.kind == PrefetcherKind::Bop)
             .collect();

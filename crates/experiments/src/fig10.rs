@@ -57,50 +57,27 @@ pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
         Variant::Pref(kind, PageSizePolicy::Original),
         Variant::Pref(kind, policy),
     ];
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|&w| variants.into_iter().map(move |v| (w, v)))
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
-        .surviving_refs(&workloads, &variants)
+        .rows(settings.config, &workloads, &variants)
         .into_iter()
-        .map(|w| {
-            let orig = cache
-                .run_ref(
-                    settings.config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::Original),
-                )
-                .clone();
-            let new = cache
-                .run_ref(settings.config, w, Variant::Pref(kind, policy))
-                .clone();
+        .map(|(w, r)| {
+            let (orig, new) = (r[0], r[1]);
             Fig10Row {
                 name: w.name,
-                speedup: if orig.ipc() > 0.0 {
-                    new.ipc() / orig.ipc()
-                } else {
-                    1.0
-                },
+                speedup: runner::speedup(new.ipc(), orig.ipc()),
                 l2c_latency_reduction: latency_reduction(orig.l2c_avg_latency, new.l2c_avg_latency),
                 llc_latency_reduction: latency_reduction(orig.llc_avg_latency, new.llc_avg_latency),
                 l2c_coverage: new.coverage_vs(orig.l2c.demand_misses, new.l2c.demand_misses)
                     * 100.0,
                 llc_coverage: new.coverage_vs(orig.llc.demand_misses, new.llc.demand_misses)
                     * 100.0,
-                l2c_accuracy_delta: accuracy(&new, false) - accuracy(&orig, false),
-                llc_accuracy_delta: accuracy(&new, true) - accuracy(&orig, true),
+                l2c_accuracy_delta: accuracy(new, false) - accuracy(orig, false),
+                llc_accuracy_delta: accuracy(new, true) - accuracy(orig, true),
             }
         })
         .collect()
-}
-
-/// Render the figure for both variants.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 fn row_json(r: &Fig10Row) -> Json {

@@ -114,9 +114,10 @@ fn logic_ipc(
     Ok(sys.try_run()?.ipc())
 }
 
-/// Run the ablation. The Original baselines prewarm through the parallel
-/// batch executor; each logic's custom-configured runs fan out with
-/// [`runner::parallel_map_isolated`], so a faulty cell becomes a gap
+/// Run the ablation. The Original baselines run through the parallel
+/// batch executor ([`runner::RunCache::rows`]; a workload whose baseline
+/// failed is not swept). Each logic's custom-configured runs fan out
+/// with [`runner::parallel_map_isolated`], so a faulty cell becomes a gap
 /// (the workload drops out of that logic's geomean) instead of aborting
 /// the figure.
 pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
@@ -129,48 +130,36 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
     kinds
         .into_iter()
         .map(|kind| {
-            let mut cache = settings.cache();
             let base = Variant::Pref(kind, PageSizePolicy::Original);
-            let base_jobs: Vec<_> = workloads.iter().map(|&w| (w, base)).collect();
-            cache.run_batch_refs(settings.config, &base_jobs);
-            let mut speedups = [1.0f64; 4];
-            for (i, logic) in Logic::ALL.into_iter().enumerate() {
+            let (survivors, base_ipc): (Vec<&psa_traces::WorkloadSpec>, Vec<f64>) = settings
+                .cache()
+                .rows(settings.config, &workloads, &[base])
+                .into_iter()
+                .map(|(w, r)| (w, r[0].ipc()))
+                .unzip();
+            let speedups = Logic::ALL.map(|logic| {
                 let ipcs = runner::parallel_map_isolated(
                     &settings.ctx,
-                    &workloads,
+                    &survivors,
                     |&w| runner::JobSpec {
                         workload: w.name,
                         label: job_label(kind, logic),
                     },
                     |&w, env| logic_ipc(settings, kind, logic, w, env),
                 );
-                let per: Vec<f64> = workloads
-                    .iter()
-                    .zip(ipcs)
-                    .filter_map(|(&w, ipc)| {
-                        // Gaps: a failed cell or failed baseline drops
-                        // the workload from this geomean; the failure is
-                        // journalled in the document's `failures` array.
-                        let ipc = ipc?;
-                        if !cache.completed_ref(w, base) {
-                            return None;
-                        }
-                        let orig = cache.run_ref(settings.config, w, base).ipc();
-                        Some(if orig > 0.0 { ipc / orig } else { 1.0 })
-                    })
+                // Gaps: a failed cell drops the workload from this
+                // geomean; the failure is journalled in the document's
+                // `failures` array.
+                let per: Vec<f64> = ipcs
+                    .into_iter()
+                    .zip(&base_ipc)
+                    .filter_map(|(ipc, &orig)| Some(runner::speedup(ipc?, orig)))
                     .collect();
-                if !per.is_empty() {
-                    speedups[i] = geomean(&per);
-                }
-            }
+                geomean(&per)
+            });
             Fig11Row { kind, speedups }
         })
         .collect()
-}
-
-/// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_fig11.json` document.

@@ -86,60 +86,41 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
     for &knob in knobs {
         let config = knob.apply(settings.config);
         for &kind in kinds {
+            let variants = [
+                PageSizePolicy::Original,
+                PageSizePolicy::Psa,
+                PageSizePolicy::PsaSd,
+            ]
+            .map(|policy| Variant::Pref(kind, policy));
+            // A failed workload drops out of both geomeans; the fault is
+            // recorded in the document's `failures` array.
             let mut cache = settings.cache();
-            let base = Variant::Pref(kind, PageSizePolicy::Original);
-            let jobs: Vec<_> = workloads
-                .iter()
-                .flat_map(|&w| {
-                    [
-                        PageSizePolicy::Original,
-                        PageSizePolicy::Psa,
-                        PageSizePolicy::PsaSd,
-                    ]
-                    .into_iter()
-                    .map(move |policy| (w, Variant::Pref(kind, policy)))
-                })
-                .collect();
-            cache.run_batch_refs(config, &jobs);
-            let mut psa = Vec::new();
-            let mut sd = Vec::new();
-            for &w in &workloads {
-                psa.push(cache.speedup_ref(
-                    config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::Psa),
-                    base,
-                ));
-                sd.push(cache.speedup_ref(
-                    config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::PsaSd),
-                    base,
-                ));
-            }
+            let rows = cache.rows(config, &workloads, &variants);
+            let over_original = |i: usize| {
+                let per: Vec<f64> = rows
+                    .iter()
+                    .map(|(_, r)| runner::speedup(r[i].ipc(), r[0].ipc()))
+                    .collect();
+                geomean(&per)
+            };
             out.push(Fig12Cell {
                 kind,
                 knob,
-                psa: geomean(&psa),
-                psa_sd: geomean(&sd),
+                psa: over_original(1),
+                psa_sd: over_original(2),
             });
         }
     }
     out
 }
 
-/// Render all three panels. `kinds` defaults to all four in the bench;
-/// tests pass a subset.
-pub fn run_with(settings: &Settings, kinds: &[PrefetcherKind]) -> String {
-    report_with(settings, kinds).0
-}
-
-/// Text rendering plus the `BENCH_fig12.json` document.
-pub fn report_with(settings: &Settings, kinds: &[PrefetcherKind]) -> (String, Json) {
+/// Text rendering plus the `BENCH_fig12.json` document, over all four
+/// evaluated prefetchers.
+pub fn report(settings: &Settings) -> (String, Json) {
     let mut out = String::from("Figure 12 — constrained evaluation, geomean over original (%)\n");
     let mut panels = Vec::new();
     for (panel, knobs) in sweep_points() {
-        let cells = collect(settings, kinds, &knobs);
+        let cells = collect(settings, &PrefetcherKind::EVALUATED, &knobs);
         panels.push(Json::obj([
             ("panel", Json::str(panel)),
             (
@@ -182,16 +163,6 @@ pub fn report_with(settings: &Settings, kinds: &[PrefetcherKind]) -> (String, Js
         Json::Arr(panels),
     );
     (out, doc)
-}
-
-/// Render with all four evaluated prefetchers.
-pub fn run(settings: &Settings) -> String {
-    run_with(settings, &PrefetcherKind::EVALUATED)
-}
-
-/// JSON report with all four evaluated prefetchers.
-pub fn report(settings: &Settings) -> (String, Json) {
-    report_with(settings, &PrefetcherKind::EVALUATED)
 }
 
 #[cfg(test)]

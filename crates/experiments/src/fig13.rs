@@ -47,28 +47,19 @@ fn bar_variants() -> Vec<(String, Variant)> {
 
 /// Run the comparison.
 pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
-    let mut cache = settings.cache();
-    let workloads = settings.workloads();
-    let variants = bar_variants();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|&w| {
-            std::iter::once((w, Variant::NoPrefetch))
-                .chain(variants.iter().map(move |&(_, v)| (w, v)))
-        })
-        .collect();
-    cache.run_batch_refs(settings.config, &jobs);
+    let bars = bar_variants();
+    let mut variants = vec![Variant::NoPrefetch];
+    variants.extend(bars.iter().map(|&(_, v)| v));
     // A failed workload drops out of every bar's geomean; the fault is
     // recorded in the document's `failures` array.
-    let mut all_variants = vec![Variant::NoPrefetch];
-    all_variants.extend(variants.iter().map(|&(_, v)| v));
-    let survivors = cache.surviving_refs(&workloads, &all_variants);
-    variants
-        .into_iter()
-        .map(|(label, variant)| {
-            let per: Vec<f64> = survivors
+    let mut cache = settings.cache();
+    let rows = cache.rows(settings.config, &settings.workloads(), &variants);
+    bars.into_iter()
+        .enumerate()
+        .map(|(i, (label, _))| {
+            let per: Vec<f64> = rows
                 .iter()
-                .map(|&w| cache.speedup_ref(settings.config, w, variant, Variant::NoPrefetch))
+                .map(|(_, r)| runner::speedup(r[i + 1].ipc(), r[0].ipc()))
                 .collect();
             Fig13Bar {
                 label,
@@ -76,11 +67,6 @@ pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
             }
         })
         .collect()
-}
-
-/// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_fig13.json` document.

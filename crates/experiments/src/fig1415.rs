@@ -199,13 +199,8 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
         .collect()
 }
 
-/// Render one figure (4-core → Figure 14, 8-core → Figure 15).
-pub fn run(settings: &Settings, cores: usize) -> String {
-    report(settings, cores).0
-}
-
 /// Text rendering plus the `BENCH_fig14.json` / `BENCH_fig15.json`
-/// document.
+/// document (4-core → Figure 14, 8-core → Figure 15).
 pub fn report(settings: &Settings, cores: usize) -> (String, Json) {
     let bars = collect(settings, cores);
     let figure = if cores == 4 { "fig14" } else { "fig15" };

@@ -1,14 +1,16 @@
 //! Experiment harness: one module per figure/table of *Page Size Aware
 //! Cache Prefetching* (MICRO 2022).
 //!
-//! Every module exposes a `run(settings) -> String` entry point that
-//! executes the experiment and renders the paper's rows as plain text,
-//! plus a `report(settings) -> (String, Json)` variant that additionally
-//! assembles the machine-readable `BENCH_<figure>.json` document (see
-//! `docs/METRICS.md`); the `psa-bench` crate wraps each in a `cargo
-//! bench` target. [`Settings`] carries the run configuration and the
-//! execution [`Context`] it runs in. Independent simulations fan out
-//! across cores through [`runner::RunCache::run_batch_refs`] and
+//! Every figure module exposes a `report(settings) -> (String, Json)`
+//! entry point that executes the experiment, renders the paper's rows
+//! as plain text and assembles the machine-readable
+//! `BENCH_<figure>.json` document (see `docs/METRICS.md`); the
+//! `psa-bench` crate wraps each in a `cargo bench` target. [`Settings`]
+//! carries the run configuration and the execution [`Context`] it runs
+//! in. Figures read their runs through [`runner::RunCache::rows`], which
+//! leaves out a workload with any failed job as an explicit gap, and
+//! divide through one [`runner::speedup`]. Independent simulations fan
+//! out across cores through [`runner::RunCache::run_batch_refs`] and
 //! [`runner::parallel_map_isolated`] — bit-identical to serial execution
 //! (see [`runner`]).
 //!

@@ -2,64 +2,40 @@
 //! non-intensive SPEC workloads and verify the page-size techniques still
 //! help overall and never harm the quiet workloads.
 
-use psa_common::{geomean, table::pct, Table};
+use psa_common::{table::pct, Table};
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{catalog, WorkloadSpec};
 
-use crate::fig09::{cells_json, collect_over, Fig09Cell};
+use crate::fig09::{self, SuiteCell};
 use crate::runner::{self, Settings, Variant};
 
 /// Run the augmented-set sweep.
-pub fn collect(settings: &Settings) -> Vec<Fig09Cell> {
-    let mut workloads: Vec<&'static WorkloadSpec> = settings.workloads();
+pub fn collect(settings: &Settings) -> Vec<SuiteCell> {
+    let mut workloads = settings.workloads();
     workloads.extend(catalog::NON_INTENSIVE.iter());
-    collect_over(settings, &workloads)
+    fig09::collect_over(settings, &workloads)
 }
 
 /// Geomean speedups of the PSA-SD variants restricted to the non-intensive
 /// workloads only — the "no harm" check.
 pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
+    let quiet: Vec<&'static WorkloadSpec> = catalog::NON_INTENSIVE.iter().collect();
     PrefetcherKind::EVALUATED
         .into_iter()
         .map(|kind| {
-            let mut cache = settings.cache();
-            let base = Variant::Pref(kind, PageSizePolicy::Original);
-            let jobs: Vec<_> = catalog::NON_INTENSIVE
-                .iter()
-                .flat_map(|w| {
-                    [base, Variant::Pref(kind, PageSizePolicy::PsaSd)]
-                        .into_iter()
-                        .map(move |v| (w, v))
-                })
-                .collect();
-            cache.run_batch_refs(settings.config, &jobs);
-            let per: Vec<f64> = catalog::NON_INTENSIVE
-                .iter()
-                .map(|w| {
-                    cache.speedup_ref(
-                        settings.config,
-                        w,
-                        Variant::Pref(kind, PageSizePolicy::PsaSd),
-                        base,
-                    )
-                })
-                .collect();
-            (kind, geomean(&per))
+            let sd = Variant::Pref(kind, PageSizePolicy::PsaSd);
+            let cells = fig09::suite_cells(settings, &quiet, kind, &[(sd.label(), sd)]);
+            (kind, cells[0].all)
         })
         .collect()
-}
-
-/// Render the section's numbers.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_nonintensive.json` document.
 pub fn report(settings: &Settings) -> (String, Json) {
     let cells = collect(settings);
-    let mut out = crate::fig09::render(
+    let mut out = fig09::render(
         &cells,
         "§VI-B1 — intensive + non-intensive set, geomean over each original (%)",
     );
@@ -79,7 +55,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
         "nonintensive",
         "intensive + non-intensive set, geomean over each original",
         settings,
-        cells_json(&cells),
+        fig09::cells_json(&cells),
     );
     doc.push(
         "no_harm_geomeans",

@@ -51,7 +51,8 @@
 //! batch: the remaining jobs complete bit-identically to a clean run, the
 //! failure lands in the context's journal (the `"failures"` array of its
 //! documents, see [`Context::failures_json`]), and figures render
-//! partial results with explicit gaps. The options' `inject_panic` and
+//! partial results with explicit gaps ([`RunCache::rows`] leaves out a
+//! workload with any failed job). The options' `inject_panic` and
 //! `inject_stall` (`PSA_INJECT_PANIC` / `PSA_INJECT_STALL`: `<workload>`
 //! or `<workload>/<label>`) inject faults for testing this machinery
 //! (see `docs/ROBUSTNESS.md`).
@@ -680,69 +681,36 @@ impl RunCache {
         &self.runs[&key]
     }
 
-    /// Whether `(workload, variant)` is cached with a completed report —
-    /// figures use this to render explicit gaps for failed jobs.
-    pub fn completed_ref(&self, workload: impl Into<WorkloadRef>, variant: Variant) -> bool {
-        let key = (workload.into().name(), variant);
-        matches!(self.runs.get(&key), Some(RunOutcome::Ok(_)))
-    }
-
-    /// The subset of `workloads` for which every listed variant completed
-    /// (after a batch over the cross product): the rows a figure can
-    /// still render. A shrunken result is the "partial results with
-    /// explicit gaps" contract — the failures themselves are in the
-    /// context's journal.
-    pub fn surviving_refs<W>(&self, workloads: &[W], variants: &[Variant]) -> Vec<W>
+    /// Run `workloads × variants` as one batch and return the rows a
+    /// figure can render: in workload order, every workload whose every
+    /// variant completed, with its reports in variant order. A workload
+    /// with any failed job is an explicit gap — absent here, its fault in
+    /// the context's failure journal — so no figure has a panicking path.
+    pub fn rows<W>(
+        &mut self,
+        config: SimConfig,
+        workloads: &[W],
+        variants: &[Variant],
+    ) -> Vec<(W, Vec<&RunReport>)>
     where
         W: Copy + Into<WorkloadRef>,
     {
+        let jobs: Vec<(W, Variant)> = workloads
+            .iter()
+            .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
+            .collect();
+        self.run_batch_refs(config, &jobs);
         workloads
             .iter()
-            .copied()
-            .filter(|&w| variants.iter().all(|&v| self.completed_ref(w, v)))
+            .filter_map(|&w| {
+                let name = w.into().name();
+                let reports = variants
+                    .iter()
+                    .map(|&v| self.runs.get(&(name, v)).and_then(RunOutcome::report))
+                    .collect::<Option<Vec<_>>>()?;
+                Some((w, reports))
+            })
             .collect()
-    }
-
-    /// Simulate (or recall) `workload` under `variant`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the recorded reason) when the job failed — callers
-    /// that tolerate gaps use [`RunCache::outcome_ref`] /
-    /// [`RunCache::completed_ref`].
-    pub fn run_ref(
-        &mut self,
-        config: SimConfig,
-        workload: impl Into<WorkloadRef>,
-        variant: Variant,
-    ) -> &RunReport {
-        match self.outcome_ref(config, workload, variant) {
-            RunOutcome::Ok(report) => report,
-            RunOutcome::Failed {
-                workload,
-                variant,
-                reason,
-                ..
-            } => panic!("run {}/{} failed: {reason}", workload, variant.label()),
-        }
-    }
-
-    /// IPC ratio of `num` over `den` for one workload.
-    pub fn speedup_ref(
-        &mut self,
-        config: SimConfig,
-        workload: impl Into<WorkloadRef>,
-        num: Variant,
-        den: Variant,
-    ) -> f64 {
-        let workload = workload.into();
-        let n = self.run_ref(config, workload, num).ipc();
-        let d = self.run_ref(config, workload, den).ipc();
-        if d <= 0.0 {
-            1.0
-        } else {
-            n / d
-        }
     }
 
     /// Every cached completed run as a JSON array of
@@ -762,6 +730,16 @@ impl RunCache {
                 .map(|(w, label, r)| run_entry(w, &label, r))
                 .collect(),
         )
+    }
+}
+
+/// One workload's speedup: its IPC under a variant over its IPC under
+/// the baseline, or 1.0 when the baseline retired nothing.
+pub fn speedup(ipc: f64, base_ipc: f64) -> f64 {
+    if base_ipc <= 0.0 {
+        1.0
+    } else {
+        ipc / base_ipc
     }
 }
 
@@ -820,11 +798,14 @@ mod tests {
     #[test]
     fn cache_memoises_and_counts() {
         let mut cache = RunCache::new();
-        let a = cache.run_ref(quick(), lbm(), Variant::NoPrefetch).ipc();
-        let b = cache.run_ref(quick(), lbm(), Variant::NoPrefetch).ipc();
-        assert_eq!(a, b);
+        let a = cache
+            .outcome_ref(quick(), lbm(), Variant::NoPrefetch)
+            .clone();
+        let b = cache.outcome_ref(quick(), lbm(), Variant::NoPrefetch);
+        assert!(a.report().is_some());
+        assert_eq!(&a, b);
         assert_eq!(cache.runs.len(), 1);
-        // The second run() must be a memo hit, not a re-simulation.
+        // The second lookup must be a memo hit, not a re-simulation.
         assert_eq!(cache.stats().simulated, 1);
         assert_eq!(cache.stats().memo_hits, 1);
     }
@@ -833,7 +814,7 @@ mod tests {
     fn batch_skips_cached_and_duplicate_jobs() {
         let mut cache = RunCache::new();
         let w = lbm();
-        cache.run_ref(quick(), w, Variant::NoPrefetch);
+        cache.outcome_ref(quick(), w, Variant::NoPrefetch);
         let jobs = vec![
             (w, Variant::NoPrefetch), // already cached
             (w, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)),
@@ -866,17 +847,42 @@ mod tests {
         parallel.run_batch_refs(quick(), &jobs);
         assert_eq!(parallel.stats().per_thread.len(), 3);
 
-        for &(w, v) in &jobs {
-            let a = serial.run_ref(quick(), w, v).clone();
-            let b = parallel.run_ref(quick(), w, v).clone();
-            assert_eq!(
-                a,
-                b,
-                "{}/{} diverged between serial and parallel",
-                w.name,
-                v.label()
-            );
+        let serial = serial.rows(quick(), &workloads, &variants);
+        let parallel = parallel.rows(quick(), &workloads, &variants);
+        assert_eq!(serial.len(), workloads.len(), "every serial job completed");
+        // Whole-list equality: a missing or misaligned parallel row fails.
+        assert_eq!(serial, parallel, "serial and parallel runs diverged");
+    }
+
+    #[test]
+    fn rows_keep_order_and_leave_out_failed_workloads() {
+        let settings = Settings::new(RunnerOptions {
+            inject_panic: Some("milc/SPP-PSA".into()),
+            ..RunnerOptions::default()
+        });
+        let mut cache = settings.cache();
+        let workloads: Vec<&'static WorkloadSpec> = ["soplex", "milc", "lbm"]
+            .iter()
+            .map(|n| catalog::workload(n).unwrap())
+            .collect();
+        let variants = [
+            Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa),
+            Variant::NoPrefetch,
+        ];
+        let rows: Vec<(&WorkloadSpec, Vec<RunReport>)> = cache
+            .rows(quick(), &workloads, &variants)
+            .into_iter()
+            .map(|(w, reports)| (w, reports.into_iter().cloned().collect()))
+            .collect();
+        let names: Vec<&str> = rows.iter().map(|(w, _)| w.name).collect();
+        assert_eq!(names, ["soplex", "lbm"]);
+        for (w, reports) in &rows {
+            for (&v, r) in variants.iter().zip(reports) {
+                let outcome = cache.outcome_ref(quick(), *w, v);
+                assert_eq!(outcome.report(), Some(r), "{}/{}", w.name, v.label());
+            }
         }
+        assert_eq!(cache.stats().failed, 1);
     }
 
     #[test]
@@ -906,13 +912,15 @@ mod tests {
     #[test]
     fn speedup_is_ratio() {
         let mut cache = RunCache::new();
-        let s = cache.speedup_ref(
-            quick(),
-            lbm(),
+        let variants = [
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa),
             Variant::NoPrefetch,
-        );
+        ];
+        let rows = cache.rows(quick(), &[lbm()], &variants);
+        let s = speedup(rows[0].1[0].ipc(), rows[0].1[1].ipc());
         assert!(s > 0.1 && s < 10.0, "speedup {s}");
+        assert_eq!(speedup(0.5, 0.25), 2.0);
+        assert_eq!(speedup(0.5, 0.0), 1.0, "an idle baseline is no speedup");
     }
 
     #[test]
@@ -933,7 +941,7 @@ mod tests {
             })
         };
         let mut cache = settings.cache();
-        cache.run_ref(
+        cache.outcome_ref(
             quick(),
             lbm(),
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::PsaSd),
@@ -988,11 +996,9 @@ mod tests {
     #[test]
     fn phase_profile_accounts_for_run_time() {
         let mut cache = RunCache::new();
-        cache.run_ref(
-            quick(),
-            catalog::workload("astar").unwrap(),
-            Variant::NoPrefetch,
-        );
+        let astar = catalog::workload("astar").unwrap();
+        let outcome = cache.outcome_ref(quick(), astar, Variant::NoPrefetch);
+        assert!(outcome.report().is_some(), "astar completed");
         // This context just simulated a warm-up and a measured run, so
         // both phases must have accumulated wall time — in the context
         // and in the process-wide sum.
@@ -1020,8 +1026,9 @@ mod tests {
 
         // Clean reference for the job that survives the faulty batch.
         let reference = RunCache::new()
-            .run_ref(quick(), milc, Variant::NoPrefetch)
+            .outcome_ref(quick(), milc, Variant::NoPrefetch)
             .clone();
+        assert!(reference.report().is_some());
 
         let settings = Settings::new(RunnerOptions {
             inject_panic: Some("lbm/no-prefetch".into()),
@@ -1044,18 +1051,19 @@ mod tests {
             RunOutcome::Ok(_) => panic!("injected panic was not recorded"),
         }
         assert_eq!(
-            cache.run_ref(quick(), milc, Variant::NoPrefetch),
+            cache.outcome_ref(quick(), milc, Variant::NoPrefetch),
             &reference
         );
         assert_eq!(cache.stats().failed, 1);
-        assert_eq!(
-            cache.surviving_refs(&[lbm(), milc], &[Variant::NoPrefetch]),
-            vec![milc]
-        );
+        let survivors: Vec<&str> = cache
+            .rows(quick(), &[lbm(), milc], &[Variant::NoPrefetch])
+            .iter()
+            .map(|(w, _)| w.name)
+            .collect();
+        assert_eq!(survivors, ["milc"]);
         // Faults are deterministic, so the failure is memoised: asking
         // again must not re-simulate.
         let hits = cache.stats().memo_hits;
-        assert!(!cache.completed_ref(lbm(), Variant::NoPrefetch));
         assert!(matches!(
             cache.outcome_ref(quick(), lbm(), Variant::NoPrefetch),
             RunOutcome::Failed { .. }

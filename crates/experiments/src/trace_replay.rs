@@ -11,7 +11,11 @@
 //!
 //! An unopenable or corrupt trace never panics the figure: the typed
 //! [`psa_traces::TraceError`] is journalled into the document's
-//! `failures` array and the rows render as an explicit gap.
+//! `failures` array and the rows render as an explicit gap. A ladder
+//! variant that fails — the file corrupted underneath the replay, an
+//! injected fault — drops the whole ladder the same way: every row's
+//! speedup needs the no-prefetch baseline, and the rows of a partial
+//! ladder would not be comparable.
 
 use psa_common::{table::pct, Table};
 use psa_core::PageSizePolicy;
@@ -26,8 +30,8 @@ use std::path::PathBuf;
 /// name another file (`PSA_TRACE_FILE`).
 const SAMPLE_TRACE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sample.psatrace");
 
-/// The variant ladder the replay runs: the speedup baseline, original
-/// SPP, and the paper's page-size-aware refinements.
+/// The variant ladder the replay runs: the speedup baseline (always
+/// first), original SPP, and the paper's page-size-aware refinements.
 pub fn variants() -> [(&'static str, Variant); 4] {
     [
         ("no-prefetch", Variant::NoPrefetch),
@@ -65,9 +69,8 @@ pub struct TraceReplayRow {
 ///
 /// Returns the verified [`TraceRef`] (None when the file could not be
 /// opened — the typed error is journalled, never panicked) plus one row
-/// per variant that completed. A variant that fails mid-replay (e.g. the
-/// file is corrupted underneath the run) is likewise journalled and its
-/// row dropped.
+/// per ladder variant, or none when any variant failed (e.g. the file is
+/// corrupted underneath the run; the failure is likewise journalled).
 pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
     let path = settings
         .ctx
@@ -92,42 +95,29 @@ pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
         }
     };
 
-    let wref = WorkloadRef::TraceFile(tref);
-    let mut cache = settings.cache();
     let ladder = variants();
-    let jobs: Vec<(WorkloadRef, Variant)> = ladder.iter().map(|&(_, v)| (wref, v)).collect();
-    cache.run_batch_refs(settings.config, &jobs);
-
-    let base_ipc = cache
-        .outcome_ref(settings.config, wref, Variant::NoPrefetch)
-        .report()
-        .map(psa_sim::RunReport::ipc);
-    let mut rows = Vec::new();
-    for &(label, v) in &ladder {
-        // A failed variant is already in the failure journal; its row is
-        // an explicit gap, exactly like a failed workload in fig08.
-        let Some(r) = cache.outcome_ref(settings.config, wref, v).report() else {
-            continue;
-        };
-        let ipc = r.ipc();
-        let speedup = match base_ipc {
-            Some(b) if b > 0.0 => ipc / b,
-            _ => 1.0,
-        };
-        rows.push(TraceReplayRow {
+    let mut cache = settings.cache();
+    let rows = cache.rows(
+        settings.config,
+        &[WorkloadRef::TraceFile(tref)],
+        &ladder.map(|(_, v)| v),
+    );
+    let Some((_, reports)) = rows.first() else {
+        return (Some(tref), Vec::new());
+    };
+    let base_ipc = reports[0].ipc();
+    let rows = ladder
+        .iter()
+        .zip(reports)
+        .map(|(&(label, _), r)| TraceReplayRow {
             variant: label,
-            ipc,
-            speedup,
+            ipc: r.ipc(),
+            speedup: runner::speedup(r.ipc(), base_ipc),
             l2c_mpki: r.l2c_mpki(),
             llc_mpki: r.llc_mpki(),
-        });
-    }
+        })
+        .collect();
     (Some(tref), rows)
-}
-
-/// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
 }
 
 /// Text rendering plus the `BENCH_trace_replay.json` document.
@@ -281,8 +271,8 @@ mod tests {
         let wref = WorkloadRef::TraceFile(tref);
         let settings = small_settings(None);
         let mut cache = settings.cache();
-        cache.run_batch_refs(settings.config, &[(wref, Variant::NoPrefetch)]);
-        assert!(!cache.completed_ref(wref, Variant::NoPrefetch));
+        let rows = cache.rows(settings.config, &[wref], &[Variant::NoPrefetch]);
+        assert!(rows.is_empty(), "the corrupted replay completed");
         let failures = settings.ctx.failures_json().pretty();
         assert!(failures.contains("trace replay failed"), "{failures}");
         assert!(failures.contains(tref.name), "{failures}");

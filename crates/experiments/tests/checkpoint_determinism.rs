@@ -39,14 +39,14 @@ fn config() -> SimConfig {
 }
 
 /// Run the whole batch through a fresh cache in `settings`' context and
-/// Debug-format every report — bit-identical state produces
-/// byte-identical strings.
+/// Debug-format every outcome — bit-identical state produces
+/// byte-identical strings, and a failed job shows as `Failed`.
 fn run_all(settings: &Settings) -> Vec<String> {
     let jobs = jobs();
     let mut cache = settings.cache();
     cache.run_batch_refs(config(), &jobs);
     jobs.iter()
-        .map(|&(w, v)| format!("{:?}", cache.run_ref(config(), w, v)))
+        .map(|&(w, v)| format!("{:?}", cache.outcome_ref(config(), w, v)))
         .collect()
 }
 
@@ -88,6 +88,10 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     // Phase A: cold reference (no disk store, empty memory store).
     let memory = Settings::default();
     let reference = run_all(&memory);
+    assert!(
+        reference.iter().all(|r| r.starts_with("Ok(")),
+        "a reference job failed"
+    );
 
     // Phase B: a second cache in the same context is answered by the
     // reports the first one memoised in the memory-only store: the same

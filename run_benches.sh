@@ -34,6 +34,8 @@ run fig14_multicore4 PSA_MIXES=6
 run fig15_multicore8 PSA_MIXES=4
 run nonintensive PSA_WORKLOAD_LIMIT=40
 run ablations PSA_WORKLOAD_LIMIT=10
+run fig16_new_families
+run trace_replay
 
 echo "############ collected JSON ############"
 ls -l "$PSA_BENCH_JSON_DIR"/BENCH_*.json
