@@ -167,6 +167,9 @@ golden_gate fig08_spp_variants fig08 "$GOLDEN" PSA_WORKLOAD_LIMIT=2
 # The new prefetcher families (see docs/EXPERIMENTS.md, Figure 16).
 golden_gate fig16_new_families fig16 crates/experiments/tests/golden/fig16_stable.json \
   PSA_WORKLOAD_LIMIT=2
+# The only golden over a multi-core machine: two 4-core mixes, shared LLC
+# and DRAM (see EXPERIMENTS.md, "Figures 14 & 15").
+golden_gate fig14_multicore4 fig14 crates/experiments/tests/golden/fig14_stable.json PSA_MIXES=2
 
 # Trace-replay gate (see docs/TRACES.md): the committed sample trace
 # must be (a) byte-identical to what `psa_trace_tool gen` deterministically

@@ -74,6 +74,14 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         self.bytes / (LINE_BYTES * self.ways as u64)
     }
+
+    /// Whether `line`, and so every line below it, fits this shape's
+    /// 32-bit set-relative tags (`line >> log2(sets)`, with `u32::MAX`
+    /// reserved for an empty way). For the 64-set L1D the lines of just
+    /// under 16 TiB of physical memory fit.
+    pub fn can_tag(&self, line: PLine) -> bool {
+        line.raw() >> self.sets().max(1).ilog2() < u64::from(EMPTY)
+    }
 }
 
 /// Error: unrealisable cache shape.
@@ -128,11 +136,18 @@ pub struct Evicted {
     pub prefetch_source: u8,
 }
 
-/// Per-way status bits, packed into one byte of the `flags` plane.
-const F_VALID: u8 = 1 << 0;
-const F_DIRTY: u8 = 1 << 1;
-const F_PREFETCHED: u8 = 1 << 2;
-const F_USED: u8 = 1 << 3;
+/// Per-way status bits, packed into one byte of the `flags` plane. An
+/// empty way's status byte is 0.
+const F_DIRTY: u8 = 1 << 0;
+const F_PREFETCHED: u8 = 1 << 1;
+const F_USED: u8 = 1 << 2;
+
+/// Tag-plane marker of an empty way. No resident line's tag reaches it
+/// (see [`CacheConfig::can_tag`]), so validity lives in the tags alone.
+const EMPTY: u32 = u32::MAX;
+
+/// Most ways an 8-bit LRU rank can order.
+const MAX_WAYS: usize = 256;
 
 /// Per-level hit/miss and prefetch-usefulness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,22 +187,33 @@ impl CacheStats {
 ///
 /// The array state is a structure-of-arrays: the tag, recency and status
 /// planes live in separate parallel vectors indexed `set * ways + way`.
-/// A set lookup touches one contiguous run of each plane it needs — a
-/// probe reads 8–16 consecutive tags instead of striding through 40-byte
-/// block structs — which is what makes the per-access `Walk` cheap.
+/// A set lookup touches one contiguous run of each plane it needs —
+/// finding a line's way scans 8–16 consecutive 4-byte tags and nothing
+/// else — and a way costs 7 bytes: a `u32` set-relative tag plus one
+/// rank, one status and one source byte.
+///
+/// Every operation taking a line panics if the line's tag overflows 32
+/// bits; `SimConfig::validate` bounds physical memory so that no
+/// simulated line does (see [`CacheConfig::can_tag`]).
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: usize,
-    /// Tag plane: the resident line's raw id (garbage while invalid).
-    tags: Vec<u64>,
-    /// Recency plane: `stamp` at last touch (LRU key; 0 while invalid).
-    last_use: Vec<u64>,
-    /// Status plane: `F_VALID | F_DIRTY | F_PREFETCHED | F_USED`.
+    /// `log2(sets)`: a line's tag is `line >> set_bits`, its set the bits
+    /// below.
+    set_bits: u32,
+    /// Tag plane: the resident line's set-relative tag, [`EMPTY`] while
+    /// the way is empty.
+    tags: Vec<u32>,
+    /// Recency plane: the way's LRU rank in its set, 0 = most recently
+    /// touched. A set's ranks are a permutation of `0..ways`, and empty
+    /// ways rank above every filled way, in way order.
+    ranks: Vec<u8>,
+    /// Status plane: `F_DIRTY | F_PREFETCHED | F_USED` (0 while empty).
     flags: Vec<u8>,
-    /// Pref-PSA-SD source annotation (meaningful while `F_PREFETCHED`).
+    /// Pref-PSA-SD source annotation (meaningful while `F_PREFETCHED`, 0
+    /// while empty).
     source: Vec<u8>,
-    stamp: u64,
     stats: CacheStats,
 }
 
@@ -200,30 +226,32 @@ psa_common::persist_struct!(CacheStats {
     writebacks,
 });
 
-// `config` and `sets` are geometry, rebuilt from the simulation
-// configuration; only the array contents and counters are state. The SoA
-// planes are written as they are held, and a plane of any other length
-// than the built geometry's is rejected: it was written by a cache of
-// another shape, and the next probe would index past the planes.
+// `config`, `sets` and `set_bits` are geometry, rebuilt from the
+// simulation configuration; only the array contents and counters are
+// state. The SoA planes are written as they are held. A plane of any
+// other length than the built geometry's was written by a cache of
+// another shape, and the next probe would index past the planes. A set
+// whose ranks are not a permutation of its ways would leave `fill`
+// without a victim, and an empty way with status or source bits is a
+// state no run reaches. All three are rejected.
 impl Persist for Cache {
     fn save(&self, e: &mut Enc) {
         self.tags.save(e);
-        self.last_use.save(e);
+        self.ranks.save(e);
         self.flags.save(e);
         self.source.save(e);
-        self.stamp.save(e);
         self.stats.save(e);
     }
 
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.tags.load(d)?;
-        self.last_use.load(d)?;
+        self.ranks.load(d)?;
         self.flags.load(d)?;
         self.source.load(d)?;
         let n = self.sets * self.config.ways;
         if [
             self.tags.len(),
-            self.last_use.len(),
+            self.ranks.len(),
             self.flags.len(),
             self.source.len(),
         ] != [n; 4]
@@ -235,11 +263,13 @@ impl Persist for Cache {
         if self
             .flags
             .iter()
-            .any(|&f| f & !(F_VALID | F_DIRTY | F_PREFETCHED | F_USED) != 0)
+            .any(|&f| f & !(F_DIRTY | F_PREFETCHED | F_USED) != 0)
         {
             return Err(CodecError::Corrupt("cache status flags"));
         }
-        self.stamp.load(d)?;
+        for set in 0..self.sets {
+            self.check_set(set).map_err(CodecError::Corrupt)?;
+        }
         self.stats.load(d)
     }
 }
@@ -249,12 +279,19 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Fails unless the shape divides into a power-of-two number of sets.
+    /// Fails unless the shape divides into a power-of-two number of sets
+    /// of at most 256 ways.
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
         if config.ways == 0 || config.bytes == 0 {
             return Err(CacheConfigError(format!(
                 "{}: zero ways or bytes",
                 config.name
+            )));
+        }
+        if config.ways > MAX_WAYS {
+            return Err(CacheConfigError(format!(
+                "{}: {} ways exceed the {MAX_WAYS} an 8-bit LRU rank can order",
+                config.name, config.ways
             )));
         }
         if !config.bytes.is_multiple_of(LINE_BYTES * config.ways as u64) {
@@ -264,16 +301,18 @@ impl Cache {
             )));
         }
         let sets = config.sets();
-        checked_log2(config.name, sets).map_err(|e| CacheConfigError(e.to_string()))?;
-        let n = sets as usize * config.ways;
+        let set_bits =
+            checked_log2(config.name, sets).map_err(|e| CacheConfigError(e.to_string()))?;
+        let ways = config.ways;
+        let n = sets as usize * ways;
         Ok(Self {
             config,
             sets: sets as usize,
-            tags: vec![0; n],
-            last_use: vec![0; n],
+            set_bits,
+            tags: vec![EMPTY; n],
+            ranks: (0..n).map(|i| (ways - 1 - i % ways) as u8).collect(),
             flags: vec![0; n],
             source: vec![0; n],
-            stamp: 0,
             stats: CacheStats::default(),
         })
     }
@@ -301,58 +340,83 @@ impl Cache {
         self.set_of(line) * self.config.ways
     }
 
-    /// The way holding `line` within the set starting at `base`, if any.
-    ///
-    /// Branch-light by construction: one pass over the set's contiguous
-    /// tag and flag bytes, folding validity into the comparison instead of
-    /// branching per way.
+    /// `line`'s set-relative tag.
     #[inline]
-    fn find_way(&self, base: usize, raw: u64) -> Option<usize> {
-        let ways = self.config.ways;
-        let tags = &self.tags[base..base + ways];
-        let flags = &self.flags[base..base + ways];
-        (0..ways).find(|&w| (tags[w] == raw) & (flags[w] & F_VALID != 0))
+    fn tag_of(&self, line: PLine) -> u32 {
+        let tag = line.raw() >> self.set_bits;
+        assert!(
+            tag < u64::from(EMPTY),
+            "{}: line {line} overflows the 32-bit tags",
+            self.config.name
+        );
+        tag as u32
+    }
+
+    /// The line held by a way of `set` tagged `tag`.
+    #[inline]
+    fn line_at(&self, set: usize, tag: u32) -> PLine {
+        PLine::new((u64::from(tag) << self.set_bits) | set as u64)
+    }
+
+    /// The way holding the line tagged `tag` within the set starting at
+    /// `base`, if any.
+    ///
+    /// One pass over the set's contiguous tags and nothing else: an empty
+    /// way's tag is [`EMPTY`], which no line's tag equals.
+    #[inline]
+    fn find_way(&self, base: usize, tag: u32) -> Option<usize> {
+        self.tags[base..base + self.config.ways]
+            .iter()
+            .position(|&t| t == tag)
+    }
+
+    /// Make way `w` of the set starting at `base` the most recently used:
+    /// every way ranked below it ages by one and it takes rank 0.
+    #[inline]
+    fn touch(&mut self, base: usize, w: usize) {
+        let ranks = &mut self.ranks[base..base + self.config.ways];
+        let r = ranks[w];
+        for x in ranks.iter_mut() {
+            *x += u8::from(*x < r);
+        }
+        ranks[w] = 0;
     }
 
     /// Demand lookup. Hits update LRU and prefetch-usefulness state.
     pub fn probe(&mut self, line: PLine) -> Option<HitInfo> {
-        self.stamp += 1;
         let base = self.set_base(line);
-        match self.find_way(base, line.raw()) {
-            Some(w) => {
-                let i = base + w;
-                self.last_use[i] = self.stamp;
-                let f = self.flags[i];
-                let was_prefetched = f & F_PREFETCHED != 0;
-                let first_use = was_prefetched && f & F_USED == 0;
-                if first_use {
-                    self.flags[i] = f | F_USED;
-                    self.stats.useful_prefetches += 1;
-                }
-                self.stats.demand_hits += 1;
-                Some(HitInfo {
-                    was_prefetched,
-                    prefetch_source: self.source[i],
-                    first_use,
-                })
-            }
-            None => {
-                self.stats.demand_misses += 1;
-                None
-            }
+        let Some(w) = self.find_way(base, self.tag_of(line)) else {
+            self.stats.demand_misses += 1;
+            return None;
+        };
+        self.touch(base, w);
+        let i = base + w;
+        let f = self.flags[i];
+        let was_prefetched = f & F_PREFETCHED != 0;
+        let first_use = was_prefetched && f & F_USED == 0;
+        if first_use {
+            self.flags[i] = f | F_USED;
+            self.stats.useful_prefetches += 1;
         }
+        self.stats.demand_hits += 1;
+        Some(HitInfo {
+            was_prefetched,
+            prefetch_source: self.source[i],
+            first_use,
+        })
     }
 
     /// Non-destructive presence check (no LRU or stats update) — used by
     /// prefetch filtering.
     pub fn contains(&self, line: PLine) -> bool {
-        self.find_way(self.set_base(line), line.raw()).is_some()
+        self.find_way(self.set_base(line), self.tag_of(line))
+            .is_some()
     }
 
     /// Mark a resident line dirty (store hit). No-op if absent.
     pub fn mark_dirty(&mut self, line: PLine) {
         let base = self.set_base(line);
-        if let Some(w) = self.find_way(base, line.raw()) {
+        if let Some(w) = self.find_way(base, self.tag_of(line)) {
             self.flags[base + w] |= F_DIRTY;
         }
     }
@@ -362,59 +426,36 @@ impl Cache {
     /// Re-filling a resident line refreshes it in place (this happens when
     /// a prefetch and a demand race through different paths).
     pub fn fill(&mut self, line: PLine, kind: FillKind, dirty: bool) -> Option<Evicted> {
-        self.stamp += 1;
-        let stamp = self.stamp;
         if let FillKind::Prefetch { .. } = kind {
             self.stats.prefetch_fills += 1;
         }
-        let base = self.set_base(line);
-        // One fused pass finds both the resident way (first match, exactly
-        // as `find_way`) and the replacement victim; the common miss path
-        // previously scanned the set twice. Victim choice: first invalid
-        // way (key 0 — `stamp` starts at 1, so a valid way never keys to
-        // 0), else least-recently-used, first-minimal on ties via strict
-        // `<` — reproducing the historical `min_by_key` over per-way
-        // structs bit-for-bit.
+        let set = self.set_of(line);
         let ways = self.config.ways;
-        let raw = line.raw();
-        let mut hit = None;
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        {
-            let tags = &self.tags[base..base + ways];
-            let flags = &self.flags[base..base + ways];
-            let last_use = &self.last_use[base..base + ways];
-            for w in 0..ways {
-                let valid = flags[w] & F_VALID != 0;
-                if hit.is_none() && (tags[w] == raw) & valid {
-                    hit = Some(w);
-                }
-                let key = if valid { last_use[w] } else { 0 };
-                if key < best {
-                    best = key;
-                    victim = w;
-                }
-            }
-        }
-        if let Some(w) = hit {
-            let i = base + w;
-            self.flags[i] |= if dirty { F_DIRTY } else { 0 };
-            self.last_use[i] = stamp;
+        let base = set * ways;
+        let tag = self.tag_of(line);
+        let dirty_bit = if dirty { F_DIRTY } else { 0 };
+        if let Some(w) = self.find_way(base, tag) {
+            self.flags[base + w] |= dirty_bit;
+            self.touch(base, w);
             return None;
         }
+        // The victim is the way ranked oldest: the first empty way while
+        // the set has one, else the least recently touched block.
+        let oldest = (ways - 1) as u8;
+        let victim = self.ranks[base..base + ways]
+            .iter()
+            .position(|&r| r == oldest)
+            .expect("a set's ranks are a permutation of 0..ways");
         let i = base + victim;
-        let f = self.flags[i];
-        let evicted = if f & F_VALID != 0 {
-            let unused_prefetch = f & F_PREFETCHED != 0 && f & F_USED == 0;
-            Some(Evicted {
-                line: PLine::new(self.tags[i]),
+        let evicted = (self.tags[i] != EMPTY).then(|| {
+            let f = self.flags[i];
+            Evicted {
+                line: self.line_at(set, self.tags[i]),
                 dirty: f & F_DIRTY != 0,
-                unused_prefetch,
+                unused_prefetch: f & F_PREFETCHED != 0 && f & F_USED == 0,
                 prefetch_source: self.source[i],
-            })
-        } else {
-            None
-        };
+            }
+        });
         if let Some(e) = &evicted {
             if e.unused_prefetch {
                 self.stats.useless_prefetches += 1;
@@ -427,11 +468,10 @@ impl Cache {
             FillKind::Demand => (false, 0),
             FillKind::Prefetch { source } => (true, source),
         };
-        self.tags[i] = line.raw();
-        self.flags[i] =
-            F_VALID | if dirty { F_DIRTY } else { 0 } | if prefetched { F_PREFETCHED } else { 0 };
+        self.tags[i] = tag;
+        self.flags[i] = dirty_bit | if prefetched { F_PREFETCHED } else { 0 };
         self.source[i] = source;
-        self.last_use[i] = stamp;
+        self.touch(base, victim);
         evicted
     }
 
@@ -444,21 +484,48 @@ impl Cache {
     /// LRU state nor statistics.
     pub fn valid_blocks(&self) -> impl Iterator<Item = BlockView> + '_ {
         let ways = self.config.ways;
-        self.flags
+        self.tags
             .iter()
             .enumerate()
-            .filter(|(_, f)| **f & F_VALID != 0)
-            .map(move |(i, f)| BlockView {
-                line: PLine::new(self.tags[i]),
-                set: i / ways,
-                prefetched: f & F_PREFETCHED != 0,
-                source: self.source[i],
-                used: f & F_USED != 0,
+            .filter(|(_, &tag)| tag != EMPTY)
+            .map(move |(i, &tag)| {
+                let f = self.flags[i];
+                BlockView {
+                    line: self.line_at(i / ways, tag),
+                    set: i / ways,
+                    prefetched: f & F_PREFETCHED != 0,
+                    source: self.source[i],
+                    used: f & F_USED != 0,
+                }
             })
     }
 
+    /// The per-set encoding every reachable state keeps: the ranks are a
+    /// permutation of `0..ways`, and an empty way carries no status or
+    /// source. `load` rejects a set that breaks it and `audit` reports
+    /// one.
+    fn check_set(&self, set: usize) -> Result<(), &'static str> {
+        let ways = self.config.ways;
+        let planes = set * ways..(set + 1) * ways;
+        let mut seen = [0u64; MAX_WAYS / 64];
+        for &r in &self.ranks[planes.clone()] {
+            let (word, bit) = (usize::from(r) / 64, 1u64 << (r % 64));
+            if usize::from(r) >= ways || seen[word] & bit != 0 {
+                return Err("cache LRU ranks are not a permutation of the ways");
+            }
+            seen[word] |= bit;
+        }
+        if planes
+            .into_iter()
+            .any(|i| self.tags[i] == EMPTY && (self.flags[i] | self.source[i]) != 0)
+        {
+            return Err("empty cache way with status or source bits");
+        }
+        Ok(())
+    }
+
     /// Audit the array's internal invariants (the `PSA_CHECK=1` checker):
-    /// every valid block's tag maps to the set it occupies, no line is
+    /// every set keeps the rank and empty-way encoding, no line is
     /// resident twice within a set, and prefetch accounting is consistent
     /// (a prefetched block becomes useful or useless at most once, so
     /// `useful + useless ≤ prefetch_fills`).
@@ -468,32 +535,18 @@ impl Cache {
     /// Returns `Err` with a human-readable description of the violated
     /// invariant.
     pub fn audit(&self) -> Result<(), String> {
+        let ways = self.config.ways;
         for set in 0..self.sets {
-            let base = set * self.config.ways;
-            let tags = &self.tags[base..base + self.config.ways];
-            let flags = &self.flags[base..base + self.config.ways];
-            for (i, (&tag, &f)) in tags.iter().zip(flags).enumerate() {
-                if f & F_VALID == 0 {
-                    continue;
-                }
-                let line = PLine::new(tag);
-                if self.set_of(line) != set {
-                    return Err(format!(
-                        "{}: block {} resident in set {} but maps to set {}",
-                        self.config.name,
-                        line,
-                        set,
-                        self.set_of(line)
-                    ));
-                }
-                if tags[..i]
-                    .iter()
-                    .zip(flags)
-                    .any(|(&o, &of)| of & F_VALID != 0 && o == tag)
-                {
+            self.check_set(set)
+                .map_err(|what| format!("{}: set {set}: {what}", self.config.name))?;
+            let tags = &self.tags[set * ways..(set + 1) * ways];
+            for (i, &tag) in tags.iter().enumerate() {
+                if tag != EMPTY && tags[..i].contains(&tag) {
                     return Err(format!(
                         "{}: line {} resident twice in set {}",
-                        self.config.name, line, set
+                        self.config.name,
+                        self.line_at(set, tag),
+                        set
                     ));
                 }
             }
@@ -592,19 +645,97 @@ mod tests {
         .unwrap();
         assert!(wider.load(&mut Dec::new(&bytes)).is_err());
 
-        // A status byte with a bit outside the four flags.
-        let mut e = Enc::new();
-        vec![0u64; 4].save(&mut e);
-        vec![0u64; 4].save(&mut e);
-        vec![F_USED << 1, 0, 0, 0].save(&mut e);
-        vec![0u8; 4].save(&mut e);
-        0u64.save(&mut e);
-        CacheStats::default().save(&mut e);
-        let bytes = e.into_bytes();
+        // A status byte with a bit outside the three flags.
+        let bytes = planes([0, 1, 0, 1], [1, 0, 1, 0], [F_USED << 1, 0, 0, 0], [0; 4]);
         assert_eq!(
             tiny().load(&mut Dec::new(&bytes)),
             Err(CodecError::Corrupt("cache status flags"))
         );
+    }
+
+    /// The bytes `Cache::save` writes for a `tiny()` cache holding these
+    /// planes (lines 0 and 2 map to set 0 with tags 0 and 1).
+    fn planes(tags: [u32; 4], ranks: [u8; 4], flags: [u8; 4], source: [u8; 4]) -> Vec<u8> {
+        let mut e = Enc::new();
+        tags.to_vec().save(&mut e);
+        ranks.to_vec().save(&mut e);
+        flags.to_vec().save(&mut e);
+        source.to_vec().save(&mut e);
+        CacheStats::default().save(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn persist_rejects_ranks_that_are_not_a_permutation() {
+        let sound = planes([0, 1, EMPTY, EMPTY], [1, 0, 1, 0], [0; 4], [0; 4]);
+        let mut c = tiny();
+        c.load(&mut Dec::new(&sound)).unwrap();
+        assert!(c.contains(line(0)) && c.contains(line(2)));
+        // A repeated rank, then a rank outside `0..ways`.
+        for ranks in [[0, 0, 1, 0], [1, 0, 2, 0]] {
+            let bytes = planes([0, 1, EMPTY, EMPTY], ranks, [0; 4], [0; 4]);
+            assert_eq!(
+                tiny().load(&mut Dec::new(&bytes)),
+                Err(CodecError::Corrupt(
+                    "cache LRU ranks are not a permutation of the ways"
+                )),
+                "{ranks:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn persist_rejects_empty_ways_with_status_or_source() {
+        for (flags, source) in [([0, 0, F_DIRTY, 0], [0; 4]), ([0; 4], [0, 0, 0, 1])] {
+            let bytes = planes([0, 1, EMPTY, EMPTY], [1, 0, 1, 0], flags, source);
+            assert_eq!(
+                tiny().load(&mut Dec::new(&bytes)),
+                Err(CodecError::Corrupt(
+                    "empty cache way with status or source bits"
+                )),
+                "{flags:?} {source:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn audit_reports_broken_sets() {
+        let filled = || {
+            let mut c = tiny();
+            c.fill(line(0), FillKind::Demand, false);
+            c.audit().expect("a filled cache is consistent");
+            c
+        };
+        let mut c = filled();
+        c.ranks[1] = c.ranks[0];
+        assert!(c.audit().unwrap_err().contains("set 0: cache LRU ranks"));
+        let mut c = filled();
+        c.source[3] = 1;
+        assert!(c.audit().unwrap_err().contains("set 1: empty cache way"));
+        let mut c = filled();
+        c.tags[1] = c.tags[0];
+        assert!(c.audit().unwrap_err().contains("resident twice in set 0"));
+    }
+
+    #[test]
+    fn rejects_more_ways_than_a_rank_orders() {
+        let one_set = |ways: usize| CacheConfig {
+            name: "wide",
+            bytes: LINE_BYTES * ways as u64,
+            ways,
+            latency: 1,
+            mshr_entries: 1,
+        };
+        let err = Cache::new(one_set(257)).unwrap_err();
+        assert!(err.to_string().contains("257 ways"), "{err}");
+        // 256 ways rank 0..=255: the 257th distinct fill evicts the first.
+        let mut c = Cache::new(one_set(256)).unwrap();
+        for n in 0..256 {
+            assert_eq!(c.fill(line(n), FillKind::Demand, false), None);
+        }
+        let ev = c.fill(line(256), FillKind::Demand, false).unwrap();
+        assert_eq!(ev.line, line(0));
+        c.audit().unwrap();
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! SoA-layout parity: the flat-plane `Cache` must agree, call for call,
 //! with the historical per-line representation.
 //!
-//! The array used to store one 40-byte struct per way; it now keeps
-//! separate tag/recency/flag planes and resolves hit-or-victim in one
-//! fused scan. These tests pin the *semantics* of the old layout with an
-//! independent array-of-structs reference model and drive both through
-//! long randomised op sequences across set shapes from direct-mapped to
-//! 16-way: every `probe`/`fill`/`contains`/`mark_dirty` return value,
-//! every eviction (line, dirty bit, useless-prefetch accounting, source
-//! annotation), and the full LRU victim order must match exactly.
+//! The array used to store one 40-byte struct per way with a global
+//! `u64` LRU stamp; it now keeps 7 bytes per way in separate planes: a
+//! set-relative `u32` tag, a `u8` LRU rank within the set, a status byte
+//! and a source byte. These tests pin the *semantics* of the old layout
+//! with an independent array-of-structs reference model that keeps the
+//! stamps, and drive both through long randomised op sequences across
+//! set shapes from direct-mapped to 16-way: every
+//! `probe`/`fill`/`contains`/`mark_dirty` return value, every eviction
+//! (line, dirty bit, useless-prefetch accounting, source annotation), and
+//! the full LRU victim order must match exactly — also across snapshots,
+//! which the array under test takes and restores as it goes.
 
 use psa_cache::{Cache, CacheConfig, Evicted, FillKind, HitInfo};
-use psa_common::DetRng;
+use psa_common::{Dec, DetRng, Enc, Persist};
 use psa_common::{PLine, LINE_BYTES};
 
 /// One way of the reference model — the old per-line block struct.
@@ -141,9 +144,24 @@ fn shape(sets: usize, ways: usize) -> CacheConfig {
     }
 }
 
+/// Save `cache` and load the bytes into a freshly built cache of the
+/// same shape.
+fn restored(cache: &Cache) -> Cache {
+    let mut e = Enc::new();
+    cache.save(&mut e);
+    let mut fresh = Cache::new(*cache.config()).expect("valid shape");
+    fresh
+        .load(&mut Dec::new(&e.into_bytes()))
+        .expect("a saved cache loads");
+    assert_eq!(fresh.stats(), cache.stats());
+    fresh
+}
+
 /// Drive both models through `steps` random operations over a line pool
 /// ~3× the capacity (plenty of conflict misses and evictions), checking
-/// every return value as it happens.
+/// every return value as it happens. Every few hundred steps the array
+/// under test continues from a snapshot of itself, so its tags and LRU
+/// ranks must survive persistence exactly.
 fn parity_run(sets: usize, ways: usize, steps: u32, seed: u64) {
     let cfg = shape(sets, ways);
     let mut soa = Cache::new(cfg).expect("valid shape");
@@ -185,6 +203,9 @@ fn parity_run(sets: usize, ways: usize, steps: u32, seed: u64) {
             "{}",
             ctx("contains")
         );
+        if step % 300 == 299 {
+            soa = restored(&soa);
+        }
     }
     soa.audit().expect("invariants hold after random workload");
 }
@@ -218,8 +239,8 @@ fn parity_single_set_stress() {
     parity_run(1, 8, 8_000, 0x5EED);
 }
 
-/// The fused fill scan must refresh a resident line in place (prefetch
-/// racing a demand through different paths), never evict on a re-fill.
+/// A fill must refresh a resident line in place (prefetch racing a
+/// demand through different paths), never evict on a re-fill.
 #[test]
 fn refill_refreshes_in_place() {
     let mut soa = Cache::new(shape(1, 2)).expect("valid shape");

@@ -3,6 +3,7 @@
 use crate::error::SimError;
 use psa_cache::CacheConfig;
 use psa_common::obs::ObsConfig;
+use psa_common::{PLine, LINE_BYTES};
 use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleConfig, SdConfig};
 use psa_cpu::CoreConfig;
@@ -179,7 +180,9 @@ impl SimConfig {
 
     /// Check the scalar run parameters before building a machine: the
     /// structural shapes (cache geometry, DRAM, set-dueling layout) are
-    /// validated by their own constructors on `System::try_*`.
+    /// validated by their own constructors on `System::try_*`. Physical
+    /// memory is checked against every cache's 32-bit tags here, so no
+    /// simulated line can overflow them.
     ///
     /// # Errors
     ///
@@ -198,10 +201,19 @@ impl SimConfig {
         if self.core.rob_entries == 0 || self.core.width == 0 {
             return bad("degenerate core shape (zero ROB entries or width)");
         }
+        let last_line = PLine::new(self.phys.bytes.saturating_sub(1) / LINE_BYTES);
         for (name, c) in [("L1D", &self.l1d), ("L2C", &self.l2c), ("LLC", &self.llc)] {
             if c.mshr_entries == 0 {
                 return Err(SimError::Config {
                     what: format!("{name} needs at least one MSHR entry"),
+                });
+            }
+            if !c.can_tag(last_line) {
+                return Err(SimError::Config {
+                    what: format!(
+                        "{name}: {} bytes of physical memory overflow its 32-bit tags",
+                        self.phys.bytes
+                    ),
                 });
             }
         }
@@ -328,5 +340,20 @@ mod tests {
             sample_every: 64,
         });
         assert!(matches!(c.validate(), Err(SimError::Config { .. })));
+    }
+
+    #[test]
+    fn validate_rejects_memory_beyond_the_l1d_tags() {
+        // The 64-set L1D has the fewest sets, so the largest tags: 2^32
+        // tags of 64 lines of 64 bytes span 16 TiB, and the top tag marks
+        // an empty way.
+        let mut c = SimConfig::default();
+        c.phys.bytes = 16 << 40;
+        let err = c.validate().unwrap_err();
+        assert!(matches!(err, SimError::Config { .. }));
+        assert!(err.to_string().contains("L1D"), "{err}");
+        c.phys.bytes = (16 << 40) - (2 << 20);
+        c.validate()
+            .expect("the lines below 16 TiB fit the L1D's tags");
     }
 }

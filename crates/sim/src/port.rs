@@ -181,7 +181,7 @@ impl CorePort<'_> {
         let mut t = now + out.tlb_latency;
         // Serial page walk: each PTE read goes through the L2C path,
         // carrying the data page's size bit.
-        for &wl in &out.walk_lines {
+        for &wl in out.walk_lines() {
             let walk_req = Request {
                 line: wl,
                 pc,

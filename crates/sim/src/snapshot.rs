@@ -54,7 +54,15 @@ use crate::system::System;
 /// signature counters, slot counts and the flat delta slots) instead of
 /// emulating their former per-block and per-entry layouts, and a plane
 /// whose length differs from the rebuilt geometry is corrupt.
-pub const SNAPSHOT_VERSION: u32 = 4;
+///
+/// Version 5: a cache way is 7 bytes — a set-relative `u32` tag
+/// (`u32::MAX` while empty) and a `u8` LRU rank within its set replace
+/// the `u64` line, the `u64` stamp and the valid bit, and the global
+/// stamp counter is gone. A set whose ranks are not a permutation of its
+/// ways, or whose empty way carries status or source bits, is corrupt.
+/// Address spaces keep one touched-chunk bitmap per huge region instead
+/// of the set of touched 4KB chunks.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

@@ -7,7 +7,7 @@
 //! `huge_fraction` directly controls the fraction of its memory in 2MB
 //! pages (what Figure 3 of the paper measures on real hardware).
 
-use psa_common::fxhash::{FxHashMap, FxHashSet};
+use psa_common::fxhash::FxHashMap;
 use psa_common::rng::fnv1a;
 use psa_common::{PageSize, Persist, VAddr};
 
@@ -37,7 +37,12 @@ impl Default for AspaceConfig {
 
 #[derive(Debug, Clone, Copy, Default)]
 enum RegionBacking {
-    Huge(Translation),
+    /// Region backed by one 2MB page.
+    Huge {
+        translation: Translation,
+        /// One bit per 4KB chunk of the page touched so far.
+        touched: [u64; 8],
+    },
     /// Region faulted as individual 4KB pages.
     #[default]
     Small,
@@ -46,9 +51,13 @@ enum RegionBacking {
 impl psa_common::Persist for RegionBacking {
     fn save(&self, e: &mut psa_common::Enc) {
         match self {
-            RegionBacking::Huge(t) => {
+            RegionBacking::Huge {
+                translation,
+                touched,
+            } => {
                 e.put_u8(0);
-                t.save(e);
+                translation.save(e);
+                touched.save(e);
             }
             RegionBacking::Small => e.put_u8(1),
         }
@@ -56,15 +65,30 @@ impl psa_common::Persist for RegionBacking {
     fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
         *self = match d.get_u8()? {
             0 => {
-                let mut t = Translation::default();
-                t.load(d)?;
-                RegionBacking::Huge(t)
+                let mut translation = Translation::default();
+                translation.load(d)?;
+                let mut touched = [0; 8];
+                touched.load(d)?;
+                RegionBacking::Huge {
+                    translation,
+                    touched,
+                }
             }
             1 => RegionBacking::Small,
             _ => return Err(psa_common::CodecError::Corrupt("region backing tag")),
         };
         Ok(())
     }
+}
+
+/// Record a touch of 4KB page `vpage` in its huge region's bitmap;
+/// returns whether the chunk had not been touched before.
+fn touch_chunk(touched: &mut [u64; 8], vpage: u64) -> bool {
+    let chunk = vpage % 512;
+    let (word, bit) = ((chunk / 64) as usize, 1u64 << (chunk % 64));
+    let fresh = touched[word] & bit == 0;
+    touched[word] |= bit;
+    fresh
 }
 
 /// One process's virtual address space.
@@ -77,7 +101,8 @@ pub struct AddressSpace {
     small_pages: FxHashMap<u64, Translation>,
     /// Distinct 4KB-page-sized chunks touched inside huge-backed regions —
     /// the touch-weighted usage metric (see [`Self::huge_usage_fraction`]).
-    touched_in_huge: FxHashSet<u64>,
+    /// The running total of the regions' bitmaps: derived, never persisted.
+    touched_in_huge: u64,
     bytes_4k: u64,
     bytes_2m: u64,
     /// One-entry MRU cache: the last translated 4KB virtual page number
@@ -91,14 +116,13 @@ pub struct AddressSpace {
 
 // The THP policy knobs (`config`) are rebuilt from the simulation
 // configuration; everything the demand pager has learned is state. The
-// MRU fields are a derived accelerator: excluded from the byte stream
-// (which matches the historical layout exactly) and invalidated on load.
+// touched-chunk total and the MRU fields are derived: excluded from the
+// byte stream, recounted from the region bitmaps and invalidated on load.
 impl Persist for AddressSpace {
     fn save(&self, e: &mut psa_common::Enc) {
         self.page_table.save(e);
         self.regions.save(e);
         self.small_pages.save(e);
-        self.touched_in_huge.save(e);
         self.bytes_4k.save(e);
         self.bytes_2m.save(e);
     }
@@ -107,9 +131,18 @@ impl Persist for AddressSpace {
         self.page_table.load(d)?;
         self.regions.load(d)?;
         self.small_pages.load(d)?;
-        self.touched_in_huge.load(d)?;
         self.bytes_4k.load(d)?;
         self.bytes_2m.load(d)?;
+        self.touched_in_huge = self
+            .regions
+            .values()
+            .map(|r| match r {
+                RegionBacking::Huge { touched, .. } => {
+                    touched.iter().map(|w| u64::from(w.count_ones())).sum()
+                }
+                RegionBacking::Small => 0,
+            })
+            .sum();
         self.last_vpage = u64::MAX;
         self.last_trans = None;
         Ok(())
@@ -124,7 +157,7 @@ impl AddressSpace {
             page_table: None,
             regions: FxHashMap::default(),
             small_pages: FxHashMap::default(),
-            touched_in_huge: FxHashSet::default(),
+            touched_in_huge: 0,
             bytes_4k: 0,
             bytes_2m: 0,
             last_vpage: u64::MAX,
@@ -155,9 +188,9 @@ impl AddressSpace {
         vaddr: VAddr,
     ) -> Result<Translation, MapError> {
         // MRU fast path: same 4KB page as the previous translation. A huge
-        // page's touched-chunk set already holds this chunk (it was
-        // inserted when the cache entry was established), so the repeat
-        // touch is a pure no-op on every structure.
+        // page's bitmap already holds this chunk (it was set when the
+        // cache entry was established), so the repeat touch is a pure
+        // no-op on every structure.
         let vpage = vaddr.page_number(PageSize::Size4K);
         if self.last_vpage == vpage {
             if let Some(t) = self.last_trans {
@@ -165,10 +198,13 @@ impl AddressSpace {
             }
         }
         let region = vaddr.page_number(PageSize::Size2M);
-        let t = match self.regions.get(&region) {
-            Some(RegionBacking::Huge(t)) => {
-                self.touched_in_huge.insert(vpage);
-                *t
+        let t = match self.regions.get_mut(&region) {
+            Some(RegionBacking::Huge {
+                translation,
+                touched,
+            }) => {
+                self.touched_in_huge += u64::from(touch_chunk(touched, vpage));
+                *translation
             }
             Some(RegionBacking::Small) => match self.small_pages.get(&vpage) {
                 Some(t) => *t,
@@ -185,9 +221,17 @@ impl AddressSpace {
                     };
                     self.table(phys)?
                         .map(phys, vbase, pbase, PageSize::Size2M)?;
-                    self.regions.insert(region, RegionBacking::Huge(t));
+                    let mut touched = [0; 8];
+                    touch_chunk(&mut touched, vpage);
+                    self.regions.insert(
+                        region,
+                        RegionBacking::Huge {
+                            translation: t,
+                            touched,
+                        },
+                    );
                     self.bytes_2m += PageSize::Size2M.bytes();
-                    self.touched_in_huge.insert(vpage);
+                    self.touched_in_huge += 1;
                     t
                 } else {
                     self.regions.insert(region, RegionBacking::Small);
@@ -256,7 +300,7 @@ impl AddressSpace {
     /// prefetcher (the probability that an accessed block sits in a huge
     /// page). Zero when nothing is mapped yet.
     pub fn huge_usage_fraction(&self) -> f64 {
-        let huge = self.touched_in_huge.len() as u64 * PageSize::Size4K.bytes();
+        let huge = self.touched_in_huge * PageSize::Size4K.bytes();
         let total = self.bytes_4k + huge;
         if total == 0 {
             0.0
@@ -380,6 +424,47 @@ mod tests {
             let t = a.translate_or_map(&mut pm, VAddr::new(base + off)).unwrap();
             assert_eq!(t.apply(VAddr::new(base + off)).raw(), t0.pbase.raw() + off);
         }
+    }
+
+    #[test]
+    fn huge_usage_matches_a_hash_set_reference_across_restores() {
+        let config = AspaceConfig {
+            huge_fraction: 0.5,
+            seed: 23,
+        };
+        let mut pm = phys();
+        let mut a = AddressSpace::new(config);
+        let mut touched_huge = std::collections::HashSet::new();
+        let mut small_pages = std::collections::HashSet::new();
+        let mut rng = psa_common::DetRng::new(0x7E57);
+        let mut vpage = 0;
+        for step in 0..20_000u32 {
+            // 64 regions, each touched at a skewed subset of its chunks,
+            // with runs of repeat touches for the MRU fast path.
+            if !rng.chance(0.3) {
+                vpage = (rng.below(64) << 9) | rng.below(512).min(rng.below(512));
+            }
+            let vaddr = VAddr::new((vpage << 12) | rng.below(4096));
+            let t = a.translate_or_map(&mut pm, vaddr).unwrap();
+            match t.size {
+                PageSize::Size2M => touched_huge.insert(vpage),
+                PageSize::Size4K => small_pages.insert(vpage),
+            };
+            let huge = touched_huge.len() as f64 * 4096.0;
+            let expected = huge / (huge + small_pages.len() as f64 * 4096.0);
+            assert_eq!(a.huge_usage_fraction(), expected, "step {step}");
+            if step % 2_500 == 2_499 {
+                let mut e = psa_common::Enc::new();
+                a.save(&mut e);
+                let mut restored = AddressSpace::new(config);
+                restored
+                    .load(&mut psa_common::Dec::new(&e.into_bytes()))
+                    .unwrap();
+                assert_eq!(restored.huge_usage_fraction(), expected);
+                a = restored;
+            }
+        }
+        assert!(!touched_huge.is_empty() && !small_pages.is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum TlbHitLevel {
 }
 
 /// Result of translating one access.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TranslationOutcome {
     /// Translated physical address.
     pub paddr: PAddr,
@@ -61,11 +61,30 @@ pub struct TranslationOutcome {
     pub size: PageSize,
     /// TLB lookup latency in cycles (excludes page-walk memory time).
     pub tlb_latency: u64,
-    /// Physical PTE lines the walker must read through the memory
-    /// hierarchy; empty on TLB hits.
-    pub walk_lines: Vec<PLine>,
+    walk_lines: [PLine; 4],
+    walk_len: u8,
     /// Which level satisfied the translation.
     pub level: TlbHitLevel,
+}
+
+impl TranslationOutcome {
+    /// An outcome with no walk lines yet (all a TLB hit carries).
+    fn new(paddr: PAddr, size: PageSize, tlb_latency: u64, level: TlbHitLevel) -> Self {
+        Self {
+            paddr,
+            size,
+            tlb_latency,
+            walk_lines: [PLine::default(); 4],
+            walk_len: 0,
+            level,
+        }
+    }
+
+    /// Physical PTE lines the walker must read through the memory
+    /// hierarchy, outermost first; empty on TLB hits.
+    pub fn walk_lines(&self) -> &[PLine] {
+        &self.walk_lines[..usize::from(self.walk_len)]
+    }
 }
 
 /// MMU statistics.
@@ -137,24 +156,22 @@ impl Mmu {
         let size = translation.size;
 
         if self.dtlb.lookup(vaddr, size) {
-            return Ok(TranslationOutcome {
+            return Ok(TranslationOutcome::new(
                 paddr,
                 size,
-                tlb_latency: self.config.dtlb_latency,
-                walk_lines: Vec::new(),
-                level: TlbHitLevel::L1,
-            });
+                self.config.dtlb_latency,
+                TlbHitLevel::L1,
+            ));
         }
-        let mut latency = self.config.dtlb_latency + self.config.stlb_latency;
+        let latency = self.config.dtlb_latency + self.config.stlb_latency;
         if self.stlb.lookup(vaddr, size) {
             self.dtlb.fill(vaddr, size);
-            return Ok(TranslationOutcome {
+            return Ok(TranslationOutcome::new(
                 paddr,
                 size,
-                tlb_latency: latency,
-                walk_lines: Vec::new(),
-                level: TlbHitLevel::L2,
-            });
+                latency,
+                TlbHitLevel::L2,
+            ));
         }
 
         // Page walk, shortened by the page-structure caches.
@@ -167,10 +184,15 @@ impl Mmu {
             .walk(vaddr, skip, start)
             .expect("table exists after mapping");
         debug_assert!(walk.translation.is_some(), "walked an unmapped page");
-        let walk_lines: Vec<PLine> = walk.steps.iter().map(|s| s.pte_line).collect();
-        self.stats.walk_accesses += walk_lines.len() as u64;
+        // + 1: walker dispatch overhead.
+        let mut out = TranslationOutcome::new(paddr, size, latency + 1, TlbHitLevel::Walk);
+        for step in walk.steps() {
+            out.walk_lines[usize::from(out.walk_len)] = step.pte_line;
+            out.walk_len += 1;
+        }
+        self.stats.walk_accesses += u64::from(out.walk_len);
         // Fill the MMU caches with every interior node the walk resolved.
-        for step in &walk.steps {
+        for step in walk.steps() {
             if step.level < 3 && usize::from(step.level) < 3 {
                 if let Some(node) = aspace.node_at(vaddr, step.level + 1) {
                     // Leaf PD entries (2MB pages) are the TLB's job, not the
@@ -184,14 +206,7 @@ impl Mmu {
         }
         self.stlb.fill(vaddr, size);
         self.dtlb.fill(vaddr, size);
-        latency += 1; // walker dispatch overhead
-        Ok(TranslationOutcome {
-            paddr,
-            size,
-            tlb_latency: latency,
-            walk_lines,
-            level: TlbHitLevel::Walk,
-        })
+        Ok(out)
     }
 
     /// MMU statistics.
@@ -244,10 +259,10 @@ mod tests {
         let v = VAddr::new(0x1000_0000);
         let first = mmu.translate(&mut aspace, &mut phys, v).unwrap();
         assert_eq!(first.level, TlbHitLevel::Walk);
-        assert_eq!(first.walk_lines.len(), 4);
+        assert_eq!(first.walk_lines().len(), 4);
         let second = mmu.translate(&mut aspace, &mut phys, v).unwrap();
         assert_eq!(second.level, TlbHitLevel::L1);
-        assert!(second.walk_lines.is_empty());
+        assert!(second.walk_lines().is_empty());
         assert_eq!(second.tlb_latency, 1);
         assert_eq!(first.paddr, second.paddr);
     }
@@ -259,7 +274,7 @@ mod tests {
             .translate(&mut aspace, &mut phys, VAddr::new(0x4000_0000))
             .unwrap();
         assert_eq!(out.size, PageSize::Size2M);
-        assert_eq!(out.walk_lines.len(), 3);
+        assert_eq!(out.walk_lines().len(), 3);
     }
 
     #[test]
@@ -269,7 +284,7 @@ mod tests {
         let a = mmu
             .translate(&mut aspace, &mut phys, VAddr::new(0x0))
             .unwrap();
-        assert_eq!(a.walk_lines.len(), 4);
+        assert_eq!(a.walk_lines().len(), 4);
         // A sibling page in the same 2MB region, far enough to miss both
         // TLBs? It won't miss (TLBs are big) — so blow the DTLB/STLB by
         // touching it only via a fresh MMU sharing nothing. Instead verify
@@ -280,7 +295,7 @@ mod tests {
         // TLB hit for the region? No: different 4KB page → TLB miss, but
         // PDE cache is warm → only the PT step.
         assert_eq!(b.level, TlbHitLevel::Walk);
-        assert_eq!(b.walk_lines.len(), 1);
+        assert_eq!(b.walk_lines().len(), 1);
     }
 
     #[test]

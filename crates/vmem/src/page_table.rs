@@ -139,7 +139,7 @@ struct Node {
 psa_common::persist_struct!(Node { frame, entries });
 
 /// One step of a page walk: the physical line of the PTE that was read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkStep {
     /// Radix level, 0 = PML4 … 3 = PT.
     pub level: u8,
@@ -147,13 +147,22 @@ pub struct WalkStep {
     pub pte_line: PLine,
 }
 
-/// The result of walking the table for one virtual address.
-#[derive(Debug, Clone)]
+/// The result of walking the table for one virtual address. A walk reads
+/// at most one entry per radix level, so its steps live inline and a walk
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct Walk {
-    /// PTE lines read, outermost first.
-    pub steps: Vec<WalkStep>,
+    steps: [WalkStep; 4],
+    len: u8,
     /// The mapping found, if any.
     pub translation: Option<Translation>,
+}
+
+impl Walk {
+    /// PTE lines read, outermost first.
+    pub fn steps(&self) -> &[WalkStep] {
+        &self.steps[..usize::from(self.len)]
+    }
 }
 
 /// The radix page table of one address space.
@@ -257,38 +266,33 @@ impl PageTable {
     /// resolved by MMU caches (0 = full walk from PML4). `start_node` is the
     /// node the skipped prefix resolved to.
     pub(crate) fn walk_from(&self, vaddr: VAddr, skip_levels: u8, start_node: u32) -> Walk {
-        let mut steps = Vec::with_capacity(4);
+        let mut walk = Walk {
+            steps: [WalkStep::default(); 4],
+            len: 0,
+            translation: None,
+        };
         let mut node = start_node;
         for level in usize::from(skip_levels)..4 {
             let idx = Self::index(vaddr, level);
-            steps.push(WalkStep {
+            walk.steps[usize::from(walk.len)] = WalkStep {
                 level: level as u8,
                 pte_line: self.pte_line(node, idx),
-            });
+            };
+            walk.len += 1;
             match self.nodes[node as usize].entries.get(&idx) {
                 Some(Entry::Table(next)) => node = *next,
                 Some(Entry::Leaf { pbase, size }) => {
-                    return Walk {
-                        steps,
-                        translation: Some(Translation {
-                            vbase: vaddr.page_base(*size),
-                            pbase: *pbase,
-                            size: *size,
-                        }),
-                    };
+                    walk.translation = Some(Translation {
+                        vbase: vaddr.page_base(*size),
+                        pbase: *pbase,
+                        size: *size,
+                    });
+                    break;
                 }
-                None => {
-                    return Walk {
-                        steps,
-                        translation: None,
-                    }
-                }
+                None => break,
             }
         }
-        Walk {
-            steps,
-            translation: None,
-        }
+        walk
     }
 
     /// Resolve the node reached after walking `levels` levels for `vaddr`,
@@ -372,8 +376,8 @@ mod tests {
             .unwrap();
         pt.map(&mut phys, VAddr::new(0x4000_0000), p2, PageSize::Size2M)
             .unwrap();
-        assert_eq!(pt.walk_from(VAddr::new(0x1000), 0, 0).steps.len(), 4);
-        assert_eq!(pt.walk_from(VAddr::new(0x4000_0000), 0, 0).steps.len(), 3);
+        assert_eq!(pt.walk_from(VAddr::new(0x1000), 0, 0).steps().len(), 4);
+        assert_eq!(pt.walk_from(VAddr::new(0x4000_0000), 0, 0).steps().len(), 3);
     }
 
     #[test]
@@ -400,7 +404,7 @@ mod tests {
             .unwrap();
         let walk = pt.walk_from(VAddr::new(0x7fff_1234_5000), 0, 0);
         let frames: std::collections::HashSet<u64> = walk
-            .steps
+            .steps()
             .iter()
             .map(|s| s.pte_line.addr().page_number(PageSize::Size4K))
             .collect();
@@ -415,7 +419,7 @@ mod tests {
         pt.map(&mut phys, v, p, PageSize::Size4K).unwrap();
         let node = pt.node_at(v, 2).unwrap();
         let walk = pt.walk_from(v, 2, node);
-        assert_eq!(walk.steps.len(), 2);
+        assert_eq!(walk.steps().len(), 2);
         assert_eq!(walk.translation.unwrap().pbase, p);
     }
 

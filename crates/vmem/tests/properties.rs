@@ -118,9 +118,9 @@ fn walk_length_bounded() {
                 PageSize::Size2M => 3,
             };
             assert!(
-                out.walk_lines.len() <= max,
+                out.walk_lines().len() <= max,
                 "walk of {} steps",
-                out.walk_lines.len()
+                out.walk_lines().len()
             );
         }
     }
