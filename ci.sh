@@ -91,6 +91,31 @@ if [ "$ratio_ok" != yes ]; then
 fi
 echo "rows identical, memoised reports >=1.5x faster"
 
+# Multi-core mixes memoise their reports too: fig14 at its golden
+# gate's budget, twice on one store. The second pass must simulate
+# nothing and still produce the golden stable sections (the cold pass
+# when regenerating goldens).
+echo "== checkpoint determinism gate (fig14 rerun on one store) =="
+mkdir -p "$TMP/mix/ckpt"
+for pass in cold warm; do
+  mkdir -p "$TMP/mix/$pass"
+  env PSA_WARMUP=2000 PSA_INSTRUCTIONS=8000 PSA_THREADS=1 PSA_MIXES=2 \
+      PSA_CKPT_DIR="$TMP/mix/ckpt" PSA_BENCH_JSON_DIR="$TMP/mix/$pass" \
+    cargo bench -q -p psa-bench --bench fig14_multicore4 > /dev/null
+  stable "$TMP/mix/$pass/BENCH_fig14.json" > "$TMP/mix/$pass/stable.json"
+done
+grep -q '"simulated_runs": 0,' "$TMP/mix/warm/BENCH_fig14.json" || {
+  echo "the fig14 rerun simulated jobs its stored reports should answer:"
+  grep '"simulated_runs"' "$TMP/mix/warm/BENCH_fig14.json"; exit 1; }
+MIX_GOLDEN=crates/experiments/tests/golden/fig14_stable.json
+[ "${PSA_UPDATE_GOLDEN:-0}" = 1 ] && MIX_GOLDEN="$TMP/mix/cold/stable.json"
+if ! cmp -s "$TMP/mix/warm/stable.json" "$MIX_GOLDEN"; then
+  echo "memoised fig14 stable sections drifted from $MIX_GOLDEN:"
+  diff "$MIX_GOLDEN" "$TMP/mix/warm/stable.json" | head -20
+  exit 1
+fi
+echo "fig14 rerun simulated nothing, stable sections unchanged"
+
 # Observability smoke: tiny observed fig08 and fig16 runs at the golden
 # gates' budget. fig08 must export a valid Chrome trace_event document
 # (chrome://tracing / Perfetto loadable); both bench documents must be
@@ -170,6 +195,10 @@ golden_gate fig16_new_families fig16 crates/experiments/tests/golden/fig16_stabl
 # The only golden over a multi-core machine: two 4-core mixes, shared LLC
 # and DRAM (see EXPERIMENTS.md, "Figures 14 & 15").
 golden_gate fig14_multicore4 fig14 crates/experiments/tests/golden/fig14_stable.json PSA_MIXES=2
+# Selection logic: the only figure with per-logic configurations and a
+# doubled-storage (ISO Storage) prefetcher.
+golden_gate fig11_selection_logic fig11 crates/experiments/tests/golden/fig11_stable.json \
+  PSA_WORKLOAD_LIMIT=2
 
 # Trace-replay gate (see docs/TRACES.md): the committed sample trace
 # must be (a) byte-identical to what `psa_trace_tool gen` deterministically

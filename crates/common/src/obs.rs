@@ -617,7 +617,7 @@ pub mod store {
 
     /// A point-in-time copy of the counters, for deltas and JSON export.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct StoreSnapshot {
+    pub struct StoreCounts {
         /// See [`StoreObs::hits`].
         pub hits: u64,
         /// See [`StoreObs::misses`].
@@ -649,8 +649,8 @@ pub mod store {
         }
 
         /// Capture the current counter values.
-        pub fn snapshot(&self) -> StoreSnapshot {
-            StoreSnapshot {
+        pub fn snapshot(&self) -> StoreCounts {
+            StoreCounts {
                 hits: self.hits.load(Ordering::Relaxed),
                 misses: self.misses.load(Ordering::Relaxed),
                 retries: self.retries.load(Ordering::Relaxed),

@@ -6,9 +6,8 @@
 use psa_common::{geomean, table::pct, Table};
 use psa_core::{PageSizePolicy, SdConfig};
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::{Json, System};
+use psa_sim::Json;
 
-use crate::ckpt;
 use crate::runner::{self, Settings, Variant};
 
 /// Geomean speedup of SPP-PSA-SD over SPP original for one SD shape.
@@ -30,58 +29,36 @@ pub fn sweep_shapes() -> Vec<(usize, u32)> {
     v
 }
 
-/// Run the sweep.
+/// Run the sweep: each shape in its own configuration and its own
+/// `ablation/sd-<sets>-<bits>` scope. A workload whose baseline failed
+/// is not swept; a failed sweep cell drops the workload from that
+/// point's geomean.
 pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
     let kind = PrefetcherKind::Spp;
-    let base = Variant::Pref(kind, PageSizePolicy::Original);
-    // A workload whose baseline failed is not swept.
-    let (survivors, base_ipc): (Vec<&psa_traces::WorkloadSpec>, Vec<f64>) = settings
-        .cache()
-        .rows(settings.config, &settings.workloads(), &[base])
-        .into_iter()
-        .map(|(w, r)| (w, r[0].ipc()))
-        .unzip();
+    let orig = Variant::Pref(kind, PageSizePolicy::Original);
+    let mut base_cache = settings.cache();
+    let base = base_cache.rows(settings.config, &settings.workloads(), &[orig]);
+    let survivors: Vec<_> = base.iter().map(|&(w, _)| w).collect();
     sweep_shapes()
         .into_iter()
         .map(|(dedicated_sets, csel_bits)| {
-            let ipcs = runner::parallel_map_isolated(
-                &settings.ctx,
+            let mut config = settings.config;
+            config.sd = SdConfig {
+                dedicated_sets,
+                csel_bits,
+                ..SdConfig::default()
+            };
+            let scope = format!("ablation/sd-{dedicated_sets}-{csel_bits}");
+            let mut cache = settings.cache().scoped(scope);
+            let rows = cache.rows(
+                config,
                 &survivors,
-                |&w| runner::JobSpec {
-                    workload: w.name,
-                    label: format!("ablation/sd-{dedicated_sets}-{csel_bits}"),
-                },
-                |&w, env| {
-                    let mut config = env.config(settings.config);
-                    config.sd = SdConfig {
-                        dedicated_sets,
-                        csel_bits,
-                        ..SdConfig::default()
-                    };
-                    // The swept shape lives in the config, so the plain
-                    // variant label keys the warm-up checkpoint.
-                    let build =
-                        move || System::try_single_core(config, w, kind, PageSizePolicy::PsaSd);
-                    Ok(ckpt::warm_via_checkpoint(
-                        &settings.ctx,
-                        &build,
-                        &Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
-                    )?
-                    .try_run()?
-                    .ipc())
-                },
+                &[Variant::Pref(kind, PageSizePolicy::PsaSd)],
             );
-            // Gaps: failed sweep cells drop the workload from this
-            // point's geomean.
-            let per: Vec<f64> = ipcs
-                .into_iter()
-                .zip(&base_ipc)
-                .filter_map(|(ipc, &orig)| Some(runner::speedup(ipc?, orig)))
-                .collect();
             AblationPoint {
                 dedicated_sets,
                 csel_bits,
-                speedup: geomean(&per),
+                speedup: geomean(&runner::speedups_over(&rows, &base)),
             }
         })
         .collect()

@@ -1,33 +1,22 @@
-//! Checkpoint/result sharing through the crash-safe tiered store
-//! (`psa-store`): memoise whole finished reports, and share warm-up
-//! snapshots across processes, instead of re-simulating them.
+//! Result sharing through the crash-safe tiered store (`psa-store`):
+//! memoise whole finished reports and documents instead of
+//! re-simulating them.
 //!
 //! # Sharing model
 //!
-//! * With observability off, every `(workload, variant)` run memoises its
-//!   finished [`RunReport`] in the context's store, memory-only or
-//!   tiered, and a served job memoises its clean document. A repeat at
-//!   the same key skips the whole simulation and serves bit-identical
-//!   report bytes: another figure's [`crate::runner::RunCache`] over the
-//!   same context, another job forked from a daemon's context, or, with
-//!   `PSA_CKPT_DIR` set, a later process. A memoised run stores nothing
-//!   else: its warm key names the same run as its report key, so the
-//!   report always answers before a warm snapshot could. It warms up in
-//!   place, and so does an observed run, which must execute to produce
-//!   its event stream.
-//! * Warm snapshots are shared only through [`warm_via_checkpoint`], by
-//!   the jobs without a report memo: the custom-configured jobs of
-//!   [`crate::runner::parallel_map_isolated`] (fig11 ISO storage, fig14/15
-//!   mixes, ablations). It touches the store only when the context has a
-//!   disk tier (`PSA_CKPT_DIR`), where the snapshots persist across
-//!   processes; a memory-only store never holds one. A snapshot is only
-//!   reusable under an **exact key** ([`warm_key`]), because the
-//!   prefetcher trains during warm-up and every variant therefore
-//!   reaches a different warm state.
+//! With observability off, every job of a [`crate::runner::RunCache`]
+//! memoises its finished report in the context's store, memory-only or
+//! tiered: a single-core [`psa_sim::RunReport`] or a multi-core mix's
+//! [`psa_sim::MultiReport`]. A served job memoises its clean document. A
+//! repeat at the same key skips the whole simulation and serves
+//! bit-identical report bytes: another cache over the same context,
+//! another job forked from a daemon's context, or, with `PSA_CKPT_DIR`
+//! set, a later process. A job stores nothing else: no run writes a
+//! warm-up snapshot. Every run warms up in place, and so does an
+//! observed run, which must execute to produce its event stream.
 //!
 //! Each store hit is counted by the tier that answered it: from memory,
-//! a report or document is a `memo_hits` hit and a warm snapshot a
-//! `warmups_shared` one; from disk, either is a `ckpt_hits` hit.
+//! a `memo_hits` hit; from disk, a `ckpt_hits` one.
 //!
 //! # Storage
 //!
@@ -37,23 +26,21 @@
 //! manifest — when `PSA_CKPT_DIR` is set, else a memory-only LRU.
 //! `PSA_FAULT_PLAN` threads a deterministic IO fault plan into the store
 //! (CI and tests; see `docs/ROBUSTNESS.md`). Files from the retired flat
-//! layout (`psa-*.ckpt`) are ignored: those warm-ups run cold once.
+//! layout (`psa-*.ckpt`) are ignored.
 //!
 //! # Robustness
 //!
-//! A checkpoint is advisory. Every rejection — truncated file, flipped
-//! bit, foreign format version, key collision — surfaces as a typed
-//! error inside the store, which responds by quarantining the entry and
-//! rebuilding the machine for a cold warm-up. Store write failures are
-//! counted (`psa_common::obs::store`), never fatal. A damaged store can
-//! cost time, never correctness, and never a panic.
+//! A memoised entry is advisory. Every rejection — truncated bytes,
+//! flipped bit, foreign codec version, key collision — surfaces as a
+//! typed error inside the store or the report decoder, and the job
+//! simulates instead. Store write failures are counted
+//! (`psa_common::obs::store`), never fatal. A damaged store can cost
+//! time, never correctness, and never a panic.
 
 use crate::context::{Context, Counter};
 use crate::options::RunnerOptions;
 use psa_common::rng::fnv1a;
-use psa_sim::{
-    RunReport, SimConfig, SimError, Snapshot, System, REPORT_CODEC_VERSION, SNAPSHOT_VERSION,
-};
+use psa_sim::{SimConfig, SimError, System, REPORT_CODEC_VERSION};
 use psa_store::lru::Lru;
 use psa_store::{EntryKind, Store, StoreConfig, Tier};
 use std::sync::{Arc, Mutex};
@@ -111,95 +98,6 @@ impl CkptStore {
             }
         });
     }
-
-    fn is_tiered(&self) -> bool {
-        self.with(|b| matches!(b, Backend::Tiered(_)))
-    }
-}
-
-/// The identity hash of a machine's warm state: snapshot format version,
-/// the *effective* configuration (after every variant mutation), the
-/// workload on each core, and the caller's label for state the config
-/// cannot see (e.g. a hand-built ISO-storage module).
-pub fn warm_key(config: &SimConfig, workloads: &[&'static str], label: &str) -> u64 {
-    let mut id = Vec::new();
-    id.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    id.extend_from_slice(format!("{config:?}").as_bytes());
-    for w in workloads {
-        id.push(0);
-        id.extend_from_slice(w.as_bytes());
-    }
-    id.push(0);
-    id.extend_from_slice(label.as_bytes());
-    fnv1a(&id)
-}
-
-/// Build a machine and bring it to its warm-up boundary, sharing the
-/// warm-up work through `ctx`'s disk-backed store when an exact-key match
-/// exists. The returned [`System`] is always positioned exactly where a
-/// cold `run_to_warm` would leave it — results downstream are
-/// bit-identical either way (`crates/sim/src/snapshot.rs` proves it).
-///
-/// Without a disk tier this is a cold warm-up and touches no store: these
-/// jobs are deduplicated within their figure, so a snapshot kept in
-/// memory would never be read.
-///
-/// `build` must construct the machine deterministically from scratch; it
-/// is called once on the hot paths and once more if a restore is
-/// rejected. `label` names machine state the config cannot describe
-/// (variant label, custom module) and becomes part of the key.
-///
-/// # Errors
-///
-/// Only construction and simulation errors propagate ([`SimError::Config`],
-/// watchdog stalls during a cold warm-up…). Checkpoint rejections never
-/// do — they downgrade to a cold warm-up.
-pub fn warm_via_checkpoint(
-    ctx: &Context,
-    build: &dyn Fn() -> Result<System, SimError>,
-    label: &str,
-) -> Result<System, SimError> {
-    let mut sys = build()?;
-    if sys.config().warmup == 0 {
-        return Ok(sys);
-    }
-    if !ctx.store().is_tiered() {
-        warm_in_place(ctx, &mut sys)?;
-        return Ok(sys);
-    }
-    let key = warm_key(sys.config(), sys.workload_names(), label);
-
-    // Memory tier, then disk tier; the first snapshot found gets one
-    // restore attempt. Everything here is checkpoint traffic, charged to
-    // the snapshot-I/O phase of the wall-time profile.
-    let t_snap = Instant::now();
-    if let Some((bytes, tier)) = ctx.store().get(EntryKind::Warmup, key) {
-        // A checksummed frame that fails snapshot decoding can only be a
-        // format drift the version key missed; treat it as a miss.
-        if let Ok(snap) = Snapshot::from_bytes(&bytes) {
-            match sys.restore(&snap, key) {
-                Ok(()) => {
-                    // A disk hit was already promoted into the store's
-                    // memory tier by its own get.
-                    ctx.count_hit(tier, Counter::WarmupsShared);
-                    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
-                    return Ok(sys);
-                }
-                // A restore can fail partway and leave the machine torn;
-                // discard it and rebuild for the cold path.
-                Err(_) => sys = build()?,
-            }
-        }
-    }
-    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
-
-    warm_in_place(ctx, &mut sys)?;
-
-    let t_snap = Instant::now();
-    let bytes = Arc::new(sys.snapshot(key).to_bytes());
-    ctx.store().put(EntryKind::Warmup, key, bytes);
-    ctx.count_time(Counter::PhaseSnapshotNanos, t_snap.elapsed());
-    Ok(sys)
 }
 
 /// Run `sys`'s warm-up, charged to the warm-up phase of the wall-time
@@ -219,8 +117,9 @@ pub(crate) fn memo_enabled(config: &SimConfig) -> bool {
 }
 
 /// The identity hash of a finished report: report codec version, the
-/// pre-variant configuration, the workload, and the variant label
-/// (which encodes every config mutation a variant applies).
+/// pre-variant configuration, the workload (a mix's workloads joined by
+/// `+`), and the variant label (which encodes every config mutation a
+/// variant applies).
 pub(crate) fn report_key(config: &SimConfig, workload: &str, label: &str) -> u64 {
     let mut id = Vec::new();
     id.extend_from_slice(b"report\0");
@@ -233,24 +132,23 @@ pub(crate) fn report_key(config: &SimConfig, workload: &str, label: &str) -> u64
     fnv1a(&id)
 }
 
-/// Fetch a memoised finished report. Any decode rejection (version,
+/// Fetch a memoised finished report. Any `decode` rejection (version,
 /// workload-name mismatch from a key collision) is a miss; a hit counts
 /// by the tier that answered it (`memo_hits` or `ckpt_hits`).
-pub(crate) fn report_from_store(
+pub(crate) fn report_from_store<R>(
     ctx: &Context,
     key: u64,
-    workload: &'static str,
-) -> Option<RunReport> {
+    decode: impl FnOnce(&[u8]) -> Result<R, SimError>,
+) -> Option<R> {
     let (bytes, tier) = ctx.store().get(EntryKind::Report, key)?;
-    let report = RunReport::from_store_bytes(&bytes, workload).ok()?;
-    ctx.count_hit(tier, Counter::MemoHits);
+    let report = decode(&bytes).ok()?;
+    ctx.count_hit(tier);
     Some(report)
 }
 
-/// Memoise a finished report.
-pub(crate) fn report_to_store(ctx: &Context, key: u64, report: &RunReport) {
-    ctx.store()
-        .put(EntryKind::Report, key, Arc::new(report.to_store_bytes()));
+/// Memoise a finished report's bytes.
+pub(crate) fn report_to_store(ctx: &Context, key: u64, bytes: Vec<u8>) {
+    ctx.store().put(EntryKind::Report, key, Arc::new(bytes));
 }
 
 /// Fetch memoised finished-document bytes (a whole BENCH JSON served
@@ -258,7 +156,7 @@ pub(crate) fn report_to_store(ctx: &Context, key: u64, report: &RunReport) {
 /// (`memo_hits` or `ckpt_hits`).
 pub(crate) fn document_from_store(ctx: &Context, key: u64) -> Option<Arc<Vec<u8>>> {
     let (bytes, tier) = ctx.store().get(EntryKind::Document, key)?;
-    ctx.count_hit(tier, Counter::MemoHits);
+    ctx.count_hit(tier);
     Some(bytes)
 }
 
@@ -275,9 +173,8 @@ mod tests {
     use psa_prefetchers::PrefetcherKind;
     use psa_traces::{catalog, WorkloadRef};
 
-    /// A memory-only context memoises reports and never holds a warm
-    /// snapshot: not after a run-cache batch, and not after a
-    /// `warm_via_checkpoint` job.
+    /// A memory-only context memoises one report per job and nothing
+    /// else: no warm snapshot. A second cache is answered by them.
     #[test]
     fn memory_only_store_memoises_reports_and_holds_no_warm_snapshot() {
         let config = SimConfig::default()
@@ -289,24 +186,16 @@ mod tests {
             (lbm, Variant::NoPrefetch),
             (lbm, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)),
         ];
-        // The warm key of `label` over the machine `config` builds.
-        let warm_entry = |config: SimConfig, label: &str| {
-            let sys = System::try_from_refs(config, &[lbm]).unwrap();
-            let key = warm_key(sys.config(), sys.workload_names(), label);
-            settings.ctx.store().get(EntryKind::Warmup, key)
+        let entries = || {
+            settings.ctx.store().with(|b| match b {
+                Backend::Memory(lru) => lru.len(),
+                Backend::Tiered(_) => unreachable!("no store directory"),
+            })
         };
 
         let mut first = settings.cache();
         first.run_batch_refs(config, &jobs);
-        for &(_, v) in &jobs {
-            let entry = warm_entry(v.build_config(config), &v.label());
-            assert!(entry.is_none(), "{}: a warm snapshot", v.label());
-        }
-
-        let iso = Variant::NoPrefetch.build_config(config);
-        let build = move || System::try_from_refs(iso, &[lbm]);
-        warm_via_checkpoint(&settings.ctx, &build, "iso/lbm").unwrap();
-        assert!(warm_entry(iso, "iso/lbm").is_none(), "an isolated job");
+        assert_eq!(entries(), jobs.len(), "one report per job, nothing else");
 
         let before = settings.ctx.stats();
         let mut second = settings.cache();

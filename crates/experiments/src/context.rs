@@ -12,7 +12,7 @@
 
 use crate::ckpt::CkptStore;
 use crate::options::RunnerOptions;
-use psa_common::obs::store::StoreSnapshot;
+use psa_common::obs::store::StoreCounts;
 use psa_sim::report::{self, Json};
 use psa_sim::RunReport;
 use psa_store::Tier;
@@ -34,20 +34,18 @@ pub(crate) enum Counter {
     QueuePeak,
     Failed,
     WatchdogAborted,
-    BatchWallNanos,
-    WarmupsShared,
     CkptHits,
     PhaseWarmNanos,
     PhaseMeasureNanos,
-    PhaseSnapshotNanos,
+    PhaseStoreNanos,
 }
 
 /// A set of executor counters.
-pub(crate) struct Counters([AtomicU64; 14]);
+pub(crate) struct Counters([AtomicU64; 12]);
 
 impl Counters {
     const fn new() -> Self {
-        Counters([const { AtomicU64::new(0) }; 14])
+        Counters([const { AtomicU64::new(0) }; 12])
     }
 
     fn add(&self, counter: Counter, v: u64) {
@@ -74,12 +72,12 @@ impl Counters {
             per_thread,
             failed: n(Counter::Failed),
             watchdog_aborted: n(Counter::WatchdogAborted),
-            batch_wall: d(Counter::BatchWallNanos),
-            warmups_shared: n(Counter::WarmupsShared),
+            batch_wall: d(Counter::WallNanos),
+            warmups_shared: 0,
             ckpt_hits: n(Counter::CkptHits),
             phase_warm: d(Counter::PhaseWarmNanos),
             phase_measure: d(Counter::PhaseMeasureNanos),
-            phase_snapshot: d(Counter::PhaseSnapshotNanos),
+            phase_snapshot: d(Counter::PhaseStoreNanos),
             store: psa_common::obs::store::global().snapshot(),
         }
     }
@@ -155,11 +153,11 @@ impl Context {
         self.count(counter, elapsed.as_nanos() as u64);
     }
 
-    /// Count one store hit by the tier that answered it: `memory` from
-    /// the memory tier, [`Counter::CkptHits`] from disk.
-    pub(crate) fn count_hit(&self, tier: Tier, memory: Counter) {
+    /// Count one store hit by the tier that answered it:
+    /// [`Counter::MemoHits`] from memory, [`Counter::CkptHits`] from disk.
+    pub(crate) fn count_hit(&self, tier: Tier) {
         let counter = match tier {
-            Tier::Memory => memory,
+            Tier::Memory => Counter::MemoHits,
             Tier::Disk => Counter::CkptHits,
         };
         self.count(counter, 1);
@@ -272,9 +270,10 @@ pub struct ExecStats {
     pub memo_hits: u64,
     /// Summed per-run wall-clock (CPU-side work across all threads).
     pub busy: Duration,
-    /// Wall-clock spent executing batches and maps (elapsed time).
+    /// Wall-clock spent executing `RunCache` batches (elapsed time).
     pub wall: Duration,
-    /// Simulated cycles across simulated single-core runs.
+    /// Simulated cycles across simulated single-core runs (a multi-core
+    /// mix adds none).
     pub sim_cycles: u64,
     /// Deepest work queue handed to the executor at once.
     pub queue_peak: u64,
@@ -285,30 +284,30 @@ pub struct ExecStats {
     pub failed: u64,
     /// The subset of `failed` aborted by the forward-progress watchdog.
     pub watchdog_aborted: u64,
-    /// Wall-clock spent inside `RunCache` batches specifically (a subset
-    /// of `wall`): the number the checkpoint-determinism CI gate
-    /// compares between cold and warm passes.
+    /// The same as `wall`, since every job runs in a `RunCache` batch:
+    /// the number the checkpoint-determinism CI gate compares between
+    /// cold and warm passes.
     pub batch_wall: Duration,
-    /// Warm-ups skipped by restoring a checkpoint from the store's
-    /// memory tier.
+    /// Always 0: no run shares a warm-up snapshot. Kept for the v4
+    /// document schema and for harnesses that read it.
     pub warmups_shared: u64,
     /// Jobs served from the on-disk checkpoint/result store
-    /// (`PSA_CKPT_DIR`): warm-ups restored from disk plus finished
-    /// reports and documents memoised by an earlier process.
+    /// (`PSA_CKPT_DIR`): finished reports and documents memoised by an
+    /// earlier process.
     pub ckpt_hits: u64,
     /// Worker time spent simulating warm-ups. Summed across threads, so
     /// the three phases can exceed `batch_wall`.
     pub phase_warm: Duration,
     /// Worker time spent in measured runs.
     pub phase_measure: Duration,
-    /// Worker time spent on checkpoint/snapshot I/O (encode, decode,
-    /// restore, store traffic).
+    /// Worker time spent on result-store traffic: report lookups,
+    /// decodes, encodes and puts (the JSON's `snapshot_io_seconds`).
     pub phase_snapshot: Duration,
     /// Storage-tier counters of the checkpoint/result store (hits,
     /// misses, retries, quarantined entries, recovered bytes, write
     /// failures, injected faults). Always process-wide: the store is
     /// shared by every context.
-    pub store: StoreSnapshot,
+    pub store: StoreCounts,
 }
 
 impl ExecStats {
@@ -338,12 +337,11 @@ impl ExecStats {
             )
         };
         format!(
-            "{} simulated, {} memo hits, {} disk-store hits, {} warm-ups shared, \
+            "{} simulated, {} memo hits, {} disk-store hits, \
              {:.2}s wall / {:.2}s busy, {:.1} Mcycles/s, queue peak {}{}{}",
             self.simulated,
             self.memo_hits,
             self.ckpt_hits,
-            self.warmups_shared,
             self.wall.as_secs_f64(),
             self.busy.as_secs_f64(),
             self.cycles_per_sec() / 1e6,

@@ -11,10 +11,9 @@
 
 use psa_common::{geomean, table::pct, Table};
 use psa_core::{PageSizePolicy, SdConfig, SelectPolicy, TrainPolicy};
-use psa_prefetchers::{ModuleSpec, PrefetcherKind};
-use psa_sim::{Json, SimError, System};
+use psa_prefetchers::PrefetcherKind;
+use psa_sim::{Json, SimConfig};
 
-use crate::ckpt;
 use crate::runner::{self, Settings, Variant};
 
 /// The selection-logic alternatives.
@@ -48,19 +47,34 @@ impl Logic {
             Logic::IsoStorage => "ISO Storage",
         }
     }
-}
 
-fn sd_config(logic: Logic) -> SdConfig {
-    match logic {
-        Logic::SdStandard => SdConfig {
-            train: TrainPolicy::SelectedOnly,
-            ..SdConfig::default()
-        },
-        Logic::SdPageSize => SdConfig {
-            select: SelectPolicy::PageSize,
-            ..SdConfig::default()
-        },
-        Logic::SdProposed | Logic::IsoStorage => SdConfig::default(),
+    /// The configuration this logic's runs use: its Set-Dueling policy,
+    /// and for ISO Storage every prefetcher table doubled.
+    fn config(self, mut config: SimConfig) -> SimConfig {
+        config.sd = match self {
+            Logic::SdStandard => SdConfig {
+                train: TrainPolicy::SelectedOnly,
+                ..SdConfig::default()
+            },
+            Logic::SdPageSize => SdConfig {
+                select: SelectPolicy::PageSize,
+                ..SdConfig::default()
+            },
+            Logic::SdProposed | Logic::IsoStorage => SdConfig::default(),
+        };
+        if self == Logic::IsoStorage {
+            config.module_spec = config.module_spec.with_storage_scale(2);
+        }
+        config
+    }
+
+    /// What `kind` runs as under this logic: its PSA-SD version, or for
+    /// ISO Storage the original prefetcher.
+    fn variant(self, kind: PrefetcherKind) -> Variant {
+        match self {
+            Logic::IsoStorage => Variant::Pref(kind, PageSizePolicy::Original),
+            _ => Variant::Pref(kind, PageSizePolicy::PsaSd),
+        }
     }
 }
 
@@ -73,53 +87,10 @@ pub struct Fig11Row {
     pub speedups: [f64; 4],
 }
 
-/// The journal/injection label of one (kind, logic) cell's jobs.
-fn job_label(kind: PrefetcherKind, logic: Logic) -> String {
-    format!("fig11/{}/{}", kind.name(), logic.label())
-}
-
-/// Simulate one (kind, logic, workload) cell — a custom-configured run
-/// outside the `(workload, variant)` memo key space. The warm-up shares
-/// through the checkpoint store; every cell (ISO Storage included) is
-/// now fully described by its `SimConfig`'s [`ModuleSpec`], so the
-/// snapshot key captures the module shape directly.
-fn logic_ipc(
-    settings: &Settings,
-    kind: PrefetcherKind,
-    logic: Logic,
-    w: &'static psa_traces::WorkloadSpec,
-    env: &runner::JobEnv,
-) -> Result<f64, SimError> {
-    let mut config = env.config(settings.config);
-    config.sd = sd_config(logic);
-    let (build, ckpt_label): (Box<dyn Fn() -> Result<System, SimError>>, String) = match logic {
-        Logic::IsoStorage => {
-            let config = config.with_module_spec(
-                ModuleSpec::pref(kind, PageSizePolicy::Original).with_storage_scale(2),
-            );
-            (
-                Box::new(move || System::try_from_spec(config, &[w])),
-                job_label(kind, logic),
-            )
-        }
-        // The plain builds are fully described by (config, kind, policy),
-        // so the variant label keys them — identical machines elsewhere
-        // in the process share the same warm state.
-        _ => (
-            Box::new(move || System::try_single_core(config, w, kind, PageSizePolicy::PsaSd)),
-            Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
-        ),
-    };
-    let sys = ckpt::warm_via_checkpoint(&settings.ctx, &*build, &ckpt_label)?;
-    Ok(sys.try_run()?.ipc())
-}
-
-/// Run the ablation. The Original baselines run through the parallel
-/// batch executor ([`runner::RunCache::rows`]; a workload whose baseline
-/// failed is not swept). Each logic's custom-configured runs fan out
-/// with [`runner::parallel_map_isolated`], so a faulty cell becomes a gap
-/// (the workload drops out of that logic's geomean) instead of aborting
-/// the figure.
+/// Run the ablation. A workload whose Original baseline failed is not
+/// swept. Each logic runs in its own configuration and its own
+/// `fig11/<logic>` scope, so a faulty cell is a gap (the workload drops
+/// out of that logic's geomean) instead of aborting the figure.
 pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
     let kinds = [
         PrefetcherKind::Spp,
@@ -130,32 +101,15 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
     kinds
         .into_iter()
         .map(|kind| {
-            let base = Variant::Pref(kind, PageSizePolicy::Original);
-            let (survivors, base_ipc): (Vec<&psa_traces::WorkloadSpec>, Vec<f64>) = settings
-                .cache()
-                .rows(settings.config, &workloads, &[base])
-                .into_iter()
-                .map(|(w, r)| (w, r[0].ipc()))
-                .unzip();
+            let orig = Variant::Pref(kind, PageSizePolicy::Original);
+            let mut base_cache = settings.cache();
+            let base = base_cache.rows(settings.config, &workloads, &[orig]);
+            let survivors: Vec<_> = base.iter().map(|&(w, _)| w).collect();
             let speedups = Logic::ALL.map(|logic| {
-                let ipcs = runner::parallel_map_isolated(
-                    &settings.ctx,
-                    &survivors,
-                    |&w| runner::JobSpec {
-                        workload: w.name,
-                        label: job_label(kind, logic),
-                    },
-                    |&w, env| logic_ipc(settings, kind, logic, w, env),
-                );
-                // Gaps: a failed cell drops the workload from this
-                // geomean; the failure is journalled in the document's
-                // `failures` array.
-                let per: Vec<f64> = ipcs
-                    .into_iter()
-                    .zip(&base_ipc)
-                    .filter_map(|(ipc, &orig)| Some(runner::speedup(ipc?, orig)))
-                    .collect();
-                geomean(&per)
+                let mut cache = settings.cache().scoped(format!("fig11/{}", logic.label()));
+                let config = logic.config(settings.config);
+                let rows = cache.rows(config, &survivors, &[logic.variant(kind)]);
+                geomean(&runner::speedups_over(&rows, &base))
             });
             Fig11Row { kind, speedups }
         })

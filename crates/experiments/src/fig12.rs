@@ -93,8 +93,9 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
             ]
             .map(|policy| Variant::Pref(kind, policy));
             // A failed workload drops out of both geomeans; the fault is
-            // recorded in the document's `failures` array.
-            let mut cache = settings.cache();
+            // recorded in the document's `failures` array, under the
+            // knob's scope.
+            let mut cache = settings.cache().scoped(format!("fig12/{}", knob.label()));
             let rows = cache.rows(config, &workloads, &variants);
             let over_original = |i: usize| {
                 let per: Vec<f64> = rows

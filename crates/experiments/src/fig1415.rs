@@ -5,11 +5,9 @@
 use psa_common::{geomean, stats::weighted_speedup, DistSummary, Table};
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::{Json, MultiReport, SimConfig, System};
-use psa_traces::{mixes::random_mixes, WorkloadSpec};
-use std::collections::{HashMap, HashSet};
+use psa_sim::{Json, SimConfig};
+use psa_traces::mixes::random_mixes;
 
-use crate::ckpt;
 use crate::runner::{self, Settings, Variant};
 
 /// The distribution of per-mix weighted speedups for one configuration.
@@ -19,24 +17,6 @@ pub struct MultiBar {
     pub label: String,
     /// Weighted speedup per mix.
     pub per_mix: Vec<f64>,
-}
-
-fn policy_label(kind: PrefetcherKind, policy: PageSizePolicy) -> &'static str {
-    // A tiny interner so the cache key stays Copy; the label set is finite.
-    match (kind, policy) {
-        (PrefetcherKind::Spp, PageSizePolicy::Original) => "spp-o",
-        (PrefetcherKind::Spp, PageSizePolicy::Psa) => "spp-p",
-        (PrefetcherKind::Spp, PageSizePolicy::PsaSd) => "spp-s",
-        (PrefetcherKind::Vldp, PageSizePolicy::Original) => "vldp-o",
-        (PrefetcherKind::Vldp, PageSizePolicy::Psa) => "vldp-p",
-        (PrefetcherKind::Vldp, PageSizePolicy::PsaSd) => "vldp-s",
-        (PrefetcherKind::Ppf, PageSizePolicy::Original) => "ppf-o",
-        (PrefetcherKind::Ppf, PageSizePolicy::Psa) => "ppf-p",
-        (PrefetcherKind::Ppf, PageSizePolicy::PsaSd) => "ppf-s",
-        (PrefetcherKind::Bop, PageSizePolicy::Original) => "bop-o",
-        (PrefetcherKind::Bop, PageSizePolicy::Psa) => "bop-p",
-        _ => "other",
-    }
 }
 
 /// The seven bar configurations of Figures 14/15.
@@ -54,145 +34,60 @@ pub fn bar_set() -> Vec<(PrefetcherKind, PageSizePolicy)> {
 
 /// Run the evaluation for `cores`-wide mixes.
 ///
-/// The expensive multi-core simulations fan out with
-/// [`runner::parallel_map_isolated`]: isolation IPCs and Original
-/// baselines are deduplicated to one run per `(prefetcher, workload)` /
-/// `(prefetcher, mix)` pair, then each bar's evaluated mixes run
-/// concurrently. Every simulation is seed-deterministic, so the output
-/// matches the serial order exactly. A faulty job drops the affected
-/// mixes from the distribution (an explicit gap, journalled in the
-/// document's `failures` array) instead of aborting the figure; warm-ups
-/// share through the checkpoint store.
+/// Two batches do the work: every mix member alone on the one-core
+/// machine shape under every Original prefetcher (the isolation IPCs,
+/// scoped `isolation`), then every mix under every Original and bar
+/// variant. Each bar then reads its mixes and its Original baselines
+/// back from the cache. Every simulation is seed-deterministic, so the
+/// output matches the serial order exactly. A faulty job drops the
+/// affected mixes from the bar's distribution (an explicit gap,
+/// journalled in the document's `failures` array) instead of aborting
+/// the figure.
 pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
     let mut config = SimConfig::for_cores(cores);
     config.warmup = settings.config.warmup;
     config.instructions = settings.config.instructions;
     config.seed = settings.config.seed;
+    let solo = SimConfig { cores: 1, ..config };
     let mixes = random_mixes(settings.mixes(), cores, config.seed);
-    let bars = bar_set();
-
-    // Unique prefetcher kinds, in bar order.
-    let mut kinds: Vec<PrefetcherKind> = Vec::new();
-    for &(kind, _) in &bars {
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-
-    // Isolation IPCs: one single-core run per (prefetcher, workload) pair.
-    let mut iso_jobs: Vec<(PrefetcherKind, &'static WorkloadSpec)> = Vec::new();
-    let mut seen: HashSet<(&'static str, &'static str)> = HashSet::new();
-    for &kind in &kinds {
-        let label = policy_label(kind, PageSizePolicy::Original);
-        for mix in &mixes {
-            for &w in mix {
-                if seen.insert((w.name, label)) {
-                    iso_jobs.push((kind, w));
-                }
-            }
-        }
-    }
-    let iso_vals = runner::parallel_map_isolated(
-        &settings.ctx,
-        &iso_jobs,
-        |&(kind, w)| runner::JobSpec {
-            workload: w.name,
-            label: format!("{}/iso", policy_label(kind, PageSizePolicy::Original)),
-        },
-        |&(kind, w), env| {
-            let mut solo = env.config(config);
-            solo.cores = 1;
-            let build = move || System::try_multi_core(solo, &[w], kind, PageSizePolicy::Original);
-            ckpt::warm_via_checkpoint(
-                &settings.ctx,
-                &build,
-                &Variant::Pref(kind, PageSizePolicy::Original).label(),
-            )?
-            .try_run_multi()
-            .map(|r| r.ipc[0])
-        },
-    );
-    let iso: HashMap<(&'static str, &'static str), f64> = iso_jobs
-        .iter()
-        .zip(iso_vals)
-        .filter_map(|(&(kind, w), v)| {
-            v.map(|v| ((w.name, policy_label(kind, PageSizePolicy::Original)), v))
-        })
-        .collect();
-
-    // Original-baseline multi-core runs: one per (prefetcher, mix).
-    let base_jobs: Vec<(PrefetcherKind, usize)> = kinds
-        .iter()
-        .flat_map(|&k| (0..mixes.len()).map(move |i| (k, i)))
-        .collect();
-    let base_vals = runner::parallel_map_isolated(
-        &settings.ctx,
-        &base_jobs,
-        |&(kind, i)| runner::JobSpec {
-            workload: mixes[i][0].name,
-            label: format!("{}/mix{}", policy_label(kind, PageSizePolicy::Original), i),
-        },
-        |&(kind, i), env| {
-            let cfg = env.config(config);
-            let mix = &mixes[i];
-            let build = move || System::try_multi_core(cfg, mix, kind, PageSizePolicy::Original);
-            ckpt::warm_via_checkpoint(
-                &settings.ctx,
-                &build,
-                &Variant::Pref(kind, PageSizePolicy::Original).label(),
-            )?
-            .try_run_multi()
-        },
-    );
-    let base: HashMap<(&'static str, usize), MultiReport> = base_jobs
-        .iter()
-        .zip(base_vals)
-        .filter_map(|(&(kind, i), r)| {
-            r.map(|r| ((policy_label(kind, PageSizePolicy::Original), i), r))
-        })
-        .collect();
-
-    let mix_indices: Vec<usize> = (0..mixes.len()).collect();
-    bars.into_iter()
+    let bars: Vec<(Variant, Variant)> = bar_set()
+        .into_iter()
         .map(|(kind, policy)| {
-            let evals = runner::parallel_map_isolated(
-                &settings.ctx,
-                &mix_indices,
-                |&i| runner::JobSpec {
-                    workload: mixes[i][0].name,
-                    label: format!("{}/mix{}", policy_label(kind, policy), i),
-                },
-                |&i, env| {
-                    let cfg = env.config(config);
-                    let mix = &mixes[i];
-                    let build = move || System::try_multi_core(cfg, mix, kind, policy);
-                    ckpt::warm_via_checkpoint(
-                        &settings.ctx,
-                        &build,
-                        &Variant::Pref(kind, policy).label(),
-                    )?
-                    .try_run_multi()
-                },
-            );
+            let orig = Variant::Pref(kind, PageSizePolicy::Original);
+            (Variant::Pref(kind, policy), orig)
+        })
+        .collect();
+    let mut variants: Vec<Variant> = Vec::new();
+    for &(_, orig) in &bars {
+        if !variants.contains(&orig) {
+            variants.push(orig);
+        }
+    }
+    let mut iso = settings.cache().scoped("isolation");
+    iso.rows(solo, &mixes.concat(), &variants);
+    variants.extend(bars.iter().map(|&(bar, _)| bar));
+    let mut multi = settings.cache();
+    multi.mix_rows(config, &mixes, &variants);
+    bars.into_iter()
+        .map(|(bar, orig)| {
             // Gaps: a mix contributes only when its evaluation, its
-            // Original baseline and every member's isolation IPC all
-            // completed; failed jobs are journalled in `failures`.
-            let per_mix: Vec<f64> = evals
-                .iter()
-                .enumerate()
-                .filter_map(|(i, eval)| {
-                    let eval = eval.as_ref()?;
-                    let label = policy_label(kind, PageSizePolicy::Original);
-                    let isolation: Vec<f64> = mixes[i]
+            // Original baseline and every member's isolation run all
+            // completed.
+            let per_mix = multi
+                .mix_rows(config, &mixes, &[bar, orig])
+                .into_iter()
+                .filter_map(|(mix, r)| {
+                    let isolation: Vec<f64> = iso
+                        .rows(solo, mix, &[orig])
                         .iter()
-                        .map(|w| iso.get(&(w.name, label)).copied())
-                        .collect::<Option<_>>()?;
-                    let base = base.get(&(label, i))?;
-                    Some(weighted_speedup(&eval.ipc, &base.ipc, &isolation))
+                        .map(|(_, r)| r[0].ipc())
+                        .collect();
+                    (isolation.len() == mix.len())
+                        .then(|| weighted_speedup(&r[0].ipc, &r[1].ipc, &isolation))
                 })
                 .collect();
             MultiBar {
-                label: format!("{}{}", kind.name(), policy.suffix()),
+                label: bar.label(),
                 per_mix,
             }
         })

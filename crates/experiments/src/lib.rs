@@ -7,12 +7,14 @@
 //! `BENCH_<figure>.json` document (see `docs/METRICS.md`); the
 //! `psa-bench` crate wraps each in a `cargo bench` target. [`Settings`]
 //! carries the run configuration and the execution [`Context`] it runs
-//! in. Figures read their runs through [`runner::RunCache::rows`], which
-//! leaves out a workload with any failed job as an explicit gap, and
-//! divide through one [`runner::speedup`]. Independent simulations fan
-//! out across cores through [`runner::RunCache::run_batch_refs`] and
-//! [`runner::parallel_map_isolated`] — bit-identical to serial execution
-//! (see [`runner`]).
+//! in. [`runner::RunCache`] is the one executor: figures read their runs
+//! through [`runner::RunCache::rows`] (multi-core mixes through
+//! [`runner::RunCache::mix_rows`]), which leaves out a workload or mix
+//! with any failed job as an explicit gap, and divide through one
+//! [`runner::speedup`]. A figure that sweeps its own configurations
+//! names each one's jobs apart with [`runner::RunCache::scoped`].
+//! Independent simulations fan out across cores, bit-identical to
+//! serial execution (see [`runner`]).
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -49,8 +51,8 @@
 //! names where the bench targets write them; `PSA_TRACE_FILE=<path>`
 //! points the [`trace_replay`] figure at a `.psatrace` recording other
 //! than the committed sample fixture; `PSA_CKPT_DIR=<dir>` persists
-//! warm-up checkpoints — and memoised finished reports — across
-//! processes through the crash-safe tiered store (`psa-store`);
+//! memoised finished reports across processes through the crash-safe
+//! tiered store (`psa-store`);
 //! `PSA_CKPT_MEM_MB=n` / `PSA_CKPT_DISK_MB=n` bound its memory and disk
 //! tiers (see [`ckpt`] and `docs/CHECKPOINT.md`).
 //!

@@ -172,12 +172,6 @@ impl RunnerOptions {
         self
     }
 
-    /// Override the Chrome-trace output path.
-    pub fn with_obs_trace(mut self, path: PathBuf) -> Self {
-        self.obs_trace = Some(path);
-        self
-    }
-
     /// Thread the run-shape subset (budgets, watchdog, audits,
     /// observability) into a [`SimConfig`]; unset fields leave the
     /// config's own values untouched.

@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: run settings, workload selection, a
-//! memoising run cache, and the parallel experiment executor.
+//! Shared experiment plumbing: run settings, workload selection, and
+//! the one executor every figure runs on, the memoising [`RunCache`].
 //!
 //! # Execution context
 //!
@@ -12,59 +12,65 @@
 //!
 //! # Parallel execution
 //!
-//! Every `(workload, variant)` simulation is independent — each owns its
-//! [`System`], and every stochastic choice flows from the run's own seeded
-//! RNG — so experiments fan them out across cores with
-//! [`RunCache::run_batch_refs`] (a work-queue over `std::thread::scope`,
-//! no external dependencies). Results are **bit-identical** to the serial
-//! order regardless of thread count or scheduling; the
-//! `parallel_matches_serial` test asserts it. The thread count is the
-//! context's [`RunnerOptions::effective_threads`] (`PSA_THREADS`,
-//! default: all available cores); one thread forces the serial path.
+//! Every job — a `(workload, variant)` run, or a variant over a
+//! multi-core mix — is independent: each owns its [`System`], and every
+//! stochastic choice flows from the run's own seeded RNG. So a cache
+//! fans a batch out across cores ([`RunCache::run_batch_refs`],
+//! [`RunCache::rows`], [`RunCache::mix_rows`]: a work-queue over
+//! `std::thread::scope`, no external dependencies). Results are
+//! **bit-identical** to the serial order regardless of thread count or
+//! scheduling; the `parallel_matches_serial` test asserts it. The
+//! thread count is the context's [`RunnerOptions::effective_threads`]
+//! (`PSA_THREADS`, default: all available cores); one thread forces the
+//! serial path.
 //!
 //! # Observability
 //!
 //! Every job charges its context's [`ExecStats`]: simulations executed,
-//! memo and store hits, per-run wall-clock, simulated cycles (and the
-//! derived cycles/second throughput), peak queue depth and per-thread
-//! run counts. A job answered by a memoised report counts as a hit, not
-//! as a simulation. Each emitted `BENCH_*.json` embeds its context's
-//! counters under `"executor"`; [`global_stats`] sums every context in
-//! the process.
+//! memo and store hits, per-run wall-clock, simulated single-core cycles
+//! (and the derived cycles/second throughput), peak queue depth and
+//! per-thread run counts. A job answered by a memoised report counts as
+//! a hit, not as a simulation. Each emitted `BENCH_*.json` embeds its
+//! context's counters under `"executor"`; [`global_stats`] sums every
+//! context in the process.
 //!
 //! # Report memoisation
 //!
-//! With observability off, every `(workload, variant)` run memoises its
-//! finished report in the context's [`crate::ckpt`] store, memory-only
-//! or tiered: a later run under the same exact key — another cache over
-//! the same context, or with `PSA_CKPT_DIR` set a later process — is
-//! served the bit-identical report without simulating. A run warms up in
-//! place and writes no warm snapshot. See `docs/CHECKPOINT.md`.
+//! A cache memoises every job under its configuration, workload (or
+//! mix) and variant. With observability off, every job also memoises
+//! its finished [`RunReport`] or [`MultiReport`] in the context's
+//! [`crate::ckpt`] store, memory-only or tiered: a later job under the
+//! same exact key — another cache over the same context, or with
+//! `PSA_CKPT_DIR` set a later process — is served the bit-identical
+//! report without simulating. A run warms up in place and writes no
+//! warm snapshot. See `docs/CHECKPOINT.md`.
 //!
 //! # Fault isolation
 //!
-//! Every job — memoised `(workload, variant)` pairs in [`RunCache`] and
-//! custom-configured jobs in [`parallel_map_isolated`] — runs under
-//! [`std::panic::catch_unwind`] and through the simulator's `Result`
-//! paths, so one panicking or watchdog-stalled job becomes a recorded gap
-//! ([`RunOutcome::Failed`] / a `None` slot) instead of poisoning the
-//! batch: the remaining jobs complete bit-identically to a clean run, the
-//! failure lands in the context's journal (the `"failures"` array of its
-//! documents, see [`Context::failures_json`]), and figures render
-//! partial results with explicit gaps ([`RunCache::rows`] leaves out a
-//! workload with any failed job). The options' `inject_panic` and
-//! `inject_stall` (`PSA_INJECT_PANIC` / `PSA_INJECT_STALL`: `<workload>`
-//! or `<workload>/<label>`) inject faults for testing this machinery
-//! (see `docs/ROBUSTNESS.md`).
+//! Every job runs under [`std::panic::catch_unwind`] and through the
+//! simulator's `Result` paths, so one panicking or watchdog-stalled job
+//! becomes a recorded gap ([`RunOutcome::Failed`], or a mix missing from
+//! [`RunCache::mix_rows`]) instead of poisoning the batch: the remaining
+//! jobs complete bit-identically to a clean run, the failure lands in
+//! the context's journal (the `"failures"` array of its documents, see
+//! [`Context::failures_json`]), and figures render partial results with
+//! explicit gaps ([`RunCache::rows`] leaves out a workload with any
+//! failed job). A job is named by its workload (a mix's workloads
+//! joined by `+`) and its label: the variant label, or
+//! `<scope>/<variant label>` in a [`RunCache::scoped`] cache. The
+//! options' `inject_panic` and `inject_stall` (`PSA_INJECT_PANIC` /
+//! `PSA_INJECT_STALL`: `<workload>` or `<workload>/<label>`) inject
+//! faults for testing this machinery (see `docs/ROBUSTNESS.md`).
 
 use crate::ckpt;
 use crate::context::{run_entry, Context, Counter, ExecStats};
 use crate::options::RunnerOptions;
+use psa_common::rng::fnv1a;
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::report::{self, Json};
-use psa_sim::{L1dPrefKind, ObsReport, RunReport, SimConfig, SimError, System};
-use psa_traces::{catalog, WorkloadRef, WorkloadSpec};
+use psa_sim::{L1dPrefKind, MultiReport, ObsReport, RunReport, SimConfig, SimError, System};
+use psa_traces::{catalog, intern, WorkloadRef, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -223,17 +229,21 @@ impl Variant {
 
     /// The [`SimConfig`] this variant actually simulates: the module
     /// spec, the Magic page-size oracle, and the L1D prefetcher are the
-    /// only fields a variant touches. This is the one place the mapping
-    /// lives — the executor and external drivers (golden fixtures, the
-    /// bench harness) share it, so a run reproduced outside the run
-    /// cache is bit-identical to the memoised one.
+    /// only fields a variant touches; a prefetcher keeps the config's
+    /// storage scale. This is the one place the mapping lives — the
+    /// executor and external drivers (golden fixtures, the bench
+    /// harness) share it, so a run reproduced outside the run cache is
+    /// bit-identical to the memoised one.
     pub fn build_config(&self, config: SimConfig) -> SimConfig {
         use psa_prefetchers::ModuleSpec;
+        let pref = |kind, policy| {
+            ModuleSpec::pref(kind, policy).with_storage_scale(config.module_spec.storage_scale)
+        };
         match *self {
             Variant::NoPrefetch => config.with_module_spec(ModuleSpec::none()),
-            Variant::Pref(kind, policy) => config.with_module_spec(ModuleSpec::pref(kind, policy)),
+            Variant::Pref(kind, policy) => config.with_module_spec(pref(kind, policy)),
             Variant::PrefMagic(kind, policy) => {
-                let mut c = config.with_module_spec(ModuleSpec::pref(kind, policy));
+                let mut c = config.with_module_spec(pref(kind, policy));
                 c.page_size_source = psa_core::ppm::PageSizeSource::Magic;
                 c
             }
@@ -277,52 +287,125 @@ impl RunOutcome {
     }
 }
 
-/// Where a memoised job's report came from.
-enum Answer {
-    /// The context's store held the finished report.
-    Memo(RunReport),
-    /// The job simulated it.
-    Simulated(RunReport),
+/// A finished report the executor memoises: one core's [`RunReport`]
+/// or a mix's [`MultiReport`].
+trait Report: Sized + Send {
+    /// Run a warm machine's measured window.
+    fn measure(sys: System, ctx: &Context) -> Result<Self, SimError>;
+    /// Decode memoised bytes of the run on `workloads`.
+    fn decode(bytes: &[u8], workloads: &[WorkloadRef]) -> Result<Self, SimError>;
+    /// Encode for the context's store.
+    fn encode(&self) -> Vec<u8>;
 }
 
-/// Simulate one `(workload, variant)` pair, or answer it from the
-/// context's memoised reports. Pure: the run owns its [`System`] and
-/// seeded RNG, so the result depends only on the arguments — this is
-/// what makes parallel execution bit-identical to serial, and a memoised
-/// report bit-identical to a fresh one.
-fn try_simulate(
+/// A single-core run also counts its simulated cycles and writes the
+/// observed trace.
+impl Report for RunReport {
+    fn measure(sys: System, ctx: &Context) -> Result<Self, SimError> {
+        let (report, obs) = sys.try_run_observed()?;
+        if let (Some(obs), Some(path)) = (obs, &ctx.options().obs_trace) {
+            write_trace(path, &obs);
+        }
+        ctx.count(Counter::SimCycles, report.cycles);
+        Ok(report)
+    }
+
+    fn decode(bytes: &[u8], workloads: &[WorkloadRef]) -> Result<Self, SimError> {
+        RunReport::from_store_bytes(bytes, workloads[0].name())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.to_store_bytes()
+    }
+}
+
+impl Report for MultiReport {
+    fn measure(sys: System, _: &Context) -> Result<Self, SimError> {
+        sys.try_run_multi()
+    }
+
+    fn decode(bytes: &[u8], workloads: &[WorkloadRef]) -> Result<Self, SimError> {
+        let names: Vec<&'static str> = workloads.iter().map(WorkloadRef::name).collect();
+        MultiReport::from_store_bytes(bytes, &names)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.to_store_bytes()
+    }
+}
+
+/// Where a job's report came from.
+enum Answer<R> {
+    /// The context's store held the finished report.
+    Memo(R),
+    /// The job simulated it.
+    Simulated(R),
+}
+
+/// One job: `variant` on a machine with one core per workload. `name`
+/// is its workload's name, or a mix's names joined by `+`.
+struct Job {
+    workloads: Vec<WorkloadRef>,
+    name: &'static str,
+    variant: Variant,
+}
+
+impl Job {
+    fn new(workloads: Vec<WorkloadRef>, variant: Variant) -> Job {
+        Job {
+            name: job_name(&workloads),
+            workloads,
+            variant,
+        }
+    }
+}
+
+/// The name a job on `workloads` memoises and journals under.
+fn job_name(workloads: &[WorkloadRef]) -> &'static str {
+    match workloads {
+        [w] => w.name(),
+        _ => intern(
+            &workloads
+                .iter()
+                .map(WorkloadRef::name)
+                .collect::<Vec<_>>()
+                .join("+"),
+        ),
+    }
+}
+
+/// Simulate one job, or answer it from the context's memoised reports.
+/// Pure: the run owns its [`System`] and seeded RNG, so the result
+/// depends only on the arguments — this is what makes parallel
+/// execution bit-identical to serial, and a memoised report
+/// bit-identical to a fresh one.
+fn try_simulate<R: Report>(
     ctx: &Context,
     config: SimConfig,
-    workload: WorkloadRef,
-    variant: Variant,
-) -> Result<Answer, SimError> {
+    job: &Job,
+) -> Result<Answer<R>, SimError> {
     // The key hashes the pre-variant config plus the label, which
     // encodes every config mutation a variant applies.
     let memo_key = ckpt::memo_enabled(&config)
-        .then(|| ckpt::report_key(&config, workload.name(), &variant.label()));
+        .then(|| ckpt::report_key(&config, job.name, &job.variant.label()));
     if let Some(key) = memo_key {
         let t0 = Instant::now();
-        let hit = ckpt::report_from_store(ctx, key, workload.name());
-        ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
+        let hit = ckpt::report_from_store(ctx, key, |bytes| R::decode(bytes, &job.workloads));
+        ctx.count_time(Counter::PhaseStoreNanos, t0.elapsed());
         if let Some(report) = hit {
             return Ok(Answer::Memo(report));
         }
     }
-    // No warm snapshot: the run's warm key names the same run as its
-    // report key, so the memoised report always answers first.
-    let mut sys = System::try_from_refs(variant.build_config(config), &[workload])?;
+    let mut sys = System::try_from_refs(job.variant.build_config(config), &job.workloads)?;
     ckpt::warm_in_place(ctx, &mut sys)?;
     let t0 = Instant::now();
-    let result = sys.try_run_observed();
+    let result = R::measure(sys, ctx);
     ctx.count_time(Counter::PhaseMeasureNanos, t0.elapsed());
-    let (report, obs) = result?;
-    if let (Some(obs), Some(path)) = (obs, &ctx.options().obs_trace) {
-        write_trace(path, &obs);
-    }
+    let report = result?;
     if let Some(key) = memo_key {
         let t0 = Instant::now();
-        ckpt::report_to_store(ctx, key, &report);
-        ctx.count_time(Counter::PhaseSnapshotNanos, t0.elapsed());
+        ckpt::report_to_store(ctx, key, report.encode());
+        ctx.count_time(Counter::PhaseStoreNanos, t0.elapsed());
     }
     Ok(Answer::Simulated(report))
 }
@@ -360,74 +443,50 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one job body under the context's fault injection, in isolation:
+/// A failed job: its reason, and whether the watchdog aborted it.
+type Fault = (String, bool);
+
+/// Run one job in isolation under its journal label's fault injection:
 /// panics are caught and simulator errors are values, and either becomes
 /// `Err((reason, watchdog))`. The fault never escapes to the batch.
-fn isolated<R>(
+/// Every job but one a memoised report answered counts as simulated,
+/// failed ones included.
+fn run_job<R: Report>(
     ctx: &Context,
-    workload: &str,
+    mut config: SimConfig,
+    job: &Job,
     label: &str,
-    body: impl FnOnce(&JobEnv) -> Result<R, SimError>,
-) -> Result<R, (String, bool)> {
+) -> Result<R, Fault> {
     let options = ctx.options();
-    let env = JobEnv {
-        stall: targets(options.inject_stall.as_deref(), workload, label),
-    };
-    let panic = targets(options.inject_panic.as_deref(), workload, label);
+    // A 1-cycle watchdog aborts the run almost immediately: nothing
+    // retires before the ROB fills, nothing drains before the first fill
+    // matures.
+    if targets(options.inject_stall.as_deref(), job.name, label) {
+        config.watchdog_cycles = 1;
+    }
+    let panic = targets(options.inject_panic.as_deref(), job.name, label);
     let result = catch_unwind(AssertUnwindSafe(|| {
         if panic {
             panic!("injected panic (PSA_INJECT_PANIC)");
         }
-        body(&env)
+        try_simulate(ctx, config, job)
     }));
-    match result {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(e)) => {
-            let watchdog = matches!(e, SimError::WatchdogStall(_));
-            Err((e.to_string(), watchdog))
-        }
+    let outcome = match result {
+        Ok(Ok(Answer::Memo(report))) => return Ok(report),
+        Ok(Ok(Answer::Simulated(report))) => Ok(report),
+        Ok(Err(e)) => Err((e.to_string(), matches!(e, SimError::WatchdogStall(_)))),
         Err(payload) => Err((format!("panic: {}", panic_message(payload)), false)),
-    }
-}
-
-/// Run one memoised job in isolation; a fault becomes a
-/// [`RunOutcome::Failed`] row. Every job but one a memoised report
-/// answered counts as simulated, failed ones included.
-fn run_job(
-    ctx: &Context,
-    config: SimConfig,
-    workload: WorkloadRef,
-    variant: Variant,
-) -> RunOutcome {
-    let result = isolated(ctx, workload.name(), &variant.label(), |env| {
-        try_simulate(ctx, env.config(config), workload, variant)
-    });
-    match result {
-        Ok(Answer::Memo(report)) => RunOutcome::Ok(Box::new(report)),
-        Ok(Answer::Simulated(report)) => {
-            ctx.count(Counter::Simulated, 1);
-            ctx.count(Counter::SimCycles, report.cycles);
-            RunOutcome::Ok(Box::new(report))
-        }
-        Err((reason, watchdog)) => {
-            ctx.count(Counter::Simulated, 1);
-            RunOutcome::Failed {
-                workload: workload.name(),
-                variant,
-                reason,
-                watchdog,
-            }
-        }
-    }
+    };
+    ctx.count(Counter::Simulated, 1);
+    outcome
 }
 
 /// Map `f` over `items` on the context's worker pool (a work queue over
 /// `std::thread::scope`), preserving input order — the output equals a
 /// serial `items.iter().map(f)` whenever `f` is pure. The pool counts
 /// its timing and queue depth in `ctx`, not simulations: `f` counts
-/// those. A `batch` (a [`RunCache`] batch) also counts its wall time as
-/// `batch_wall`.
-fn pool_map<T, R>(ctx: &Context, items: &[T], batch: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R>
+/// those.
+fn pool_map<T, R>(ctx: &Context, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -466,9 +525,6 @@ where
     ctx.count(Counter::QueuePeak, items.len() as u64);
     ctx.count(Counter::BusyNanos, busy.into_inner());
     ctx.count_time(Counter::WallNanos, wall);
-    if batch {
-        ctx.count_time(Counter::BatchWallNanos, wall);
-    }
     ctx.count_threads(&per_thread);
     slots
         .into_iter()
@@ -480,89 +536,29 @@ where
         .collect()
 }
 
-/// Identity of one custom-configured simulation job — the jobs that do
-/// not fit the `(workload, variant)` memo key space (custom Set-Dueling
-/// shapes, doubled-storage modules, multi-core mixes). The label joins
-/// the workload name in fault-injection matching
-/// (`PSA_INJECT_*=<workload>/<label>`) and in the `failures` journal.
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// The workload driving the run (the first core's, for mixes).
-    pub workload: &'static str,
-    /// What machine ran, uniquely within the figure (e.g.
-    /// `fig11/SPP/ISO Storage`).
-    pub label: String,
+/// A memo key: the configuration's hash, the job's name and its variant.
+type Key = (u64, &'static str, Variant);
+
+/// The hash of a configuration's every field, for memo keys.
+fn config_key(config: &SimConfig) -> u64 {
+    fnv1a(format!("{config:?}").as_bytes())
 }
 
-/// The fault injection resolved for one isolated job. The job body must
-/// pass its run configuration through [`JobEnv::config`] so an injected
-/// stall can take effect.
-#[derive(Debug, Clone, Copy)]
-pub struct JobEnv {
-    stall: bool,
-}
-
-impl JobEnv {
-    /// `config` with the injection applied: a stall injection drops the
-    /// watchdog threshold to 1 cycle, so the run aborts via the watchdog
-    /// almost immediately (nothing retires before the ROB fills; nothing
-    /// drains before the first fill matures).
-    pub fn config(&self, config: SimConfig) -> SimConfig {
-        let mut config = config;
-        if self.stall {
-            config.watchdog_cycles = 1;
-        }
-        config
-    }
-}
-
-/// Map `f` over `items` on `ctx`'s worker pool with per-job fault
-/// isolation, preserving input order — the executor for simulation jobs
-/// outside the memoised `(workload, variant)` space (custom Set-Dueling
-/// shapes, doubled-storage modules, multi-core mixes). `f` must be pure
-/// for the order-independence to hold. Each item counts as one
-/// simulation of `ctx`.
+/// The memoising executor: each `(configuration, workload, variant)`
+/// job simulates once per cache, no matter how many reductions consume
+/// it — single-core runs and multi-core mixes alike. Failed jobs are
+/// memoised too: a fault is as deterministic as a report, and retrying
+/// it would just fail again.
 ///
-/// Each job is described by `spec` (workload + unique label) and executed
-/// by `f` under [`std::panic::catch_unwind`]; `f` reports simulator
-/// faults as [`SimError`] values and must thread its `SimConfig` through
-/// [`JobEnv::config`]. A failed job yields `None` in its slot — the
-/// figure renders the survivors with an explicit gap — and lands in the
-/// context's failure journal, exactly like a failed memoised job.
-/// Injection targets match `<workload>` or `<workload>/<label>`.
-pub fn parallel_map_isolated<T, R, S, F>(
-    ctx: &Context,
-    items: &[T],
-    spec: S,
-    f: F,
-) -> Vec<Option<R>>
-where
-    T: Sync,
-    R: Send,
-    S: Fn(&T) -> JobSpec + Sync,
-    F: Fn(&T, &JobEnv) -> Result<R, SimError> + Sync,
-{
-    ctx.count(Counter::Simulated, items.len() as u64);
-    pool_map(ctx, items, false, |item| {
-        let s = spec(item);
-        isolated(ctx, s.workload, &s.label, |env| f(item, env))
-            .map_err(|(reason, watchdog)| {
-                ctx.journal_failure(s.workload, s.label, &reason, watchdog);
-            })
-            .ok()
-    })
-}
-
-/// A memoising single-core run cache: each (workload, variant) simulates
-/// once per cache, no matter how many reductions consume it. Failed jobs
-/// are memoised too — a fault is as deterministic as a report, and
-/// retrying it would just fail again.
-///
-/// Every method takes its workload as anything convertible into a
+/// A cache journals and fault-injects each job under its variant label,
+/// or `<scope>/<variant label>` in a [`RunCache::scoped`] cache. Every
+/// method takes its workloads as anything convertible into a
 /// [`WorkloadRef`] — a catalog `&'static WorkloadSpec` or a trace file.
 pub struct RunCache {
     ctx: Arc<Context>,
-    runs: HashMap<(&'static str, Variant), RunOutcome>,
+    scope: Option<String>,
+    runs: HashMap<Key, RunOutcome>,
+    mixes: HashMap<Key, Option<MultiReport>>,
 }
 
 impl Default for RunCache {
@@ -582,7 +578,20 @@ impl RunCache {
     pub(crate) fn in_context(ctx: Arc<Context>) -> Self {
         RunCache {
             ctx,
+            scope: None,
             runs: HashMap::new(),
+            mixes: HashMap::new(),
+        }
+    }
+
+    /// This cache, journalling and fault-injecting each job as
+    /// `<scope>/<variant label>`: how a figure that sweeps its own
+    /// configurations names each one's jobs apart. Simulates nothing
+    /// differently.
+    pub fn scoped(self, scope: impl Into<String>) -> Self {
+        RunCache {
+            scope: Some(scope.into()),
+            ..self
         }
     }
 
@@ -591,16 +600,53 @@ impl RunCache {
         self.ctx.stats()
     }
 
-    /// Memoise `outcome`, journalling it (run journal or failure journal)
-    /// in the context.
-    fn admit(&mut self, name: &'static str, v: Variant, outcome: RunOutcome) {
-        match &outcome {
-            RunOutcome::Ok(report) => self.ctx.journal_run(name, v.label(), report),
-            RunOutcome::Failed {
-                reason, watchdog, ..
-            } => self.ctx.journal_failure(name, v.label(), reason, *watchdog),
+    /// The journal and fault-injection label of `variant`'s jobs.
+    fn label(&self, variant: Variant) -> String {
+        match &self.scope {
+            Some(scope) => format!("{scope}/{}", variant.label()),
+            None => variant.label(),
         }
-        self.runs.insert((name, v), outcome);
+    }
+
+    /// Run every job of `jobs` that `done` does not hold, once each, as
+    /// one isolated batch; journal each failure and return every fresh
+    /// outcome.
+    fn execute<R: Report>(
+        &self,
+        config: SimConfig,
+        jobs: Vec<Job>,
+        done: impl Fn(&Key) -> bool,
+        progress: &(dyn Fn(u64, u64) + Sync),
+    ) -> Vec<(Key, Result<R, Fault>)> {
+        let cfg = config_key(&config);
+        let mut queued: HashSet<Key> = HashSet::new();
+        let todo: Vec<Job> = jobs
+            .into_iter()
+            .filter(|j| {
+                let key = (cfg, j.name, j.variant);
+                !done(&key) && queued.insert(key)
+            })
+            .collect();
+        if todo.is_empty() {
+            return Vec::new();
+        }
+        let total = todo.len() as u64;
+        let finished = AtomicU64::new(0);
+        let ctx = &*self.ctx;
+        let outcomes = pool_map(ctx, &todo, |job| {
+            let outcome = run_job::<R>(ctx, config, job, &self.label(job.variant));
+            progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
+            outcome
+        });
+        todo.into_iter()
+            .zip(outcomes)
+            .map(|(job, outcome)| {
+                if let Err((reason, watchdog)) = &outcome {
+                    ctx.journal_failure(job.name, self.label(job.variant), reason, *watchdog);
+                }
+                ((cfg, job.name, job.variant), outcome)
+            })
+            .collect()
     }
 
     /// Simulate every not-yet-cached `(workload, variant)` pair of `jobs`
@@ -633,29 +679,30 @@ impl RunCache {
     where
         W: Copy + Into<WorkloadRef>,
     {
-        let mut todo: Vec<(WorkloadRef, Variant)> = Vec::new();
-        let mut queued: HashSet<(&'static str, Variant)> = HashSet::new();
-        for &(w, v) in jobs {
-            let w: WorkloadRef = w.into();
-            if !self.runs.contains_key(&(w.name(), v)) && queued.insert((w.name(), v)) {
-                todo.push((w, v));
-            }
+        let jobs = jobs.iter().map(|&(w, v)| Job::new(vec![w.into()], v));
+        let fresh = self.execute(
+            config,
+            jobs.collect(),
+            |k| self.runs.contains_key(k),
+            progress,
+        );
+        let ran = fresh.len();
+        for (key @ (_, workload, variant), outcome) in fresh {
+            let outcome = match outcome {
+                Ok(report) => {
+                    self.ctx.journal_run(workload, self.label(variant), &report);
+                    RunOutcome::Ok(Box::new(report))
+                }
+                Err((reason, watchdog)) => RunOutcome::Failed {
+                    workload,
+                    variant,
+                    reason,
+                    watchdog,
+                },
+            };
+            self.runs.insert(key, outcome);
         }
-        if todo.is_empty() {
-            return 0;
-        }
-        let total = todo.len() as u64;
-        let finished = AtomicU64::new(0);
-        let ctx = &*self.ctx;
-        let outcomes = pool_map(ctx, &todo, true, |&(w, v)| {
-            let outcome = run_job(ctx, config, w, v);
-            progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
-            outcome
-        });
-        for (&(w, v), outcome) in todo.iter().zip(outcomes) {
-            self.admit(w.name(), v, outcome);
-        }
-        todo.len()
+        ran
     }
 
     /// Simulate (or recall) `workload` under `variant`, keeping the fault
@@ -667,18 +714,10 @@ impl RunCache {
         variant: Variant,
     ) -> &RunOutcome {
         let workload = workload.into();
-        let key = (workload.name(), variant);
-        if self.runs.contains_key(&key) {
+        if self.run_batch_refs(config, &[(workload, variant)]) == 0 {
             self.ctx.count(Counter::MemoHits, 1);
-        } else {
-            let ctx = &*self.ctx;
-            let outcome = pool_map(ctx, &[(workload, variant)], false, |&(w, v)| {
-                run_job(ctx, config, w, v)
-            });
-            let outcome = outcome.into_iter().next().expect("one job, one outcome");
-            self.admit(workload.name(), variant, outcome);
         }
-        &self.runs[&key]
+        &self.runs[&(config_key(&config), workload.name(), variant)]
     }
 
     /// Run `workloads × variants` as one batch and return the rows a
@@ -700,28 +739,73 @@ impl RunCache {
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
         self.run_batch_refs(config, &jobs);
+        let cfg = config_key(&config);
         workloads
             .iter()
             .filter_map(|&w| {
                 let name = w.into().name();
                 let reports = variants
                     .iter()
-                    .map(|&v| self.runs.get(&(name, v)).and_then(RunOutcome::report))
+                    .map(|&v| self.runs.get(&(cfg, name, v)).and_then(RunOutcome::report))
                     .collect::<Option<Vec<_>>>()?;
                 Some((w, reports))
             })
             .collect()
     }
 
-    /// Every cached completed run as a JSON array of
-    /// `{workload, variant, report}`, sorted by (workload, variant label)
-    /// for stable output. Failed jobs are in the context's journal, not
+    /// [`RunCache::rows`] for multi-core mixes: run `mixes × variants`
+    /// as one isolated batch, memoising each [`MultiReport`] in the
+    /// context's store, and return every mix whose every variant
+    /// completed, in mix order, with its reports in variant order. A
+    /// mix's jobs journal under its workloads' names joined by `+`.
+    pub fn mix_rows<'m, W>(
+        &mut self,
+        config: SimConfig,
+        mixes: &'m [Vec<W>],
+        variants: &[Variant],
+    ) -> Vec<(&'m [W], Vec<&MultiReport>)>
+    where
+        W: Copy + Into<WorkloadRef>,
+    {
+        let refs: Vec<Vec<WorkloadRef>> = mixes
+            .iter()
+            .map(|mix| mix.iter().map(|&w| w.into()).collect())
+            .collect();
+        let jobs = refs
+            .iter()
+            .flat_map(|mix| variants.iter().map(|&v| Job::new(mix.clone(), v)));
+        let fresh = self.execute(
+            config,
+            jobs.collect(),
+            |k| self.mixes.contains_key(k),
+            &|_, _| {},
+        );
+        self.mixes
+            .extend(fresh.into_iter().map(|(key, outcome)| (key, outcome.ok())));
+        let cfg = config_key(&config);
+        mixes
+            .iter()
+            .zip(refs)
+            .filter_map(|(mix, refs)| {
+                let name = job_name(&refs);
+                let reports = variants
+                    .iter()
+                    .map(|&v| self.mixes.get(&(cfg, name, v)).and_then(Option::as_ref))
+                    .collect::<Option<Vec<_>>>()?;
+                Some((mix.as_slice(), reports))
+            })
+            .collect()
+    }
+
+    /// Every cached completed single-core run as a JSON array of
+    /// `{workload, variant, report}`, sorted by (workload, label) for
+    /// stable output. Failed jobs are in the context's journal, not
     /// here.
     pub fn runs_json(&self) -> Json {
         let mut entries: Vec<(&'static str, String, &RunReport)> = self
             .runs
             .iter()
-            .filter_map(|(&(w, v), outcome)| outcome.report().map(|r| (w, v.label(), r)))
+            .filter_map(|(&(_, w, v), outcome)| outcome.report().map(|r| (w, self.label(v), r)))
             .collect();
         entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         Json::Arr(
@@ -741,6 +825,22 @@ pub fn speedup(ipc: f64, base_ipc: f64) -> f64 {
     } else {
         ipc / base_ipc
     }
+}
+
+/// Each row's speedup of its first report over the first report of the
+/// same workload's row in `base`, in `rows` order — for a figure whose
+/// baseline runs in another configuration or scope. A workload missing
+/// from `base` is a gap.
+pub fn speedups_over(
+    rows: &[(&WorkloadSpec, Vec<&RunReport>)],
+    base: &[(&WorkloadSpec, Vec<&RunReport>)],
+) -> Vec<f64> {
+    rows.iter()
+        .filter_map(|(w, r)| {
+            let (_, b) = base.iter().find(|(bw, _)| bw.name == w.name)?;
+            Some(speedup(r[0].ipc(), b[0].ipc()))
+        })
+        .collect()
 }
 
 /// The process-wide sum of every context's executor counters — what
@@ -886,27 +986,73 @@ mod tests {
     }
 
     #[test]
-    fn isolated_map_preserves_order_and_journals_gaps() {
+    fn mix_rows_keep_order_and_memoise_a_faulted_gap() {
+        let mut config = SimConfig::for_cores(2)
+            .with_warmup(1_000)
+            .with_instructions(4_000);
+        config.seed = quick().seed;
+        let mixes = psa_traces::mixes::random_mixes(3, 2, config.seed);
+        let names = |mix: &[&WorkloadSpec]| mix.iter().map(|w| w.name).collect::<Vec<_>>();
+        let faulted = names(&mixes[1]).join("+");
+        let variants = [
+            Variant::NoPrefetch,
+            Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Original),
+        ];
         let settings = Settings::new(RunnerOptions {
-            threads: Some(4),
-            inject_panic: Some("lbm/square/7".into()),
+            threads: Some(2),
+            inject_panic: Some(format!("{faulted}/mixes/SPP")),
             ..RunnerOptions::default()
         });
-        let items: Vec<u64> = (0..37).collect();
-        let out = parallel_map_isolated(
-            &settings.ctx,
-            &items,
-            |x| JobSpec {
-                workload: "lbm",
-                label: format!("square/{x}"),
-            },
-            |&x, _| Ok(x * x),
+        let mut cache = settings.cache().scoped("mixes");
+        let rows: Vec<(Vec<&str>, Vec<MultiReport>)> = cache
+            .mix_rows(config, &mixes, &variants)
+            .into_iter()
+            .map(|(mix, r)| (names(mix), r.into_iter().cloned().collect()))
+            .collect();
+        let kept = [names(&mixes[0]), names(&mixes[2])];
+        assert_eq!(
+            rows.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+            kept
         );
-        let expect: Vec<Option<u64>> = items.iter().map(|&x| (x != 7).then_some(x * x)).collect();
-        assert_eq!(out, expect);
-        let failures = settings.ctx.failures_json().pretty();
-        assert!(failures.contains("square/7"), "{failures}");
-        assert_eq!(settings.ctx.stats().failed, 1);
+        for (mix, reports) in &rows {
+            assert!(reports.iter().all(|r| &r.workloads == mix));
+            assert_ne!(reports[0], reports[1], "each variant ran");
+        }
+        // The gap is journalled under the mix's name and its scoped label.
+        let failures = settings.ctx.failures_json();
+        let arr = failures.as_arr().unwrap();
+        assert_eq!(arr.len(), 1, "{}", failures.pretty());
+        assert_eq!(arr[0].get("workload").unwrap().as_str(), Some(&*faulted));
+        assert_eq!(arr[0].get("variant").unwrap().as_str(), Some("mixes/SPP"));
+        assert_eq!((cache.stats().simulated, cache.stats().failed), (6, 1));
+        // The failed job is memoised like the rest: asking again runs
+        // nothing and still leaves the faulted mix out.
+        assert_eq!(cache.mix_rows(config, &mixes, &variants).len(), 2);
+        assert_eq!((cache.stats().simulated, cache.stats().failed), (6, 1));
+        // The surviving mixes match a clean serial run.
+        let mut clean = Settings::new(RunnerOptions::default().with_threads(1)).cache();
+        let expect: Vec<Vec<MultiReport>> = clean
+            .mix_rows(config, &mixes, &variants)
+            .into_iter()
+            .filter(|(mix, _)| names(mix).join("+") != faulted)
+            .map(|(_, r)| r.into_iter().cloned().collect())
+            .collect();
+        assert_eq!(rows.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), expect);
+    }
+
+    #[test]
+    fn memo_keys_on_the_configuration() {
+        let v = Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa);
+        let mut slow = quick();
+        slow.dram.mts = 800;
+        let mut cache = RunCache::new();
+        let fast_run = cache.outcome_ref(quick(), lbm(), v).clone();
+        let slow_run = cache.outcome_ref(slow, lbm(), v).clone();
+        let fresh = RunCache::new().outcome_ref(slow, lbm(), v).clone();
+        assert!(slow_run.report().is_some());
+        assert_ne!(slow_run, fast_run, "the second configuration was not run");
+        assert_eq!(slow_run, fresh);
+        assert_eq!(cache.stats().simulated, 2);
     }
 
     #[test]
@@ -1079,11 +1225,12 @@ mod tests {
 
     #[test]
     fn injected_stall_trips_the_watchdog() {
-        let ctx = Context::new(RunnerOptions {
+        let mut cache = Settings::new(RunnerOptions {
             inject_stall: Some("lbm/no-prefetch".into()),
             ..RunnerOptions::default()
-        });
-        match run_job(&ctx, quick(), lbm().into(), Variant::NoPrefetch) {
+        })
+        .cache();
+        match cache.outcome_ref(quick(), lbm(), Variant::NoPrefetch) {
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {

@@ -1,18 +1,18 @@
 //! End-to-end determinism of the tiered checkpoint/result store through
-//! the real executors: finished reports memoised in the memory and disk
-//! tiers, warm snapshots restored from disk, corrupt-store recovery and
+//! the run cache: finished single-core and multi-core reports memoised
+//! in the memory and disk tiers, corrupt-store recovery and
 //! injected-fault storms must all reproduce the cold path bit for bit.
 //!
 //! Each phase runs in its own execution context; a fresh context on the
 //! same directory reopens the store exactly as a fresh process would.
 
 use psa_core::PageSizePolicy;
-use psa_experiments::runner::{self, JobSpec, Variant};
-use psa_experiments::{ckpt, RunnerOptions, Settings};
+use psa_experiments::runner::{self, Variant};
+use psa_experiments::{RunnerOptions, Settings};
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::{SimConfig, System};
+use psa_sim::SimConfig;
 use psa_store::fault::FaultPlan;
-use psa_store::{EntryKind, Store, StoreConfig};
+use psa_store::{Store, StoreConfig};
 use psa_traces::mixes::random_mixes;
 use psa_traces::WorkloadSpec;
 use std::fs;
@@ -132,18 +132,14 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     );
     assert!(!seg_files(&dir).is_empty(), "no store segments written");
 
-    // A memoised run's only artifact is its report: the store holds no
-    // warm snapshot under any run's warm key.
-    let mut store = Store::open(StoreConfig::new(dir.clone()));
-    for (w, v) in jobs() {
-        let key = ckpt::warm_key(&v.build_config(config()), &[w.name], &v.label());
-        assert!(
-            store.get(EntryKind::Warmup, key).is_none(),
-            "{}/{}: a memoised run stored a warm snapshot",
-            w.name,
-            v.label()
-        );
-    }
+    // A memoised run's only artifact is its report: the disk tier holds
+    // exactly one entry per job.
+    let store = Store::open(StoreConfig::new(dir.clone()));
+    assert_eq!(
+        store.disk_entries(),
+        jobs().len(),
+        "one stored report per job, and nothing else"
+    );
     drop(store);
 
     let reopened = on_disk(&dir, None);
@@ -212,57 +208,44 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     }
 }
 
-/// The warm-snapshot path that remains with a disk store: fig14-style
-/// multi-core mix jobs through `parallel_map_isolated` and
-/// `warm_via_checkpoint`. A second fresh context on the same store
-/// restores every warm-up from disk and reproduces the first bit for bit.
+/// Multi-core mixes memoise their reports like single-core runs: a
+/// second fresh context on the same store serves every mix job from
+/// disk, simulates nothing and reproduces the first bit for bit.
 #[test]
-fn isolated_jobs_restore_every_warm_up_from_disk() {
+fn mix_reports_are_served_from_disk() {
     let mut mix_config = SimConfig::for_cores(2);
     mix_config.warmup = config().warmup;
     mix_config.instructions = config().instructions;
     let mixes = random_mixes(2, 2, mix_config.seed);
-    let jobs: Vec<(usize, PageSizePolicy)> = (0..mixes.len())
-        .flat_map(|i| [PageSizePolicy::Original, PageSizePolicy::Psa].map(|p| (i, p)))
-        .collect();
-    let label = |policy| Variant::Pref(PrefetcherKind::Spp, policy).label();
+    let variants = [PageSizePolicy::Original, PageSizePolicy::Psa]
+        .map(|policy| Variant::Pref(PrefetcherKind::Spp, policy));
+    let n = (mixes.len() * variants.len()) as u64;
     let run = |settings: &Settings| -> Vec<String> {
-        runner::parallel_map_isolated(
-            &settings.ctx,
-            &jobs,
-            |&(i, policy)| JobSpec {
-                workload: mixes[i][0].name,
-                label: format!("{}/mix{i}", label(policy)),
-            },
-            |&(i, policy), env| {
-                let cfg = env.config(mix_config);
-                let mix = &mixes[i];
-                let build = move || System::try_multi_core(cfg, mix, PrefetcherKind::Spp, policy);
-                ckpt::warm_via_checkpoint(&settings.ctx, &build, &label(policy))?.try_run_multi()
-            },
-        )
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect()
+        settings
+            .cache()
+            .mix_rows(mix_config, &mixes, &variants)
+            .iter()
+            .map(|row| format!("{row:?}"))
+            .collect()
     };
 
-    let dir = temp_dir("isolated");
+    let dir = temp_dir("mixes");
     let cold = on_disk(&dir, None);
     let first = run(&cold);
     let stats = cold.ctx.stats();
     drop(cold);
-    assert!(first.iter().all(|r| r.starts_with("Some(")), "{first:?}");
-    assert_eq!((stats.ckpt_hits, stats.failed), (0, 0));
+    assert_eq!(first.len(), mixes.len(), "a mix job failed: {first:?}");
+    assert_eq!((stats.simulated, stats.ckpt_hits, stats.failed), (n, 0, 0));
 
     let warm = on_disk(&dir, None);
     let second = run(&warm);
     let stats = warm.ctx.stats();
     drop(warm);
-    assert_eq!(second, first, "disk-restored warm-ups diverged");
+    assert_eq!(second, first, "disk-served mix reports diverged");
     assert_eq!(
-        stats.ckpt_hits,
-        jobs.len() as u64,
-        "every warm-up should be restored from disk"
+        (stats.simulated, stats.ckpt_hits),
+        (0, n),
+        "every mix job should be served from the store"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -310,15 +310,37 @@ fn fig10_drops_the_faulted_workload() {
 
 #[test]
 fn fig12_drops_the_faulted_workload_on_one_knob() {
-    let (faulty, clean, w) = second_workload_faulted("SPP-PSA-SD");
+    let (faulty, clean, w) = second_workload_faulted("fig12/800 MT/s/SPP-PSA-SD");
     let sweep = |settings: &Settings| {
         let knobs = [fig12::Knob::DramMts(800)];
         let cells = fig12::collect(settings, &[PrefetcherKind::Spp], &knobs);
         cells.iter().map(|c| (c.psa, c.psa_sd)).collect::<Vec<_>>()
     };
     let cells = sweep(&faulty);
-    assert_only_failure(&faulty, w, "SPP-PSA-SD");
+    assert_only_failure(&faulty, w, "fig12/800 MT/s/SPP-PSA-SD");
     assert_eq!(cells, sweep(&clean));
+}
+
+#[test]
+fn fig12_journals_each_knobs_failures_apart() {
+    let w = Settings::new(tiny(2)).workloads()[1].name;
+    let faulty = Settings::new(RunnerOptions {
+        inject_panic: Some(w.into()),
+        ..tiny(2)
+    });
+    let knobs = [fig12::Knob::DramMts(800), fig12::Knob::DramMts(3200)];
+    fig12::collect(&faulty, &[PrefetcherKind::Spp], &knobs);
+    let failures = faulty.ctx.failures_json();
+    let labels: Vec<&str> = failures
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|f| f.get("variant").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(faulty.ctx.stats().failed, 6, "three variants on two knobs");
+    assert_eq!(labels.len(), 6, "one entry per failed job: {labels:?}");
+    assert!(labels.contains(&"fig12/800 MT/s/SPP"), "{labels:?}");
+    assert!(labels.contains(&"fig12/3200 MT/s/SPP-PSA-SD"), "{labels:?}");
 }
 
 #[test]

@@ -1,7 +1,9 @@
-//! Fault isolation for the `parallel_map_isolated` figure paths:
-//! injected panics and watchdog stalls inside fig11-style and
-//! fig14-style jobs must become explicit gaps plus `failures` entries,
-//! while untouched cells stay bit-identical to a clean run.
+//! Fault isolation for the figures that sweep their own configurations
+//! and mixes: injected panics and watchdog stalls inside fig11's scoped
+//! jobs (`<workload>/fig11/<logic>/<variant>`) and fig14-style mix jobs
+//! (`<workload>+<workload>/<variant>`) must become explicit gaps plus
+//! `failures` entries, while untouched cells stay bit-identical to a
+//! clean run.
 
 use psa_experiments::{fig11, fig1415, RunnerOptions, Settings};
 use psa_sim::SimConfig;
@@ -37,10 +39,16 @@ fn injected_faults_in_fig11_jobs_become_gaps_and_failures() {
     let clean = fig11::collect(&clean_settings);
 
     // Panic one SPP/SD-Proposed cell and stall one VLDP/SD-Standard cell;
-    // injection matches on `<workload>/<job label>`.
+    // injection matches on `<workload>/<scope>/<variant label>`.
     let faulty_settings = settings(
-        Some(format!("{}/fig11/SPP/SD-Proposed", workloads[0].name)),
-        Some(format!("{}/fig11/VLDP/SD-Standard", workloads[1].name)),
+        Some(format!(
+            "{}/fig11/SD-Proposed/SPP-PSA-SD",
+            workloads[0].name
+        )),
+        Some(format!(
+            "{}/fig11/SD-Standard/VLDP-PSA-SD",
+            workloads[1].name
+        )),
     );
     let faulty = fig11::collect(&faulty_settings);
 
@@ -66,9 +74,15 @@ fn injected_faults_in_fig11_jobs_become_gaps_and_failures() {
         "the stall is aborted by the forward-progress watchdog"
     );
     let journal = faulty_settings.ctx.failures_json().pretty();
-    assert!(journal.contains("fig11/SPP/SD-Proposed"), "{journal}");
+    assert!(
+        journal.contains("fig11/SD-Proposed/SPP-PSA-SD"),
+        "{journal}"
+    );
     assert!(journal.contains("injected panic"), "{journal}");
-    assert!(journal.contains("fig11/VLDP/SD-Standard"), "{journal}");
+    assert!(
+        journal.contains("fig11/SD-Standard/VLDP-PSA-SD"),
+        "{journal}"
+    );
     assert!(journal.contains("\"watchdog\": true"), "{journal}");
     assert_eq!(clean_settings.ctx.stats().failed, 0);
 }
@@ -76,9 +90,13 @@ fn injected_faults_in_fig11_jobs_become_gaps_and_failures() {
 #[test]
 fn injected_stall_in_a_mix_job_becomes_a_gap_and_a_failure() {
     // The injected label must name the job exactly: the SPP-PSA-SD
-    // evaluation of mix 0, keyed by the mix's first workload.
-    let mix_w = random_mixes(2, 2, quick().seed)[0][0].name;
-    let settings = settings(None, Some(format!("{mix_w}/spp-s/mix0")));
+    // evaluation of mix 0, keyed by the mix's workloads joined by `+`.
+    let mix = random_mixes(2, 2, quick().seed)[0]
+        .iter()
+        .map(|w| w.name)
+        .collect::<Vec<_>>()
+        .join("+");
+    let settings = settings(None, Some(format!("{mix}/SPP-PSA-SD")));
     let bars = fig1415::collect(&settings, 2);
 
     assert_eq!(bars.len(), 7, "every bar renders despite the fault");
@@ -94,5 +112,9 @@ fn injected_stall_in_a_mix_job_becomes_a_gap_and_a_failure() {
     let stats = settings.ctx.stats();
     assert_eq!((stats.failed, stats.watchdog_aborted), (1, 1));
     let journal = settings.ctx.failures_json().pretty();
-    assert!(journal.contains("spp-s/mix0"), "{journal}");
+    assert!(
+        journal.contains(&format!("\"workload\": \"{mix}\"")),
+        "{journal}"
+    );
+    assert!(journal.contains("\"variant\": \"SPP-PSA-SD\""), "{journal}");
 }

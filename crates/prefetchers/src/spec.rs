@@ -10,14 +10,13 @@
 //! centralised in [`ModuleSpec::build_module`]. Variants are data, not
 //! code.
 
-use psa_common::{CodecError, Dec, Enc, Persist};
 use psa_core::dueling::SdConfigError;
 use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleConfig, PageSizePolicy, PsaModule, SdConfig};
 
 use crate::PrefetcherKind;
 
-/// A declarative, persistable description of the L2C prefetching module
+/// A declarative, hashable description of the L2C prefetching module
 /// a simulated core should carry: the family, the page-size policy, and
 /// per-family tuning knobs. `Default` is *no prefetching* — the
 /// baseline — so an untouched `SimConfig` behaves exactly as before.
@@ -100,68 +99,9 @@ impl ModuleSpec {
     }
 }
 
-/// The spec travels inside checkpoint headers, so its encoding is part
-/// of the snapshot format: kind as a 1-based index into
-/// [`PrefetcherKind::ALL`] (0 = baseline), policy as an index into
-/// [`PageSizePolicy::ALL`] — both append-only canonical orders — then
-/// the raw scale byte.
-impl Persist for ModuleSpec {
-    fn save(&self, e: &mut Enc) {
-        let kind_code = match self.kind {
-            None => 0u8,
-            Some(kind) => {
-                let idx = PrefetcherKind::ALL
-                    .iter()
-                    .position(|&k| k == kind)
-                    .expect("every kind is in ALL");
-                idx as u8 + 1
-            }
-        };
-        e.put_u8(kind_code);
-        let policy_idx = PageSizePolicy::ALL
-            .iter()
-            .position(|&p| p == self.policy)
-            .expect("every policy is in ALL");
-        e.put_u8(policy_idx as u8);
-        e.put_u8(self.storage_scale);
-    }
-
-    fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
-        let kind_code = d.get_u8()?;
-        self.kind = match kind_code {
-            0 => None,
-            n => Some(
-                *PrefetcherKind::ALL
-                    .get(usize::from(n) - 1)
-                    .ok_or(CodecError::Corrupt("module spec kind out of range"))?,
-            ),
-        };
-        let policy_idx = d.get_u8()?;
-        self.policy = *PageSizePolicy::ALL
-            .get(usize::from(policy_idx))
-            .ok_or(CodecError::Corrupt("module spec policy out of range"))?;
-        self.storage_scale = d.get_u8()?;
-        if self.storage_scale == 0 {
-            return Err(CodecError::Corrupt("module spec scale must be positive"));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(spec: ModuleSpec) -> ModuleSpec {
-        let mut e = Enc::new();
-        spec.save(&mut e);
-        let bytes = e.into_bytes();
-        let mut out = ModuleSpec::default();
-        let mut d = Dec::new(&bytes);
-        out.load(&mut d).expect("clean load");
-        assert_eq!(d.remaining(), 0, "all spec bytes consumed");
-        out
-    }
 
     #[test]
     fn default_is_the_baseline() {
@@ -177,43 +117,6 @@ mod tests {
             )
             .unwrap();
         assert!(module.is_none(), "no kind, no module");
-    }
-
-    #[test]
-    fn persists_over_the_full_domain() {
-        for kind in PrefetcherKind::ALL {
-            for policy in PageSizePolicy::ALL {
-                for scale in [1u8, 2, 7] {
-                    let spec = ModuleSpec::pref(kind, policy).with_storage_scale(scale);
-                    assert_eq!(roundtrip(spec), spec);
-                }
-            }
-        }
-        assert_eq!(roundtrip(ModuleSpec::none()), ModuleSpec::none());
-    }
-
-    #[test]
-    fn zero_scale_is_rejected_on_load() {
-        let mut e = Enc::new();
-        e.put_u8(1);
-        e.put_u8(0);
-        e.put_u8(0); // scale 0 can only come from corruption
-        let bytes = e.into_bytes();
-        let mut spec = ModuleSpec::default();
-        assert!(spec.load(&mut Dec::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn out_of_range_codes_are_corrupt() {
-        for (kind_code, policy_code) in [(200u8, 0u8), (1, 200)] {
-            let mut e = Enc::new();
-            e.put_u8(kind_code);
-            e.put_u8(policy_code);
-            e.put_u8(1);
-            let bytes = e.into_bytes();
-            let mut spec = ModuleSpec::default();
-            assert!(spec.load(&mut Dec::new(&bytes)).is_err());
-        }
     }
 
     #[test]

@@ -12,11 +12,6 @@ pub fn terminated() -> bool {
     TERMINATED.load(Ordering::SeqCst)
 }
 
-/// Test hook: simulate signal delivery in-process.
-pub fn raise() {
-    TERMINATED.store(true, Ordering::SeqCst);
-}
-
 #[allow(unsafe_code)]
 mod ffi {
     use super::{Ordering, TERMINATED};

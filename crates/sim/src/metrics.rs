@@ -140,10 +140,7 @@ impl RunReport {
     /// the store's frame checksum guards the bytes, this guards the
     /// *meaning*.
     pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.put_u32(REPORT_CODEC_VERSION);
-        e.put_usize(self.workload.len());
-        e.put_bytes(self.workload.as_bytes());
+        let mut e = store_header(self.workload);
         self.instructions.save(&mut e);
         self.cycles.save(&mut e);
         self.l2c.save(&mut e);
@@ -168,33 +165,8 @@ impl RunReport {
     /// version, or a workload-name mismatch — callers treat all of
     /// them as a cache miss and re-run the simulation.
     pub fn from_store_bytes(bytes: &[u8], workload: &'static str) -> Result<Self, SimError> {
-        fn ck(e: CheckpointError) -> SimError {
-            SimError::Checkpoint(e)
-        }
-        fn codec(e: psa_common::codec::CodecError) -> SimError {
-            use psa_common::codec::CodecError;
-            ck(match e {
-                CodecError::Eof => CheckpointError::Truncated,
-                CodecError::Corrupt(what) => CheckpointError::Corrupt(what),
-            })
-        }
         let mut d = Dec::new(bytes);
-        let version = d.get_u32().map_err(codec)?;
-        if version != REPORT_CODEC_VERSION {
-            return Err(ck(CheckpointError::VersionMismatch {
-                found: version,
-                expected: REPORT_CODEC_VERSION,
-            }));
-        }
-        let name_len = d.get_len().map_err(codec)?;
-        if name_len != workload.len() {
-            return Err(ck(CheckpointError::Corrupt("report workload name")));
-        }
-        for expected in workload.as_bytes() {
-            if d.get_u8().map_err(codec)? != *expected {
-                return Err(ck(CheckpointError::Corrupt("report workload name")));
-            }
-        }
+        check_store_header(&mut d, workload)?;
         let mut r = RunReport {
             workload,
             instructions: 0,
@@ -222,10 +194,60 @@ impl RunReport {
         r.huge_usage.load(&mut d).map_err(codec)?;
         r.thp_series.load(&mut d).map_err(codec)?;
         r.debug.load(&mut d).map_err(codec)?;
-        if d.remaining() != 0 {
-            return Err(ck(CheckpointError::Corrupt("trailing bytes after report")));
-        }
+        check_drained(&d)?;
         Ok(r)
+    }
+}
+
+/// Start a memoised report's bytes: the codec version, then the name of
+/// the run's workload (a mix's names joined by `+`).
+fn store_header(name: &str) -> Enc {
+    let mut e = Enc::new();
+    e.put_u32(REPORT_CODEC_VERSION);
+    e.put_usize(name.len());
+    e.put_bytes(name.as_bytes());
+    e
+}
+
+/// Read [`store_header`]'s fields, refusing a foreign codec version or a
+/// report of another run.
+fn check_store_header(d: &mut Dec, name: &str) -> Result<(), SimError> {
+    let version = d.get_u32().map_err(codec)?;
+    if version != REPORT_CODEC_VERSION {
+        return Err(SimError::Checkpoint(CheckpointError::VersionMismatch {
+            found: version,
+            expected: REPORT_CODEC_VERSION,
+        }));
+    }
+    let name_len = d.get_len().map_err(codec)?;
+    if name_len != name.len() {
+        return Err(corrupt("report workload name"));
+    }
+    for expected in name.as_bytes() {
+        if d.get_u8().map_err(codec)? != *expected {
+            return Err(corrupt("report workload name"));
+        }
+    }
+    Ok(())
+}
+
+/// Refuse bytes left over after a decoded report.
+fn check_drained(d: &Dec) -> Result<(), SimError> {
+    if d.remaining() != 0 {
+        return Err(corrupt("trailing bytes after report"));
+    }
+    Ok(())
+}
+
+fn corrupt(what: &'static str) -> SimError {
+    SimError::Checkpoint(CheckpointError::Corrupt(what))
+}
+
+fn codec(e: psa_common::codec::CodecError) -> SimError {
+    use psa_common::codec::CodecError;
+    match e {
+        CodecError::Eof => SimError::Checkpoint(CheckpointError::Truncated),
+        CodecError::Corrupt(what) => corrupt(what),
     }
 }
 
@@ -245,6 +267,46 @@ pub struct MultiReport {
     pub llc: CacheStats,
     /// DRAM counters over the fully-warm window.
     pub dram: DramStats,
+}
+
+impl MultiReport {
+    /// Encode this report for the tiered result store, under the same
+    /// version-and-name header as [`RunReport::to_store_bytes`]: the
+    /// name is the per-core workloads joined by `+`.
+    pub fn to_store_bytes(&self) -> Vec<u8> {
+        let mut e = store_header(&self.workloads.join("+"));
+        self.ipc.save(&mut e);
+        self.llc.save(&mut e);
+        self.dram.save(&mut e);
+        e.into_bytes()
+    }
+
+    /// Decode a report previously written by
+    /// [`MultiReport::to_store_bytes`], for the mix `workloads`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Checkpoint`] on truncation, trailing bytes, a
+    /// foreign codec version, another mix's workload names, or an IPC
+    /// count other than one per core.
+    pub fn from_store_bytes(bytes: &[u8], workloads: &[&'static str]) -> Result<Self, SimError> {
+        let mut d = Dec::new(bytes);
+        check_store_header(&mut d, &workloads.join("+"))?;
+        let mut r = MultiReport {
+            workloads: workloads.to_vec(),
+            ipc: Vec::new(),
+            llc: CacheStats::default(),
+            dram: DramStats::default(),
+        };
+        r.ipc.load(&mut d).map_err(codec)?;
+        if r.ipc.len() != workloads.len() {
+            return Err(corrupt("mix report IPC count"));
+        }
+        r.llc.load(&mut d).map_err(codec)?;
+        r.dram.load(&mut d).map_err(codec)?;
+        check_drained(&d)?;
+        Ok(r)
+    }
 }
 
 #[cfg(test)]
@@ -329,6 +391,50 @@ mod tests {
         wrong_version[0] ^= 0xff;
         let err = RunReport::from_store_bytes(&wrong_version, "t").expect_err("version");
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    fn mix() -> MultiReport {
+        MultiReport {
+            workloads: vec!["a", "b"],
+            ipc: vec![0.75, 1.5],
+            llc: CacheStats {
+                demand_misses: 12,
+                ..Default::default()
+            },
+            dram: DramStats {
+                row_hits: 3,
+                ..Default::default()
+            },
+        }
+    }
+
+    #[test]
+    fn mix_store_bytes_roundtrip_bit_identical() {
+        let r = mix();
+        let back = MultiReport::from_store_bytes(&r.to_store_bytes(), &["a", "b"]).expect("decode");
+        assert_eq!(r, back);
+    }
+
+    #[test]
+    fn mix_store_bytes_reject_wrong_workloads_version_damage_and_ipc_count() {
+        let bytes = mix().to_store_bytes();
+        let decode = |bytes: &[u8]| MultiReport::from_store_bytes(bytes, &["a", "b"]);
+        assert!(MultiReport::from_store_bytes(&bytes, &["b", "a"]).is_err());
+        assert!(MultiReport::from_store_bytes(&bytes, &["a"]).is_err());
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        let mut extra = bytes.clone();
+        extra.push(0);
+        assert!(decode(&extra).is_err());
+        let mut wrong_version = bytes;
+        wrong_version[0] ^= 0xff;
+        let err = decode(&wrong_version).expect_err("version");
+        assert!(err.to_string().contains("version"), "{err}");
+        let three = MultiReport {
+            ipc: vec![0.75, 1.5, 2.0],
+            ..mix()
+        };
+        let err = decode(&three.to_store_bytes()).expect_err("IPC count");
+        assert!(err.to_string().contains("IPC count"), "{err}");
     }
 
     #[test]

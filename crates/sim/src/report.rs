@@ -1,6 +1,6 @@
 //! Structured (JSON) export of simulation reports.
 //!
-//! Every counter the simulator produces — [`RunReport`], [`MultiReport`],
+//! Every single-core counter the simulator produces — [`RunReport`],
 //! [`CacheStats`], [`DramStats`], [`ModuleStats`], [`BoundaryStats`] — can
 //! be serialized to JSON through the hand-rolled [`Json`] value type, so
 //! experiment harnesses emit machine-readable `BENCH_<figure>.json` files
@@ -30,7 +30,7 @@
 //! assert_eq!(Json::parse(&text).unwrap(), doc);
 //! ```
 
-use crate::metrics::{MultiReport, RunReport};
+use crate::metrics::RunReport;
 use crate::SimConfig;
 use psa_cache::CacheStats;
 use psa_core::boundary::BoundaryStats;
@@ -577,22 +577,6 @@ pub fn run_report(r: &RunReport) -> Json {
     ])
 }
 
-/// A [`MultiReport`] as an object (per-core IPCs plus shared counters).
-pub fn multi_report(r: &MultiReport) -> Json {
-    Json::obj([
-        (
-            "workloads",
-            Json::Arr(r.workloads.iter().map(|w| Json::str(*w)).collect()),
-        ),
-        (
-            "ipc",
-            Json::Arr(r.ipc.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        ("llc", cache_stats(&r.llc)),
-        ("dram", dram_stats(&r.dram)),
-    ])
-}
-
 /// The run-relevant [`SimConfig`] knobs, embedded in every emitted document
 /// so a result file is interpretable on its own.
 pub fn sim_config(c: &SimConfig) -> Json {
@@ -750,17 +734,5 @@ mod tests {
         let mut s = String::new();
         write_number(&mut s, f64::NAN);
         assert_eq!(s, "null");
-    }
-
-    #[test]
-    fn multi_report_serializes() {
-        let doc = multi_report(&MultiReport {
-            workloads: vec!["a", "b"],
-            ipc: vec![1.0, 2.0],
-            llc: CacheStats::default(),
-            dram: DramStats::default(),
-        });
-        assert_eq!(doc.get("ipc").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
     }
 }

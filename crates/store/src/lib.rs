@@ -438,11 +438,6 @@ impl Store {
         &self.recovery
     }
 
-    /// True once a permanent fault has degraded the disk tier.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Live disk-tier frame bytes.
     pub fn disk_bytes(&self) -> u64 {
         self.live_bytes

@@ -1,66 +1,15 @@
-//! Concurrency wrappers for serving one [`Store`] to many threads.
+//! Concurrency helpers for serving one store to many threads.
 //!
-//! The store itself is single-owner (`&mut self` everywhere) because
-//! its disk tier mutates a manifest; a server wants one durable
-//! instance shared across worker and connection threads. Two pieces:
-//!
-//! * [`SharedStore`] — a clone-able `Arc<Mutex<Store>>` handle whose
-//!   `get`/`put` take `&self`. All callers funnel through one mutex;
-//!   payloads are `Arc<Vec<u8>>` so the lock is held only for the
-//!   lookup, never while a caller consumes bytes.
-//! * [`InFlight`] — a keyed single-flight registry: the first caller
-//!   for a key becomes the *leader* and computes the value, every
-//!   concurrent or later caller for the same key *joins* the finished
-//!   (or registered) entry instead of recomputing. This is the
-//!   server-side dedup layer: N identical job submissions cost one
-//!   simulation.
+//! [`InFlight`] is a keyed single-flight registry: the first caller for
+//! a key becomes the *leader* and computes the value, every concurrent
+//! or later caller for the same key *joins* the finished (or
+//! registered) entry instead of recomputing. This is the server-side
+//! dedup layer: N identical job submissions cost one simulation.
 
-use crate::{EntryKind, Store, StoreError, Tier};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A clone-able, thread-safe handle to one [`Store`].
-#[derive(Clone)]
-pub struct SharedStore {
-    inner: Arc<Mutex<Store>>,
-}
-
-impl SharedStore {
-    /// Wrap an opened store in a shareable handle.
-    pub fn new(store: Store) -> Self {
-        SharedStore {
-            inner: Arc::new(Mutex::new(store)),
-        }
-    }
-
-    /// Thread-safe [`Store::get`].
-    pub fn get(&self, kind: EntryKind, key: u64) -> Option<(Arc<Vec<u8>>, Tier)> {
-        self.lock().get(kind, key)
-    }
-
-    /// Thread-safe [`Store::put`].
-    pub fn put(&self, kind: EntryKind, key: u64, payload: Arc<Vec<u8>>) -> Result<(), StoreError> {
-        self.lock().put(kind, key, payload)
-    }
-
-    /// Run `f` with the locked store (for multi-call sequences that
-    /// must observe one consistent state).
-    pub fn with<R>(&self, f: impl FnOnce(&mut Store) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Store> {
-        // A poisoned store mutex means a panic mid-put; the store's
-        // own contract (right bytes or nothing) still holds, so keep
-        // serving rather than wedging every caller.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
+use std::sync::Mutex;
 
 /// Outcome of [`InFlight::try_enter`].
 #[derive(Debug)]
@@ -176,35 +125,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Default for InFlight<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StoreConfig;
     use std::sync::Barrier;
-
-    #[test]
-    fn shared_store_round_trips_across_threads() {
-        let dir = std::env::temp_dir().join(format!("psa-sync-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let shared = SharedStore::new(Store::open(StoreConfig::new(&dir)));
-        let threads = 8;
-        let barrier = Barrier::new(threads);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let shared = shared.clone();
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    let key = t as u64;
-                    let payload = Arc::new(vec![t as u8; 64]);
-                    shared
-                        .put(EntryKind::Document, key, Arc::clone(&payload))
-                        .expect("put");
-                    let (got, _) = shared.get(EntryKind::Document, key).expect("get");
-                    assert_eq!(*got, *payload);
-                });
-            }
-        });
-        assert_eq!(shared.with(|s| s.mem_entries()), threads);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn in_flight_has_exactly_one_leader_per_key() {

@@ -156,8 +156,8 @@ pub trait WorkloadSource: fmt::Debug + Send {
 
 /// Intern a string, returning a `'static` reference. Each distinct
 /// string leaks exactly once; repeated calls return the same pointer.
-/// Bounded in practice by the set of distinct trace files a process
-/// touches.
+/// Bounded in practice by the distinct trace files and multi-core mixes
+/// a process names.
 pub fn intern(s: &str) -> &'static str {
     static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut table = INTERNED.lock().expect("unpoisoned intern table");
