@@ -199,6 +199,10 @@ golden_gate fig14_multicore4 fig14 crates/experiments/tests/golden/fig14_stable.
 # doubled-storage (ISO Storage) prefetcher.
 golden_gate fig11_selection_logic fig11 crates/experiments/tests/golden/fig11_stable.json \
   PSA_WORKLOAD_LIMIT=2
+# Figure 3's huge-page share over time: the only golden that reads the
+# address spaces' demand paging directly (nine workloads, from all-huge
+# lbm to mostly-4KB soplex).
+golden_gate fig03_thp_usage fig03 crates/experiments/tests/golden/fig03_stable.json
 
 # Trace-replay gate (see docs/TRACES.md): the committed sample trace
 # must be (a) byte-identical to what `psa_trace_tool gen` deterministically

@@ -62,7 +62,19 @@ use crate::system::System;
 /// ways, or whose empty way carries status or source bits, is corrupt.
 /// Address spaces keep one touched-chunk bitmap per huge region instead
 /// of the set of touched 4KB chunks.
-pub const SNAPSHOT_VERSION: u32 = 5;
+///
+/// Version 6: a page-table node writes its present entries in index
+/// order, each as its index and its PTE word, and an address space no
+/// longer writes its copy of every 4KB translation (nor its mapped-byte
+/// totals, which the table's leaves give); a 4KB-backed region names
+/// the PT node holding its leaves. A page table that is not the
+/// tree the mapper builds is corrupt: an entry index of 512 or more, a
+/// table entry naming a node out of range or not after its parent, a
+/// leaf not aligned to its size or at another size's level. So is a
+/// frame allocator whose region or slot lists `alloc` could not have
+/// left, and a generator whose components differ from the ones its spec
+/// and seed build.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

@@ -75,13 +75,37 @@ psa_common::persist_struct!(Component {
 
 // `spec`, `weights` and `weight_total` are configuration; the RNG stream
 // position, all component cursors and the filler debt are the generator's
-// state.
-psa_common::persist_struct!(TraceGenerator {
-    rng,
-    comps,
-    filler_left,
-    count,
-});
+// state. A component's base, length, stride and cursor count are fixed
+// when the generator is built, so a load must find the ones the generator
+// rebuilt from the same spec and seed holds, and a cursor index inside
+// its cursors.
+impl psa_common::Persist for TraceGenerator {
+    fn save(&self, e: &mut psa_common::Enc) {
+        self.rng.save(e);
+        self.comps.save(e);
+        self.filler_left.save(e);
+        self.count.save(e);
+    }
+
+    fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
+        let shape = |c: &Component| (c.base, c.lines, c.stride, c.cursors.len());
+        let rebuilt = self.comps.each_ref().map(shape);
+        self.rng.load(d)?;
+        self.comps.load(d)?;
+        if self.comps.iter().map(shape).ne(rebuilt) {
+            return Err(psa_common::CodecError::Corrupt(
+                "generator component differs from its spec",
+            ));
+        }
+        if self.comps.iter().any(|c| c.next_cursor >= c.cursors.len()) {
+            return Err(psa_common::CodecError::Corrupt(
+                "generator cursor index out of range",
+            ));
+        }
+        self.filler_left.load(d)?;
+        self.count.load(d)
+    }
+}
 
 impl TraceGenerator {
     /// Build the generator for `spec`, streaming deterministically from
@@ -590,5 +614,87 @@ mod tests {
                 assert!(off / 64 < region_lines);
             }
         }
+    }
+
+    /// A mixed-component generator advanced `n` instructions.
+    fn advanced(n: usize) -> (WorkloadSpec, TraceGenerator) {
+        let s = spec(
+            PatternMix {
+                stream: 1.0,
+                stride_small: 1.0,
+                subpage_grain: 1.0,
+                pointer_chase: 1.0,
+                random: 1.0,
+                ..Default::default()
+            },
+            0.4,
+        );
+        let mut g = TraceGenerator::new(&s, 31);
+        g.by_ref().take(n).for_each(drop);
+        (s, g)
+    }
+
+    /// Save `g` after `damage` and load it into a generator rebuilt from
+    /// the same spec and seed.
+    fn reload(
+        s: &WorkloadSpec,
+        mut g: TraceGenerator,
+        damage: impl FnOnce(&mut TraceGenerator),
+    ) -> Result<TraceGenerator, psa_common::CodecError> {
+        use psa_common::Persist;
+        damage(&mut g);
+        let mut e = psa_common::Enc::new();
+        g.save(&mut e);
+        let mut back = TraceGenerator::new(s, 31);
+        back.load(&mut psa_common::Dec::new(&e.into_bytes()))?;
+        Ok(back)
+    }
+
+    #[test]
+    fn reload_resumes_the_same_stream() {
+        let (s, g) = advanced(3_000);
+        let back = reload(&s, g, |_| {}).unwrap();
+        let (_, straight) = advanced(3_000);
+        assert_eq!(
+            back.take(5_000).collect::<Vec<_>>(),
+            straight.take(5_000).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn component_unlike_the_rebuilt_generator_is_corrupt() {
+        let damages: [fn(&mut TraceGenerator); 5] = [
+            // Loaded as is, the next access would divide by zero lines.
+            |g| g.comps[STREAM].lines = 0,
+            |g| g.comps[RANDOM].lines += 1,
+            |g| g.comps[CHASE].base = 0,
+            |g| g.comps[STRIDE_SMALL].stride += 1,
+            |g| g.comps[SUBPAGE].cursors.push(0),
+        ];
+        for damage in damages {
+            let (s, g) = advanced(500);
+            let err = reload(&s, g, damage).unwrap_err();
+            assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn cursor_index_past_the_cursors_is_corrupt() {
+        for comp in [STREAM, HOT] {
+            let (s, g) = advanced(500);
+            let err = reload(&s, g, |g| {
+                g.comps[comp].next_cursor = g.comps[comp].cursors.len();
+            })
+            .unwrap_err();
+            assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        }
+        // Fewer cursors than the index names: an out-of-bounds read.
+        let (s, g) = advanced(500);
+        let err = reload(&s, g, |g| {
+            g.comps[STREAM].cursors.truncate(1);
+            g.comps[STREAM].next_cursor = 2;
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
     }
 }

@@ -35,7 +35,7 @@ impl Default for AspaceConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 enum RegionBacking {
     /// Region backed by one 2MB page.
     Huge {
@@ -43,9 +43,15 @@ enum RegionBacking {
         /// One bit per 4KB chunk of the page touched so far.
         touched: [u64; 8],
     },
-    /// Region faulted as individual 4KB pages.
-    #[default]
-    Small,
+    /// Region faulted as individual 4KB pages, whose leaves all sit in
+    /// page-table node `node`: a hit reads its PTE word directly.
+    Small { node: u32 },
+}
+
+impl Default for RegionBacking {
+    fn default() -> Self {
+        RegionBacking::Small { node: 0 }
+    }
 }
 
 impl psa_common::Persist for RegionBacking {
@@ -59,7 +65,10 @@ impl psa_common::Persist for RegionBacking {
                 translation.save(e);
                 touched.save(e);
             }
-            RegionBacking::Small => e.put_u8(1),
+            RegionBacking::Small { node } => {
+                e.put_u8(1);
+                node.save(e);
+            }
         }
     }
     fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
@@ -74,7 +83,7 @@ impl psa_common::Persist for RegionBacking {
                     touched,
                 }
             }
-            1 => RegionBacking::Small,
+            1 => RegionBacking::Small { node: d.get_u32()? },
             _ => return Err(psa_common::CodecError::Corrupt("region backing tag")),
         };
         Ok(())
@@ -97,42 +106,68 @@ pub struct AddressSpace {
     config: AspaceConfig,
     page_table: Option<PageTable>,
     regions: FxHashMap<u64, RegionBacking>,
-    /// Fast-path mapping cache for 4KB pages (region → vpage → translation).
-    small_pages: FxHashMap<u64, Translation>,
     /// Distinct 4KB-page-sized chunks touched inside huge-backed regions —
     /// the touch-weighted usage metric (see [`Self::huge_usage_fraction`]).
     /// The running total of the regions' bitmaps: derived, never persisted.
     touched_in_huge: u64,
-    bytes_4k: u64,
-    bytes_2m: u64,
     /// One-entry MRU cache: the last translated 4KB virtual page number
     /// and its translation. Mappings are never removed or changed once
-    /// established, so a hit can return without touching the hash maps —
-    /// and bursty access streams hit almost every time. Derived state:
-    /// invalidated on restore, never persisted.
+    /// established, so a hit can return without a region lookup or a
+    /// table lookup — and bursty access streams hit almost every time.
+    /// Derived state: invalidated on restore, never persisted.
     last_vpage: u64,
     last_trans: Option<Translation>,
 }
 
 // The THP policy knobs (`config`) are rebuilt from the simulation
-// configuration; everything the demand pager has learned is state. The
-// touched-chunk total and the MRU fields are derived: excluded from the
-// byte stream, recounted from the region bitmaps and invalidated on load.
+// configuration; everything the demand pager has learned is state: the
+// page table and each region's backing. The touched-chunk total and the
+// MRU fields are derived: excluded from the byte stream, recounted from
+// the region bitmaps and invalidated on load. A huge region must be
+// exactly the 2MB leaf the table holds for it, the table may hold no
+// other 2MB leaf, and a small region must name the PT node the table
+// reaches for it.
 impl Persist for AddressSpace {
     fn save(&self, e: &mut psa_common::Enc) {
         self.page_table.save(e);
         self.regions.save(e);
-        self.small_pages.save(e);
-        self.bytes_4k.save(e);
-        self.bytes_2m.save(e);
     }
 
     fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
         self.page_table.load(d)?;
         self.regions.load(d)?;
-        self.small_pages.load(d)?;
-        self.bytes_4k.load(d)?;
-        self.bytes_2m.load(d)?;
+        let mut huge = 0;
+        for (&region, backing) in &self.regions {
+            match *backing {
+                RegionBacking::Huge { translation, .. } => {
+                    let leaf = self
+                        .page_table
+                        .as_ref()
+                        .and_then(|pt| pt.translate(translation.vbase));
+                    if translation.vbase.page_number(PageSize::Size2M) != region
+                        || leaf != Some(translation)
+                    {
+                        return Err(psa_common::CodecError::Corrupt(
+                            "huge region disagrees with its page-table leaf",
+                        ));
+                    }
+                    huge += 1;
+                }
+                RegionBacking::Small { node } => {
+                    let base = VAddr::new(region.wrapping_mul(PageSize::Size2M.bytes()));
+                    if self.node_at(base, 3) != Some(node) {
+                        return Err(psa_common::CodecError::Corrupt(
+                            "small region names another page-table node",
+                        ));
+                    }
+                }
+            }
+        }
+        if huge != self.mapped_pages(PageSize::Size2M) {
+            return Err(psa_common::CodecError::Corrupt(
+                "2MB page-table leaf without a huge region",
+            ));
+        }
         self.touched_in_huge = self
             .regions
             .values()
@@ -140,7 +175,7 @@ impl Persist for AddressSpace {
                 RegionBacking::Huge { touched, .. } => {
                     touched.iter().map(|w| u64::from(w.count_ones())).sum()
                 }
-                RegionBacking::Small => 0,
+                RegionBacking::Small { .. } => 0,
             })
             .sum();
         self.last_vpage = u64::MAX;
@@ -156,10 +191,7 @@ impl AddressSpace {
             config,
             page_table: None,
             regions: FxHashMap::default(),
-            small_pages: FxHashMap::default(),
             touched_in_huge: 0,
-            bytes_4k: 0,
-            bytes_2m: 0,
             last_vpage: u64::MAX,
             last_trans: None,
         }
@@ -206,44 +238,58 @@ impl AddressSpace {
                 self.touched_in_huge += u64::from(touch_chunk(touched, vpage));
                 *translation
             }
-            Some(RegionBacking::Small) => match self.small_pages.get(&vpage) {
-                Some(t) => *t,
-                None => self.map_small(phys, vaddr)?,
-            },
-            None => {
-                if self.decide_huge(region) {
-                    let pbase = phys.alloc(PageSize::Size2M)?;
-                    let vbase = vaddr.page_base(PageSize::Size2M);
-                    let t = Translation {
-                        vbase,
-                        pbase,
-                        size: PageSize::Size2M,
-                    };
-                    self.table(phys)?
-                        .map(phys, vbase, pbase, PageSize::Size2M)?;
-                    let mut touched = [0; 8];
-                    touch_chunk(&mut touched, vpage);
-                    self.regions.insert(
-                        region,
-                        RegionBacking::Huge {
-                            translation: t,
-                            touched,
-                        },
-                    );
-                    self.bytes_2m += PageSize::Size2M.bytes();
-                    self.touched_in_huge += 1;
-                    t
-                } else {
-                    self.regions.insert(region, RegionBacking::Small);
-                    self.map_small(phys, vaddr)?
+            Some(&mut RegionBacking::Small { node }) => {
+                match self
+                    .page_table
+                    .as_ref()
+                    .and_then(|pt| pt.leaf_at(node, vaddr))
+                {
+                    Some(t) => t,
+                    None => self.map_small(phys, vaddr)?,
                 }
             }
+            None => self.map_region(phys, vaddr)?,
         };
         self.last_vpage = vpage;
         self.last_trans = Some(t);
         Ok(t)
     }
 
+    /// First touch of `vaddr`'s 2MB region: back it by one 2MB page or
+    /// fault in the touched 4KB page, as the policy decides.
+    #[cold]
+    fn map_region(&mut self, phys: &mut PhysMem, vaddr: VAddr) -> Result<Translation, MapError> {
+        let region = vaddr.page_number(PageSize::Size2M);
+        if self.decide_huge(region) {
+            let pbase = phys.alloc(PageSize::Size2M)?;
+            let vbase = vaddr.page_base(PageSize::Size2M);
+            let t = Translation {
+                vbase,
+                pbase,
+                size: PageSize::Size2M,
+            };
+            self.table(phys)?
+                .map(phys, vbase, pbase, PageSize::Size2M)?;
+            let mut touched = [0; 8];
+            touch_chunk(&mut touched, vaddr.page_number(PageSize::Size4K));
+            self.regions.insert(
+                region,
+                RegionBacking::Huge {
+                    translation: t,
+                    touched,
+                },
+            );
+            self.touched_in_huge += 1;
+            Ok(t)
+        } else {
+            let t = self.map_small(phys, vaddr)?;
+            let node = self.node_at(vaddr, 3).expect("a 4KB page was just mapped");
+            self.regions.insert(region, RegionBacking::Small { node });
+            Ok(t)
+        }
+    }
+
+    #[cold]
     fn map_small(&mut self, phys: &mut PhysMem, vaddr: VAddr) -> Result<Translation, MapError> {
         let pbase = phys.alloc(PageSize::Size4K)?;
         let vbase = vaddr.page_base(PageSize::Size4K);
@@ -254,9 +300,6 @@ impl AddressSpace {
         };
         self.table(phys)?
             .map(phys, vbase, pbase, PageSize::Size4K)?;
-        self.small_pages
-            .insert(vaddr.page_number(PageSize::Size4K), t);
-        self.bytes_4k += PageSize::Size4K.bytes();
         Ok(t)
     }
 
@@ -268,21 +311,27 @@ impl AddressSpace {
             .map(|pt| pt.walk_from(vaddr, skip_levels, start_node))
     }
 
-    /// Interior node reached after `levels` levels, for MMU-cache fills.
-    pub(crate) fn node_at(&self, vaddr: VAddr, levels: u8) -> Option<u32> {
+    /// Interior node reached after `levels` levels.
+    fn node_at(&self, vaddr: VAddr, levels: u8) -> Option<u32> {
         self.page_table
             .as_ref()
             .and_then(|pt| pt.node_at(vaddr, levels))
     }
 
+    fn mapped_pages(&self, size: PageSize) -> u64 {
+        self.page_table
+            .as_ref()
+            .map_or(0, |pt| pt.mapped_pages(size))
+    }
+
     /// Bytes currently mapped via 4KB pages.
     pub fn bytes_4k(&self) -> u64 {
-        self.bytes_4k
+        self.mapped_pages(PageSize::Size4K) * PageSize::Size4K.bytes()
     }
 
     /// Bytes currently mapped via 2MB pages.
     pub fn bytes_2m(&self) -> u64 {
-        self.bytes_2m
+        self.mapped_pages(PageSize::Size2M) * PageSize::Size2M.bytes()
     }
 
     /// Interior page-table nodes backing this space, each holding one 4KB
@@ -301,7 +350,7 @@ impl AddressSpace {
     /// page). Zero when nothing is mapped yet.
     pub fn huge_usage_fraction(&self) -> f64 {
         let huge = self.touched_in_huge * PageSize::Size4K.bytes();
-        let total = self.bytes_4k + huge;
+        let total = self.bytes_4k() + huge;
         if total == 0 {
             0.0
         } else {
@@ -435,7 +484,7 @@ mod tests {
         let mut pm = phys();
         let mut a = AddressSpace::new(config);
         let mut touched_huge = std::collections::HashSet::new();
-        let mut small_pages = std::collections::HashSet::new();
+        let mut touched_small = std::collections::HashSet::new();
         let mut rng = psa_common::DetRng::new(0x7E57);
         let mut vpage = 0;
         for step in 0..20_000u32 {
@@ -448,10 +497,10 @@ mod tests {
             let t = a.translate_or_map(&mut pm, vaddr).unwrap();
             match t.size {
                 PageSize::Size2M => touched_huge.insert(vpage),
-                PageSize::Size4K => small_pages.insert(vpage),
+                PageSize::Size4K => touched_small.insert(vpage),
             };
             let huge = touched_huge.len() as f64 * 4096.0;
-            let expected = huge / (huge + small_pages.len() as f64 * 4096.0);
+            let expected = huge / (huge + touched_small.len() as f64 * 4096.0);
             assert_eq!(a.huge_usage_fraction(), expected, "step {step}");
             if step % 2_500 == 2_499 {
                 let mut e = psa_common::Enc::new();
@@ -464,7 +513,7 @@ mod tests {
                 a = restored;
             }
         }
-        assert!(!touched_huge.is_empty() && !small_pages.is_empty());
+        assert!(!touched_huge.is_empty() && !touched_small.is_empty());
     }
 
     #[test]
@@ -485,5 +534,100 @@ mod tests {
             let tb = b.translate_or_map(&mut pm2, v).unwrap();
             assert_eq!(ta.size, tb.size);
         }
+    }
+
+    /// Map a mix of huge and small regions, apply `damage`, save, and
+    /// load the bytes into a fresh address space.
+    fn reload(
+        damage: impl FnOnce(&mut AddressSpace),
+    ) -> Result<AddressSpace, psa_common::CodecError> {
+        let config = AspaceConfig {
+            huge_fraction: 0.5,
+            seed: 42,
+        };
+        let mut pm = phys();
+        let mut a = AddressSpace::new(config);
+        for r in 0..32u64 {
+            a.translate_or_map(&mut pm, VAddr::new(r << 21 | 0x3000))
+                .unwrap();
+        }
+        assert!(a.bytes_2m() > 0 && a.bytes_4k() > 0);
+        damage(&mut a);
+        let mut e = psa_common::Enc::new();
+        a.save(&mut e);
+        let mut back = AddressSpace::new(config);
+        back.load(&mut psa_common::Dec::new(&e.into_bytes()))?;
+        Ok(back)
+    }
+
+    fn first_huge(a: &mut AddressSpace) -> (u64, &mut Translation) {
+        a.regions
+            .iter_mut()
+            .find_map(|(&r, b)| match b {
+                RegionBacking::Huge { translation, .. } => Some((r, translation)),
+                RegionBacking::Small { .. } => None,
+            })
+            .expect("a huge region")
+    }
+
+    #[test]
+    fn reload_recounts_mapped_bytes_from_the_table() {
+        let mut before = (0, 0, 0);
+        let back = reload(|a| before = (a.bytes_4k(), a.bytes_2m(), a.page_table_nodes())).unwrap();
+        assert_eq!(
+            (back.bytes_4k(), back.bytes_2m(), back.page_table_nodes()),
+            before
+        );
+    }
+
+    #[test]
+    fn huge_region_disagreeing_with_its_leaf_is_corrupt() {
+        let err = reload(|a| first_huge(a).1.pbase = PAddr::new(0x20_0000)).unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        let err = reload(|a| {
+            let (region, t) = first_huge(a);
+            let t = *t;
+            a.regions.insert(
+                region + 1000,
+                RegionBacking::Huge {
+                    translation: t,
+                    touched: [0; 8],
+                },
+            );
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn huge_leaf_without_its_region_is_corrupt() {
+        let err = reload(|a| {
+            let (region, _) = first_huge(a);
+            a.regions.remove(&region);
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn small_region_naming_another_node_is_corrupt() {
+        for shift in [1, 1000] {
+            let err = reload(|a| {
+                let node = a.regions.values_mut().find_map(|b| match b {
+                    RegionBacking::Small { node } => Some(node),
+                    RegionBacking::Huge { .. } => None,
+                });
+                *node.expect("a small region") += shift;
+            })
+            .unwrap_err();
+            assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        }
+        // A huge region's leaf holds no PT node to name.
+        let err = reload(|a| {
+            let (region, _) = first_huge(a);
+            a.regions.insert(region, RegionBacking::Small { node: 0 });
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
     }
 }

@@ -62,29 +62,6 @@ impl std::fmt::Display for PhysMemError {
 
 impl std::error::Error for PhysMemError {}
 
-#[derive(Debug, Clone)]
-enum Region {
-    /// Fragmented into 4KB frames; holds the not-yet-allocated slot indices.
-    Fragmented(Vec<u16>),
-}
-
-impl Default for Region {
-    fn default() -> Self {
-        Region::Fragmented(Vec::new())
-    }
-}
-
-impl psa_common::Persist for Region {
-    fn save(&self, e: &mut psa_common::Enc) {
-        let Region::Fragmented(slots) = self;
-        slots.save(e);
-    }
-    fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
-        let Region::Fragmented(slots) = self;
-        slots.load(d)
-    }
-}
-
 /// The machine's physical memory allocator, shared by all address spaces.
 #[derive(Debug)]
 pub struct PhysMem {
@@ -93,21 +70,61 @@ pub struct PhysMem {
     /// Region indices not yet opened, in randomised order (pop from back).
     free_regions: Vec<u32>,
     /// Regions opened for 4KB allocation that still have free slots, paired
-    /// with their slot free-lists.
-    open: Vec<(u32, Region)>,
+    /// with their not-yet-allocated slot indices.
+    open: Vec<(u32, Vec<u16>)>,
     allocated_4k: u64,
     allocated_2m: u64,
 }
 
 // The capacity (`config`) is rebuilt from the simulation configuration; the
-// RNG stream position and free lists are the allocator's state.
-psa_common::persist_struct!(PhysMem {
-    rng,
-    free_regions,
-    open,
-    allocated_4k,
-    allocated_2m,
-});
+// RNG stream position and free lists are the allocator's state. Loaded
+// lists must be ones `alloc` could have left: each region inside the
+// capacity and in at most one list, each open region with a free slot,
+// each slot in range and free once.
+impl psa_common::Persist for PhysMem {
+    fn save(&self, e: &mut psa_common::Enc) {
+        self.rng.save(e);
+        self.free_regions.save(e);
+        self.open.save(e);
+        self.allocated_4k.save(e);
+        self.allocated_2m.save(e);
+    }
+
+    fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
+        let corrupt = |what| Err(psa_common::CodecError::Corrupt(what));
+        self.rng.load(d)?;
+        self.free_regions.load(d)?;
+        self.open.load(d)?;
+        self.allocated_4k.load(d)?;
+        self.allocated_2m.load(d)?;
+        let mut listed = vec![false; (self.config.bytes / PageSize::Size2M.bytes()) as usize];
+        let open = self.open.iter().map(|(region, _)| region);
+        for &region in self.free_regions.iter().chain(open) {
+            match listed.get_mut(region as usize) {
+                None => return corrupt("physical region out of range"),
+                Some(true) => return corrupt("physical region listed twice"),
+                Some(seen) => *seen = true,
+            }
+        }
+        for (_, slots) in &self.open {
+            if slots.is_empty() {
+                return corrupt("open physical region without a free slot");
+            }
+            let mut free = [0u64; FRAMES_PER_REGION as usize / 64];
+            for &slot in slots {
+                let Some(word) = free.get_mut(usize::from(slot) / 64) else {
+                    return corrupt("frame slot out of range");
+                };
+                let bit = 1 << (slot % 64);
+                if *word & bit != 0 {
+                    return corrupt("frame slot listed twice");
+                }
+                *word |= bit;
+            }
+        }
+        Ok(())
+    }
+}
 
 impl PhysMem {
     /// Create an allocator over `config.bytes` of physical memory.
@@ -167,7 +184,7 @@ impl PhysMem {
                 // Pick a random open region to draw from, so consecutive 4KB
                 // allocations land in scattered regions.
                 let oi = self.rng.index(self.open.len());
-                let (region, Region::Fragmented(slots)) = &mut self.open[oi];
+                let (region, slots) = &mut self.open[oi];
                 let region = *region;
                 let si = self.rng.index(slots.len());
                 let slot = slots.swap_remove(si);
@@ -187,8 +204,8 @@ impl PhysMem {
             .free_regions
             .pop()
             .ok_or(PhysMemError::OutOfMemory { requested })?;
-        let slots: Vec<u16> = (0..FRAMES_PER_REGION as u16).collect();
-        self.open.push((region, Region::Fragmented(slots)));
+        self.open
+            .push((region, (0..FRAMES_PER_REGION as u16).collect()));
         Ok(())
     }
 
@@ -348,5 +365,87 @@ mod tests {
         }
         let err = pm.alloc(PageSize::Size4K).unwrap_err();
         assert!(err.to_string().contains("4KB"));
+    }
+
+    /// Save `pm` after `damage` and load the bytes into a fresh allocator
+    /// of the same capacity.
+    fn reload(
+        mut pm: PhysMem,
+        damage: impl FnOnce(&mut PhysMem),
+    ) -> Result<PhysMem, psa_common::CodecError> {
+        use psa_common::Persist;
+        damage(&mut pm);
+        let mut e = psa_common::Enc::new();
+        pm.save(&mut e);
+        let mut back = small();
+        back.load(&mut psa_common::Dec::new(&e.into_bytes()))?;
+        Ok(back)
+    }
+
+    /// An allocator with one region open and partly used.
+    fn opened() -> PhysMem {
+        let mut pm = small();
+        for _ in 0..10 {
+            pm.alloc(PageSize::Size4K).unwrap();
+        }
+        assert_eq!(pm.open.len(), 1);
+        pm
+    }
+
+    #[test]
+    fn snapshot_round_trips_mid_region() {
+        let mut pm = opened();
+        let mut back = reload(opened(), |_| {}).unwrap();
+        for _ in 0..1000 {
+            assert_eq!(
+                back.alloc(PageSize::Size4K).unwrap(),
+                pm.alloc(PageSize::Size4K).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_region_is_corrupt() {
+        // 64MB holds regions 0..32.
+        let err = reload(opened(), |pm| pm.free_regions.push(32)).unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        let err = reload(opened(), |pm| pm.open[0].0 = 40).unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn region_listed_twice_is_corrupt() {
+        let err = reload(opened(), |pm| {
+            let open = pm.open[0].0;
+            pm.free_regions.push(open);
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        let err = reload(opened(), |pm| {
+            let free = pm.free_regions[0];
+            pm.free_regions.push(free);
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn open_region_without_free_slots_is_corrupt() {
+        // Loaded as is, the next 4KB allocation would draw a slot from an
+        // empty list.
+        let err = reload(opened(), |pm| pm.open[0].1.clear()).unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn slot_out_of_range_or_listed_twice_is_corrupt() {
+        let err = reload(opened(), |pm| pm.open[0].1.push(512)).unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+        let err = reload(opened(), |pm| {
+            let slot = pm.open[0].1[0];
+            pm.open[0].1.push(slot);
+        })
+        .unwrap_err();
+        assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
     }
 }

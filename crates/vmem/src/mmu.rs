@@ -191,18 +191,12 @@ impl Mmu {
             out.walk_len += 1;
         }
         self.stats.walk_accesses += u64::from(out.walk_len);
-        // Fill the MMU caches with every interior node the walk resolved.
-        for step in walk.steps() {
-            if step.level < 3 && usize::from(step.level) < 3 {
-                if let Some(node) = aspace.node_at(vaddr, step.level + 1) {
-                    // Leaf PD entries (2MB pages) are the TLB's job, not the
-                    // PSC's: only cache levels that lead to another node.
-                    let is_leaf = size == PageSize::Size2M && step.level == 2;
-                    if !is_leaf {
-                        self.psc.fill(vaddr, step.level, node);
-                    }
-                }
-            }
+        // Fill the MMU caches with every interior node the walk resolved:
+        // a step is followed by another only when its entry names the node
+        // the next step reads. Leaf entries (the PD entry of a 2MB page)
+        // end the walk, so they are the TLB's job, not the PSC's.
+        for pair in walk.steps().windows(2) {
+            self.psc.fill(vaddr, pair[0].level, pair[1].node);
         }
         self.stlb.fill(vaddr, size);
         self.dtlb.fill(vaddr, size);
