@@ -209,6 +209,9 @@ golden_gate fig03_thp_usage fig03 crates/experiments/tests/golden/fig03_stable.j
 # regenerates, (b) verifiable by the full streaming walk, and (c) replay
 # to byte-identical committed stable sections under both optimized
 # profiles — pinning the .psatrace codec and the replay semantics at once.
+# The fixture records mcf only; the tier-1 test tests/stream_digests.rs
+# complements it by pinning the first 20,000 instructions of every catalog
+# workload at seeds 1, 7 and 42 (crates/traces/tests/golden/stream_digests.txt).
 echo "== trace-replay fixture gate (regen + verify) =="
 FIXTURE=crates/experiments/tests/golden/sample.psatrace
 cargo run --release --quiet --bin psa_trace_tool -- \

@@ -112,16 +112,33 @@ impl DetRng {
         self.below(len as u64) as usize
     }
 
-    /// Uniform float in `[0, 1)` with 53 bits of precision.
+    /// The top 53 bits of the next raw value: the integer that
+    /// [`unit`](Self::unit) scales into `[0, 1)`.
     #[inline]
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    pub fn unit_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// Uniform float in `[0, 1)` with 53 bits of precision: exactly
+    /// `unit_bits() · 2^-53`.
+    #[inline]
+    pub fn unit(&mut self) -> f64 {
+        self.unit_bits() as f64 * UNIT
+    }
+
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`): the
+    /// same outcome as `unit() < p`, decided on the integer draw (see
+    /// [`chance_cutoff`]).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
+        self.hit(chance_cutoff(p))
+    }
+
+    /// Bernoulli draw against a precomputed [`chance_cutoff`]: true when
+    /// the next [`unit_bits`](Self::unit_bits) lies below `cutoff`.
+    #[inline]
+    pub fn hit(&mut self, cutoff: u64) -> bool {
+        self.unit_bits() < cutoff
     }
 
     /// Uniformly pick a reference out of a non-empty slice.
@@ -133,49 +150,77 @@ impl DetRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
     }
+}
 
-    /// Sample an index from non-negative `weights` proportionally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        self.pick_weighted_total(weights, total)
-    }
+/// `2^-53`, the step between consecutive [`DetRng::unit`] values.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
-    /// [`pick_weighted`](Self::pick_weighted) with the sum precomputed by
-    /// the caller. Hot loops that draw from a fixed mix can sum the
-    /// weights once (in the same left-to-right order `iter().sum()`
-    /// uses, so the f64 result is bit-identical) and skip the per-draw
-    /// re-summation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or `total` is not positive.
-    #[inline]
-    pub fn pick_weighted_total(&mut self, weights: &[f64], total: f64) -> usize {
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut target = self.unit() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if target < w {
-                return i;
+/// The integer cutoff of a Bernoulli draw with probability `p` (clamped
+/// to `[0, 1]`): `unit() < p` holds exactly when `unit_bits() < cutoff`,
+/// for every draw.
+///
+/// `unit()` is `k · 2^-53` for the integer `k = unit_bits() < 2^53`, and
+/// both that product and `p · 2^53` are exact in f64 (a power-of-two
+/// scale only moves the exponent). So `unit() < p` is `k < p · 2^53`,
+/// which for an integer `k` is `k < ceil(p · 2^53)`. A NaN `p` gives 0,
+/// which no draw is below, as no draw is below NaN.
+pub fn chance_cutoff(p: f64) -> u64 {
+    (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Integer cutoffs for a weighted pick over fixed, non-negative
+/// `weights`: the pick for a draw `k = unit_bits()` is the number of
+/// cutoffs `k` reaches, which equals [`weighted_fold`] at `k` for every
+/// `k < 2^53`.
+///
+/// The fold never decreases as `k` grows (its target `k · 2^-53 · total`
+/// and every difference taken from it are monotone under rounding, and a
+/// larger target passes every bucket a smaller one passes), so the draws
+/// that pick index `i` or later are exactly those at or above the least
+/// such `k`. Each of the `weights.len() - 1` cutoffs is that least `k`,
+/// found by binary search against the fold itself; `2^53` marks an index
+/// no draw reaches.
+///
+/// # Panics
+///
+/// Panics if `weights` is empty or does not sum to a positive value.
+pub fn weighted_cutoffs(weights: &[f64]) -> Vec<u64> {
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "weights must sum to a positive value");
+    (1..weights.len())
+        .map(|i| {
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if weighted_fold(weights, total, mid) >= i {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
             }
-            target -= w;
-        }
-        weights.len() - 1
-    }
+            lo
+        })
+        .collect()
+}
 
-    /// Geometric-ish burst length in `[1, max]` with mean roughly `mean`.
-    pub fn burst_len(&mut self, mean: f64, max: u64) -> u64 {
-        debug_assert!(mean >= 1.0);
-        let p = 1.0 / mean.max(1.0);
-        let mut n = 1;
-        while n < max && !self.chance(p) {
-            n += 1;
+/// The floating-point weighted pick for the draw `k = unit_bits()`:
+/// scale `unit()` by `total` and walk the buckets, taking the last one
+/// when rounding carries the target past them all. The reference that
+/// [`weighted_cutoffs`] is searched against.
+///
+/// # Panics
+///
+/// Panics if `weights` is empty or `total` is not positive.
+pub fn weighted_fold(weights: &[f64], total: f64, k: u64) -> usize {
+    assert!(total > 0.0, "weights must sum to a positive value");
+    let mut target = k as f64 * UNIT * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            return i;
         }
-        n
+        target -= w;
     }
+    weights.len() - 1
 }
 
 #[cfg(test)]
@@ -215,21 +260,106 @@ mod tests {
         assert!(r.chance(2.0)); // clamped
     }
 
+    /// The f64 Bernoulli draw that [`chance_cutoff`] replaces, at the
+    /// draw `k = unit_bits()`.
+    fn unit_below(k: u64, p: f64) -> bool {
+        (k as f64 * UNIT) < p.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn chance_cutoff_matches_the_float_draw_around_the_cutoff() {
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        let ps = [
+            0.0,
+            UNIT,
+            1.0 / 16384.0,
+            1.0 / 2048.0,
+            1.0 / 64.0,
+            0.1,
+            1.0 / 3.0,
+            0.9,
+            1.0 - UNIT,
+            1.0,
+            2.0,
+            -1.0,
+            subnormal,
+            f64::NAN,
+        ];
+        for p in ps {
+            let c = chance_cutoff(p);
+            for k in [c.wrapping_sub(1), c, c + 1] {
+                if k < 1 << 53 {
+                    assert_eq!(k < c, unit_below(k, p), "p {p:e}, cutoff {c}, k {k}");
+                }
+            }
+        }
+        assert_eq!(chance_cutoff(UNIT), 1);
+        assert_eq!(chance_cutoff(1.0 / 16384.0), 1 << 39);
+        assert_eq!(chance_cutoff(1.0 - UNIT), (1 << 53) - 1);
+        assert_eq!(chance_cutoff(1.0), 1 << 53);
+    }
+
+    #[test]
+    fn chance_draws_what_the_float_test_draws() {
+        let (mut a, mut b) = (DetRng::new(9), DetRng::new(9));
+        for i in 0..10_000 {
+            let p = f64::from(i % 97) / 96.0;
+            assert_eq!(a.chance(p), b.unit() < p);
+        }
+    }
+
+    /// The f64 weighted pick that [`weighted_cutoffs`] replaces.
+    fn pick_weighted(r: &mut DetRng, weights: &[f64]) -> usize {
+        weighted_fold(weights, weights.iter().sum(), r.unit_bits())
+    }
+
+    fn pick(cutoffs: &[u64], k: u64) -> usize {
+        cutoffs.iter().filter(|&&c| k >= c).count()
+    }
+
+    #[test]
+    fn weighted_cutoffs_match_the_fold_at_every_cutoff() {
+        let mixes: [&[f64]; 6] = [
+            &[0.0, 1.0, 0.0],
+            &[1.0, 3.0],
+            &[0.1, 0.2, 0.3, 0.0, 1e-12, 0.05, 0.0],
+            &[0.3, 0.3, 0.3, 0.1],
+            &[1e-300, 1.0, 1e-300],
+            &[0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ];
+        for w in mixes {
+            let total: f64 = w.iter().sum();
+            let cutoffs = weighted_cutoffs(w);
+            assert_eq!(cutoffs.len(), w.len() - 1);
+            for k in cutoffs.iter().flat_map(|&c| [c.wrapping_sub(1), c, c + 1]) {
+                if k < 1 << 53 {
+                    assert_eq!(pick(&cutoffs, k), weighted_fold(w, total, k), "{w:?} k {k}");
+                }
+            }
+            for k in [0, (1 << 53) - 1] {
+                assert_eq!(pick(&cutoffs, k), weighted_fold(w, total, k), "{w:?} k {k}");
+            }
+        }
+    }
+
     #[test]
     fn weighted_pick_respects_zero_weights() {
+        let cutoffs = weighted_cutoffs(&[0.0, 1.0, 0.0]);
         let mut r = DetRng::new(3);
         for _ in 0..100 {
-            let i = r.pick_weighted(&[0.0, 1.0, 0.0]);
-            assert_eq!(i, 1);
+            assert_eq!(pick(&cutoffs, r.unit_bits()), 1);
         }
     }
 
     #[test]
     fn weighted_pick_roughly_proportional() {
-        let mut r = DetRng::new(4);
+        let cutoffs = weighted_cutoffs(&[1.0, 3.0]);
+        let (mut r, mut oracle) = (DetRng::new(4), DetRng::new(4));
         let mut counts = [0usize; 2];
         for _ in 0..10_000 {
-            counts[r.pick_weighted(&[1.0, 3.0])] += 1;
+            let i = pick(&cutoffs, r.unit_bits());
+            assert_eq!(i, pick_weighted(&mut oracle, &[1.0, 3.0]));
+            counts[i] += 1;
         }
         let frac = counts[1] as f64 / 10_000.0;
         assert!((frac - 0.75).abs() < 0.03, "got {frac}");
@@ -239,14 +369,5 @@ mod tests {
     fn fnv_distinguishes_names() {
         assert_ne!(fnv1a(b"lbm"), fnv1a(b"mcf"));
         assert_ne!(fnv1a(b""), fnv1a(b"\0"));
-    }
-
-    #[test]
-    fn burst_len_in_range() {
-        let mut r = DetRng::new(5);
-        for _ in 0..500 {
-            let n = r.burst_len(8.0, 32);
-            assert!((1..=32).contains(&n));
-        }
     }
 }

@@ -74,6 +74,7 @@ impl Persist for CoreHier {
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.aspace.load(d)?;
         self.mmu.load(d)?;
+        self.mmu.check_restored(&self.aspace)?;
         self.levels[0].load(d)?;
         self.levels[1].load(d)?;
         if let Some(p) = &mut self.l1d_pref {

@@ -73,7 +73,10 @@ use crate::system::System;
 /// leaf not aligned to its size or at another size's level. So is a
 /// frame allocator whose region or slot lists `alloc` could not have
 /// left, and a generator whose components differ from the ones its spec
-/// and seed build.
+/// and seed build. Later loads of the same bytes also reject a generator
+/// cursor outside the range the generator keeps it in, and a
+/// page-structure-cache entry naming another node than the restored
+/// table reaches for it.
 pub const SNAPSHOT_VERSION: u32 = 6;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
@@ -274,6 +277,53 @@ mod tests {
                 "split at step {split}"
             );
         }
+    }
+
+    #[test]
+    fn psc_entry_naming_a_missing_node_is_corrupt() {
+        // Mostly 4KB-backed, so walks reach PT nodes and fill the PDE cache.
+        let build = || {
+            System::single_core(
+                quick(),
+                catalog::workload("soplex").unwrap(),
+                PrefetcherKind::Spp,
+                PageSizePolicy::PsaSd,
+            )
+        };
+        let mut sys = build();
+        sys.run_to_warm().unwrap();
+        let snap = sys.snapshot(3);
+        let mut e = Enc::new();
+        psa_common::Persist::save(sys.mmu(0), &mut e);
+        let mmu = e.into_bytes();
+        let at = snap
+            .payload
+            .windows(mmu.len())
+            .position(|w| w == mmu)
+            .expect("the MMU's bytes in the payload");
+        // The MMU's bytes end with its PDE cache, the caches' stamp and
+        // three u64 counters. A PDE-cache entry is (prefix u64, node u32,
+        // last_use u64, valid u8).
+        const ENTRY: usize = 21;
+        let pde = psa_vmem::mmu_cache::MmuCacheConfig::default().pde;
+        let end = at + mmu.len() - 4 * 8;
+        let start = end - pde * ENTRY;
+        assert_eq!(snap.payload[start - 8..start], (pde as u64).to_le_bytes());
+        let entry = (start..end)
+            .step_by(ENTRY)
+            .find(|&o| snap.payload[o + ENTRY - 1] == 1)
+            .expect("a valid PDE-cache entry after warm-up");
+        let mut payload = snap.payload.clone();
+        payload[entry + 8..entry + 12].copy_from_slice(&50_000u32.to_le_bytes());
+
+        build().restore(&snap, 3).unwrap();
+        let err = build()
+            .restore(&Snapshot { key: 3, payload }, 3)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Checkpoint(CheckpointError::Corrupt(_))),
+            "{err}"
+        );
     }
 
     #[test]

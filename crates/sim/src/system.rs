@@ -378,8 +378,14 @@ impl System {
         } else {
             EventRing::disabled()
         };
-        let state = RunState::new(&config, workloads.len());
-        let thp_sample_every = ((config.warmup + config.instructions) / 24).max(1);
+        let budget = config.warmup + config.instructions;
+        let thp_sample_every = (budget / 24).max(1);
+        let mut state = RunState::new(&config, workloads.len());
+        // Room for every sample the run takes (at most 47), so the
+        // measured loop never grows the series.
+        state
+            .thp_series
+            .reserve_exact((budget / thp_sample_every) as usize);
         Ok(Self {
             config,
             cores,
@@ -657,9 +663,10 @@ impl System {
                 };
                 self.cores[i].execute(&instr, &mut port)?;
             }
-            // Dispatch LLC-level prefetch feedback to the owning modules.
+            // Dispatch LLC-level prefetch feedback to the owning modules,
+            // draining in place so the queue keeps its capacity.
             if !self.shared.feedback.is_empty() {
-                for fb in std::mem::take(&mut self.shared.feedback) {
+                for fb in self.shared.feedback.drain(..) {
                     let (source, line, kind) = match fb {
                         Feedback::Useful { source, line } => (source, line, 0u8),
                         Feedback::UsefulLate { source, line } => (source, line, 1),
@@ -1043,5 +1050,13 @@ impl System {
             llc,
             dram,
         })
+    }
+}
+
+#[cfg(test)]
+impl System {
+    /// Core `i`'s MMU, for tests that damage its saved bytes.
+    pub(crate) fn mmu(&self, i: usize) -> &psa_vmem::Mmu {
+        &self.ctxs[i].mmu
     }
 }

@@ -70,6 +70,8 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
     /// Fresh hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
@@ -79,8 +81,21 @@ impl Fnv1a {
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Absorb `bytes` into both `self` and `other` in one pass. The two
+    /// multiply chains are independent, so they overlap in the pipeline
+    /// and cost about as much as one; each ends as [`update`](Self::update)
+    /// would leave it.
+    pub fn update_both(&mut self, other: &mut Fnv1a, bytes: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for &byte in bytes {
+            a = (a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        }
+        (self.0, other.0) = (a, b);
     }
 
     /// The hash of everything absorbed so far.
@@ -506,7 +521,8 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(
 /// Read one block (header + validated payload) from `r`. Returns the
 /// decoded records and the block's total encoded length, or `None` at
 /// a clean end-of-file (the reseek point). When `hash` is given, the
-/// raw block bytes are absorbed into it.
+/// raw block bytes are absorbed into it, in the same pass over the
+/// payload as the block checksum.
 ///
 /// # Errors
 ///
@@ -546,10 +562,12 @@ pub fn read_block(
     }
     let mut payload = vec![0u8; payload_len as usize];
     read_exact(r, &mut payload, "block payload")?;
-    if let Some(h) = hash {
-        h.update(&payload);
+    let mut sum = Fnv1a::new();
+    match hash {
+        Some(h) => sum.update_both(h, &payload),
+        None => sum.update(&payload),
     }
-    if Fnv1a::new().tap(&payload).finish() != crc {
+    if sum.finish() != crc {
         return Err(TraceError::Corrupt("block checksum"));
     }
     let mut recs = Vec::with_capacity(nrecords as usize);

@@ -8,7 +8,8 @@
 //! the weighted components and pads with non-memory instructions to hit
 //! the spec's memory intensity.
 
-use psa_common::{DetRng, VAddr, LINE_BYTES};
+use psa_common::rng::{chance_cutoff, weighted_cutoffs};
+use psa_common::{CodecError, DetRng, VAddr, LINE_BYTES};
 use psa_cpu::Instr;
 
 use crate::spec::WorkloadSpec;
@@ -31,6 +32,8 @@ const SUBPAGE_CURSORS: usize = 4;
 /// Width of the subpage component's locality window in 4KB pages (2MB, so
 /// the concurrent walkers usually share a 2MB page).
 const SUBPAGE_WINDOW_PAGES: u64 = 512;
+/// Longest filler gap owed before one access.
+const MAX_GAP: u64 = 64;
 
 #[derive(Debug, Clone)]
 struct Component {
@@ -38,8 +41,8 @@ struct Component {
     base: u64,
     /// Region size in lines.
     lines: u64,
-    /// Cursors (line indices within the region; raw LCG state for the
-    /// chase component).
+    /// Cursors (line indices within the region; element indices for the
+    /// stream component; raw LCG state for the chase component).
     cursors: Vec<u64>,
     next_cursor: usize,
     /// Fixed stride in lines (stride components).
@@ -48,15 +51,64 @@ struct Component {
     window: u64,
 }
 
+/// Every random draw of [`TraceGenerator::next`] as an integer test on
+/// [`DetRng::unit_bits`], fixed when the generator is built. Each one
+/// decides exactly what the f64 draw it stands for (`unit() < p`, or the
+/// weighted fold) decides on the same raw value; see
+/// [`chance_cutoff`] and [`weighted_cutoffs`].
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    /// Component pick: the component index is the number of these
+    /// cutoffs the draw reaches.
+    pick: [u64; NUM_COMPONENTS - 1],
+    /// Cutoff of each step of the geometric filler gap, probability
+    /// `1 / max(mean_gap, 1)`; `None` when the spec owes no filler.
+    gap: Option<u64>,
+    /// 1 when the mean gap is under one instruction, so the gap (at
+    /// least one step) is lowered to allow back-to-back accesses.
+    gap_short: u64,
+    /// A stream restarts elsewhere (probability 1/16384 per access).
+    stream_restart: u64,
+    /// A stride walk restarts elsewhere (1/2048).
+    stride_restart: u64,
+    /// The subpage locality window slides (1/64 per finished walk).
+    window_slide: u64,
+    /// A chase hop is a dependent load (`max(dependent_fraction, 0.9)`).
+    dependent: u64,
+    /// An independent access is a store (`store_ratio`).
+    store: u64,
+}
+
+impl Draws {
+    fn new(spec: &WorkloadSpec) -> Self {
+        let weights = spec.mix.weights();
+        let pick = weighted_cutoffs(&weights)
+            .try_into()
+            .expect("one cutoff between each pair of components");
+        // Owe filler between accesses so the long-run memory instruction
+        // fraction matches `mem_ratio`.
+        let mean_gap = (1.0 / spec.mem_ratio - 1.0).max(0.0);
+        Draws {
+            pick,
+            gap: (mean_gap > 0.0).then(|| chance_cutoff(1.0 / mean_gap.max(1.0))),
+            gap_short: u64::from(mean_gap < 1.0),
+            stream_restart: chance_cutoff(1.0 / 16384.0),
+            stride_restart: chance_cutoff(1.0 / 2048.0),
+            window_slide: chance_cutoff(1.0 / 64.0),
+            dependent: chance_cutoff(spec.dependent_fraction.max(0.9)),
+            store: chance_cutoff(spec.store_ratio),
+        }
+    }
+}
+
 /// A deterministic, infinite instruction stream.
 #[derive(Debug)]
 pub struct TraceGenerator {
     spec: WorkloadSpec,
     rng: DetRng,
-    weights: [f64; NUM_COMPONENTS],
-    /// `weights.iter().sum()`, cached at construction (same summation
-    /// order, so weighted draws stay bit-identical).
-    weight_total: f64,
+    draws: Draws,
+    /// The chase component's hot subset, in lines from its base.
+    hot_lines: u64,
     comps: [Component; NUM_COMPONENTS],
     /// Non-memory instructions still owed before the next access.
     filler_left: u64,
@@ -73,12 +125,12 @@ psa_common::persist_struct!(Component {
     window,
 });
 
-// `spec`, `weights` and `weight_total` are configuration; the RNG stream
+// `spec`, `draws` and `hot_lines` are configuration; the RNG stream
 // position, all component cursors and the filler debt are the generator's
 // state. A component's base, length, stride and cursor count are fixed
 // when the generator is built, so a load must find the ones the generator
-// rebuilt from the same spec and seed holds, and a cursor index inside
-// its cursors.
+// rebuilt from the same spec and seed holds, a cursor index inside its
+// cursors, and every cursor inside the range the generator keeps it in.
 impl psa_common::Persist for TraceGenerator {
     fn save(&self, e: &mut psa_common::Enc) {
         self.rng.save(e);
@@ -87,23 +139,46 @@ impl psa_common::Persist for TraceGenerator {
         self.count.save(e);
     }
 
-    fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), psa_common::CodecError> {
+    fn load(&mut self, d: &mut psa_common::Dec) -> Result<(), CodecError> {
         let shape = |c: &Component| (c.base, c.lines, c.stride, c.cursors.len());
         let rebuilt = self.comps.each_ref().map(shape);
         self.rng.load(d)?;
         self.comps.load(d)?;
         if self.comps.iter().map(shape).ne(rebuilt) {
-            return Err(psa_common::CodecError::Corrupt(
+            return Err(CodecError::Corrupt(
                 "generator component differs from its spec",
             ));
         }
         if self.comps.iter().any(|c| c.next_cursor >= c.cursors.len()) {
-            return Err(psa_common::CodecError::Corrupt(
-                "generator cursor index out of range",
-            ));
+            return Err(CodecError::Corrupt("generator cursor index out of range"));
+        }
+        if !self
+            .comps
+            .iter()
+            .enumerate()
+            .all(|(i, c)| cursors_in_range(i, c))
+        {
+            return Err(CodecError::Corrupt("generator cursor out of range"));
         }
         self.filler_left.load(d)?;
         self.count.load(d)
+    }
+}
+
+/// Whether component `i`'s cursors and window lie where the generator
+/// keeps them: stream elements below `lines · 8`, line cursors below
+/// `lines`, the subpage window a window-aligned page below `lines / 64`.
+/// The chase cursor is LCG state and may hold any value.
+fn cursors_in_range(i: usize, c: &Component) -> bool {
+    let below = |bound: u64| c.cursors.iter().all(|&x| x < bound);
+    match i {
+        STREAM => below(c.lines * 8),
+        SUBPAGE => {
+            let window_pages = TraceGenerator::window_pages(c.lines);
+            below(c.lines) && c.window < c.lines / 64 && c.window.is_multiple_of(window_pages)
+        }
+        CHASE => true,
+        _ => below(c.lines),
     }
 }
 
@@ -119,10 +194,9 @@ impl TraceGenerator {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid workload spec: {e}"));
         let mut rng = DetRng::for_name(seed, spec.name);
-        let weights = spec.mix.weights();
         let active = spec.mix.active_components().max(1) as u64;
         let per_component_lines = (spec.footprint_lines() / active).max(512);
-        let comps = std::array::from_fn(|i| {
+        let comps: [Component; NUM_COMPONENTS] = std::array::from_fn(|i| {
             // Regions 16GB apart: never share a page at any size.
             let base = (i as u64 + 1) << 34;
             let lines = match i {
@@ -150,11 +224,14 @@ impl TraceGenerator {
                 window: 0,
             }
         });
+        // Pointer chases have working-set locality: most hops stay inside
+        // a hot subset of the structure.
+        let chase_lines = comps[CHASE].lines;
         Self {
             spec: *spec,
             rng,
-            weights,
-            weight_total: weights.iter().sum(),
+            draws: Draws::new(spec),
+            hot_lines: (chase_lines / 16).max(1024).min(chase_lines),
             comps,
             filler_left: 0,
             count: 0,
@@ -166,19 +243,16 @@ impl TraceGenerator {
         &self.spec
     }
 
-    /// `x % d` with the division skipped when `x` is already in range or
-    /// one subtraction away — which is every call on the generator's hot
-    /// paths, where cursors are reduced before storing or drawn below the
-    /// bound. The fallback is the literal `%`, so the result is identical
-    /// for any input (old checkpoints may restore unreduced cursors).
+    /// `x % d` for `x < 2d`, the range every caller keeps: cursors are
+    /// reduced before they are stored, positions are drawn below the
+    /// bound, and a load rejects cursors outside their range.
     #[inline]
     fn fast_rem(x: u64, d: u64) -> u64 {
+        debug_assert!(x / 2 < d, "{x} is not below twice {d}");
         if x < d {
             x
-        } else if x - d < d {
-            x - d
         } else {
-            x % d
+            x - d
         }
     }
 
@@ -193,10 +267,29 @@ impl TraceGenerator {
         1 + (page4k.wrapping_mul(0x9e37_79b9)) % 5
     }
 
+    /// The subpage component's locality window, in 4KB pages, for a
+    /// region of `lines` lines.
+    fn window_pages(lines: u64) -> u64 {
+        SUBPAGE_WINDOW_PAGES.min(lines / 64).max(1)
+    }
+
+    /// Filler owed before the next access: a geometric count in
+    /// `[1, MAX_GAP]` (one draw per step, until a draw hits the gap
+    /// cutoff), lowered by `gap_short`.
+    fn filler_gap(&mut self) -> u64 {
+        let Some(cutoff) = self.draws.gap else {
+            return 0;
+        };
+        let mut n = 1;
+        while n < MAX_GAP && !self.rng.hit(cutoff) {
+            n += 1;
+        }
+        n - self.draws.gap_short
+    }
+
     fn next_access(&mut self) -> (VAddr, VAddr, bool) {
-        let comp_idx = self
-            .rng
-            .pick_weighted_total(&self.weights, self.weight_total);
+        let k = self.rng.unit_bits();
+        let comp_idx = self.draws.pick.iter().filter(|&&c| k >= c).count();
         let pc_base = 0x40_0000 + (comp_idx as u64) * 0x1000;
         let comp = &mut self.comps[comp_idx];
         let (vaddr, pc_slot, dependent) = match comp_idx {
@@ -214,7 +307,7 @@ impl TraceGenerator {
                 let elem = comp.cursors[slot];
                 comp.cursors[slot] = Self::fast_rem(elem + 1, comp.lines * 8);
                 // Occasionally restart the stream elsewhere (line-aligned).
-                if self.rng.chance(1.0 / 16384.0) {
+                if self.rng.hit(self.draws.stream_restart) {
                     comp.cursors[slot] = self.rng.below(comp.lines) * 8;
                 }
                 let addr =
@@ -224,7 +317,7 @@ impl TraceGenerator {
             STRIDE_SMALL | STRIDE_LARGE => {
                 let pos = comp.cursors[0];
                 comp.cursors[0] = Self::fast_rem(pos + comp.stride, comp.lines);
-                if self.rng.chance(1.0 / 2048.0) {
+                if self.rng.hit(self.draws.stride_restart) {
                     comp.cursors[0] = self.rng.below(comp.lines);
                 }
                 (Self::addr(comp, pos), 0, false)
@@ -251,8 +344,8 @@ impl TraceGenerator {
                 comp.cursors[slot] = if next / 64 != pos / 64 {
                     // Walk done: next sub-page within the sliding locality
                     // window (TLB-friendly, like real blocked access).
-                    let window_pages = SUBPAGE_WINDOW_PAGES.min(comp.lines / 64).max(1);
-                    if self.rng.chance(1.0 / 64.0) {
+                    let window_pages = Self::window_pages(comp.lines);
+                    if self.rng.hit(self.draws.window_slide) {
                         // Slide the window occasionally.
                         comp.window = self.rng.below(comp.lines / 64) / window_pages * window_pages;
                     }
@@ -272,15 +365,12 @@ impl TraceGenerator {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 comp.cursors[0] = state;
-                // Pointer chases have working-set locality: most hops stay
-                // inside a hot subset of the structure.
-                let hot_lines = (comp.lines / 16).max(1024).min(comp.lines);
                 let pos = if state & 3 != 0 {
-                    (state >> 2) % hot_lines
+                    (state >> 2) % self.hot_lines
                 } else {
                     (state >> 2) % comp.lines
                 };
-                let dep = self.rng.chance(self.spec.dependent_fraction.max(0.9));
+                let dep = self.rng.hit(self.draws.dependent);
                 (Self::addr(comp, pos), 2, dep)
             }
             RANDOM => {
@@ -291,7 +381,7 @@ impl TraceGenerator {
                 let pos = self.rng.below(comp.lines);
                 (Self::addr(comp, pos), 4, false)
             }
-            _ => unreachable!("component index bounded by weights array"),
+            _ => unreachable!("component index bounded by the pick cutoffs"),
         };
         (vaddr, VAddr::new(pc_base + pc_slot * 8), dependent)
     }
@@ -349,16 +439,9 @@ impl Iterator for TraceGenerator {
             let pc = VAddr::new(0x10_0000 + (self.count % 64) * 4);
             return Some(Instr::op(pc));
         }
-        // Owe some filler before the *next* access so the long-run memory
-        // instruction fraction matches `mem_ratio`.
-        let mean_gap = (1.0 / self.spec.mem_ratio - 1.0).max(0.0);
-        self.filler_left = if mean_gap > 0.0 {
-            self.rng.burst_len(mean_gap.max(1.0), 64) - u64::from(mean_gap < 1.0)
-        } else {
-            0
-        };
+        self.filler_left = self.filler_gap();
         let (vaddr, pc, dependent) = self.next_access();
-        let is_store = !dependent && self.rng.chance(self.spec.store_ratio);
+        let is_store = !dependent && self.rng.hit(self.draws.store);
         Some(if is_store {
             Instr::store(pc, vaddr)
         } else if dependent {
@@ -616,6 +699,101 @@ mod tests {
         }
     }
 
+    /// The f64 draw an integer cutoff stands for: `unit() < p` at the
+    /// draw `k = unit_bits()`.
+    fn unit_below(k: u64, p: f64) -> bool {
+        (k as f64 * (1.0 / (1u64 << 53) as f64)) < p.clamp(0.0, 1.0)
+    }
+
+    fn catalog() -> impl Iterator<Item = &'static WorkloadSpec> {
+        crate::catalog::WORKLOADS
+            .iter()
+            .chain(&crate::catalog::NON_INTENSIVE)
+    }
+
+    #[test]
+    fn catalog_cutoffs_decide_what_the_float_draws_decide() {
+        for spec in catalog() {
+            let draws = Draws::new(spec);
+            let mean_gap = (1.0 / spec.mem_ratio - 1.0).max(0.0);
+            let gap = draws.gap.expect("every catalog spec owes filler");
+            let cases = [
+                (draws.store, spec.store_ratio),
+                (draws.dependent, spec.dependent_fraction.max(0.9)),
+                (gap, 1.0 / mean_gap.max(1.0)),
+                (draws.stream_restart, 1.0 / 16384.0),
+                (draws.stride_restart, 1.0 / 2048.0),
+                (draws.window_slide, 1.0 / 64.0),
+            ];
+            for (cutoff, p) in cases {
+                for k in [cutoff.saturating_sub(1), cutoff, cutoff + 1] {
+                    if k < 1 << 53 {
+                        assert_eq!(k < cutoff, unit_below(k, p), "{} p {p} k {k}", spec.name);
+                    }
+                }
+            }
+            assert_eq!(draws.gap_short, u64::from(mean_gap < 1.0));
+        }
+    }
+
+    #[test]
+    fn catalog_pick_cutoffs_match_the_weighted_fold() {
+        for spec in catalog() {
+            let weights = spec.mix.weights();
+            let total: f64 = weights.iter().sum();
+            let cutoffs = Draws::new(spec).pick;
+            let pick = |k: u64| cutoffs.iter().filter(|&&c| k >= c).count();
+            let ks = cutoffs
+                .iter()
+                .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
+                .chain([0, (1 << 53) - 1])
+                .filter(|&k| k < 1 << 53);
+            for k in ks {
+                assert_eq!(
+                    pick(k),
+                    psa_common::rng::weighted_fold(&weights, total, k),
+                    "{} k {k}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    /// The f64 geometric filler gap that [`TraceGenerator::filler_gap`]
+    /// replaces: `burst_len(max(mean_gap, 1), 64)`, less one under a
+    /// mean gap of one.
+    fn float_gap(rng: &mut DetRng, mem_ratio: f64) -> u64 {
+        let mean_gap = (1.0 / mem_ratio - 1.0).max(0.0);
+        if mean_gap <= 0.0 {
+            return 0;
+        }
+        let p = 1.0 / mean_gap.max(1.0);
+        let mut n = 1;
+        while n < 64 && rng.unit() >= p {
+            n += 1;
+        }
+        n - u64::from(mean_gap < 1.0)
+    }
+
+    #[test]
+    fn filler_gap_draws_what_the_float_loop_draws() {
+        for mem_ratio in [0.05, 0.3, 0.5, 0.6, 0.9, 1.0 - f64::EPSILON / 2.0] {
+            let s = spec(
+                PatternMix {
+                    stream: 1.0,
+                    ..Default::default()
+                },
+                mem_ratio,
+            );
+            let mut g = TraceGenerator::new(&s, 3);
+            let mut oracle = g.rng.clone();
+            for _ in 0..2_000 {
+                assert_eq!(g.filler_gap(), float_gap(&mut oracle, mem_ratio));
+            }
+            assert_eq!(g.rng.next_u64(), oracle.next_u64(), "same draws consumed");
+        }
+    }
+
     /// A mixed-component generator advanced `n` instructions.
     fn advanced(n: usize) -> (WorkloadSpec, TraceGenerator) {
         let s = spec(
@@ -696,5 +874,75 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, psa_common::CodecError::Corrupt(_)), "{err}");
+    }
+
+    /// Load `damage`d state; a corrupt cursor must be refused, and the
+    /// largest value the generator itself could hold (`edge`) accepted.
+    fn cursor_bound(damage: impl Fn(&mut TraceGenerator), edge: impl Fn(&mut TraceGenerator)) {
+        let (s, g) = advanced(500);
+        let err = reload(&s, g, damage).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        let (s, g) = advanced(500);
+        let mut back = reload(&s, g, edge).expect("an in-range cursor loads");
+        back.by_ref().take(5_000).for_each(drop);
+    }
+
+    #[test]
+    fn stream_element_past_the_region_is_corrupt() {
+        cursor_bound(
+            |g| g.comps[STREAM].cursors[1] = g.comps[STREAM].lines * 8,
+            |g| g.comps[STREAM].cursors[1] = g.comps[STREAM].lines * 8 - 1,
+        );
+    }
+
+    #[test]
+    fn stride_cursor_past_the_region_is_corrupt() {
+        for comp in [STRIDE_SMALL, STRIDE_LARGE] {
+            // Loaded as is, the next stride access would overflow
+            // `pos + stride`.
+            cursor_bound(
+                |g| g.comps[comp].cursors[0] = u64::MAX - 1,
+                |g| g.comps[comp].cursors[0] = g.comps[comp].lines - 1,
+            );
+            cursor_bound(|g| g.comps[comp].cursors[0] = g.comps[comp].lines, |_| {});
+        }
+    }
+
+    #[test]
+    fn subpage_cursor_or_window_out_of_range_is_corrupt() {
+        cursor_bound(
+            |g| g.comps[SUBPAGE].cursors[2] = g.comps[SUBPAGE].lines,
+            |g| g.comps[SUBPAGE].cursors[2] = g.comps[SUBPAGE].lines - 1,
+        );
+        let last_window = |g: &TraceGenerator| {
+            let c = &g.comps[SUBPAGE];
+            let width = TraceGenerator::window_pages(c.lines);
+            (c.lines / 64 - 1) / width * width
+        };
+        cursor_bound(
+            |g| g.comps[SUBPAGE].window = g.comps[SUBPAGE].lines / 64,
+            |g| g.comps[SUBPAGE].window = last_window(g),
+        );
+        // Not a multiple of the window width.
+        cursor_bound(|g| g.comps[SUBPAGE].window = 1, |_| {});
+    }
+
+    #[test]
+    fn chase_state_may_hold_any_value() {
+        for state in [0, u64::MAX, 1 << 63] {
+            let (s, g) = advanced(500);
+            let mut back = reload(&s, g, |g| g.comps[CHASE].cursors[0] = state).unwrap();
+            back.by_ref().take(5_000).for_each(drop);
+        }
+    }
+
+    #[test]
+    fn random_and_hot_cursors_past_the_region_are_corrupt() {
+        for comp in [RANDOM, HOT] {
+            cursor_bound(
+                |g| g.comps[comp].cursors[0] = g.comps[comp].lines,
+                |g| g.comps[comp].cursors[0] = g.comps[comp].lines - 1,
+            );
+        }
     }
 }

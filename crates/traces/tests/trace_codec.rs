@@ -292,6 +292,50 @@ fn bit_flips_are_typed_everywhere() {
 }
 
 #[test]
+fn content_hash_is_the_one_shot_hash_of_the_file_bytes() {
+    let tmp = TempTrace::new("content_hash");
+    record_workload(tmp.path(), "mcf", 7, 20_000);
+    let bytes = std::fs::read(&tmp.0).unwrap();
+    let summary = format::verify_file(tmp.path()).unwrap();
+    assert!(summary.blocks > 2, "the walk must cross block boundaries");
+    assert_eq!(summary.file_bytes, bytes.len() as u64);
+    assert_eq!(summary.content_hash, psa_common::rng::fnv1a(&bytes));
+
+    // Hashing the file alongside each block checksum must not weaken the
+    // checksum: a flipped payload byte (past the first block's header)
+    // still fails it.
+    let name_len = u16::from_le_bytes([bytes[12], bytes[13]]) as usize;
+    let payload_at = 14 + name_len + 32 + 16;
+    for at in [payload_at, payload_at + 100, bytes.len() - 1] {
+        let mut bad = bytes.clone();
+        bad[at] ^= 0x01;
+        let flip_tmp = TempTrace::new(&format!("content_flip_{at}"));
+        std::fs::write(&flip_tmp.0, &bad).unwrap();
+        assert!(
+            matches!(
+                format::verify_file(flip_tmp.path()),
+                Err(TraceError::Corrupt("block checksum"))
+            ),
+            "flip at {at}"
+        );
+    }
+}
+
+#[test]
+fn both_chains_end_where_one_pass_each_would() {
+    let bytes: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
+    let (mut a, mut b) = (format::Fnv1a::new(), format::Fnv1a::new());
+    a.update(b"a prefix that only one chain absorbed");
+    let (mut a_alone, mut b_alone) = (a, b);
+    a.update_both(&mut b, &bytes);
+    a_alone.update(&bytes);
+    b_alone.update(&bytes);
+    assert_eq!(a.finish(), a_alone.finish());
+    assert_eq!(b.finish(), b_alone.finish());
+    assert_eq!(b.finish(), psa_common::rng::fnv1a(&bytes));
+}
+
+#[test]
 fn wrong_version_is_typed() {
     let tmp = TempTrace::new("version");
     record_workload(tmp.path(), "milc", 3, 100);

@@ -312,7 +312,7 @@ impl AddressSpace {
     }
 
     /// Interior node reached after `levels` levels.
-    fn node_at(&self, vaddr: VAddr, levels: u8) -> Option<u32> {
+    pub(crate) fn node_at(&self, vaddr: VAddr, levels: u8) -> Option<u32> {
         self.page_table
             .as_ref()
             .and_then(|pt| pt.node_at(vaddr, levels))

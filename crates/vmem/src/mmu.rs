@@ -6,7 +6,7 @@
 //! L1D MSHR on a miss), the TLB-side latency, and the physical page-table
 //! lines a walk must fetch through the cache hierarchy (empty on TLB hits).
 
-use psa_common::{PAddr, PLine, PageSize, VAddr};
+use psa_common::{CodecError, PAddr, PLine, PageSize, VAddr};
 
 use crate::aspace::AddressSpace;
 use crate::frames::PhysMem;
@@ -203,6 +203,27 @@ impl Mmu {
         Ok(out)
     }
 
+    /// Check a restored MMU against the restored address space it
+    /// translates for. The two load separately, and a walk resumes from a
+    /// cached page-structure node without checking it, so every valid
+    /// cache entry must name the node the table reaches for its prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Corrupt`] when an entry names any other node.
+    pub fn check_restored(&self, aspace: &AddressSpace) -> Result<(), CodecError> {
+        if self
+            .psc
+            .agree(|vaddr, levels| aspace.node_at(vaddr, levels))
+        {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(
+                "page-structure cache names a node the page table does not hold there",
+            ))
+        }
+    }
+
     /// MMU statistics.
     pub fn stats(&self) -> MmuStats {
         self.stats
@@ -290,6 +311,39 @@ mod tests {
         // PDE cache is warm → only the PT step.
         assert_eq!(b.level, TlbHitLevel::Walk);
         assert_eq!(b.walk_lines().len(), 1);
+    }
+
+    #[test]
+    fn restored_psc_must_name_the_table_node() {
+        let (mut phys, mut aspace, mut mmu) = setup(0.0);
+        for page in [0u64, 1, 600, 1 << 18] {
+            mmu.translate(&mut aspace, &mut phys, VAddr::new(page * 4096))
+                .unwrap();
+        }
+        assert_eq!(mmu.check_restored(&aspace), Ok(()));
+        let pt_node = aspace.node_at(VAddr::new(0), 3).unwrap();
+        let bad = [
+            // Out of the table's range: the next walk would index past it.
+            (2, 50_000),
+            // In range, but the root, not a PT node.
+            (2, 0),
+            // A PT node cached as the PD node of a region.
+            (1, pt_node),
+        ];
+        for (level, node) in bad {
+            let (mut phys, mut aspace, mut mmu) = setup(0.0);
+            mmu.translate(&mut aspace, &mut phys, VAddr::new(0))
+                .unwrap();
+            mmu.psc.fill(VAddr::new(0), level, node);
+            assert!(
+                matches!(mmu.check_restored(&aspace), Err(CodecError::Corrupt(_))),
+                "level {level} node {node}"
+            );
+        }
+        // A valid entry with no page table at all.
+        let (_, aspace, mut mmu) = setup(0.0);
+        mmu.psc.fill(VAddr::new(0), 0, 1);
+        assert!(mmu.check_restored(&aspace).is_err());
     }
 
     #[test]

@@ -159,6 +159,18 @@ impl MmuCaches {
         None
     }
 
+    /// Whether every valid entry names the node that `node_at(vaddr,
+    /// levels)` resolves for its prefix: the only node a walk could have
+    /// cached there, since mapped interior nodes never move.
+    pub(crate) fn agree(&self, node_at: impl Fn(VAddr, u8) -> Option<u32>) -> bool {
+        self.levels.iter().enumerate().all(|(level, l)| {
+            l.entries.iter().filter(|e| e.valid).all(|e| {
+                let vaddr = VAddr::new(e.prefix << LEVEL_SHIFTS[level]);
+                node_at(vaddr, level as u8 + 1) == Some(e.node)
+            })
+        })
+    }
+
     /// After a walk resolved the node following level `level` for `vaddr`,
     /// cache it.
     pub fn fill(&mut self, vaddr: VAddr, level: u8, node: u32) {
