@@ -16,6 +16,13 @@ cargo build --release
 echo "== examples build =="
 cargo build --release --examples
 
+# The benchmark package (perf/) is a workspace of its own that calls the
+# crates' public API; type-check it against this tree so an API change it
+# depends on fails here, not in the benchmark run.
+echo "== benchmark package type-check (perf/) =="
+CARGO_TARGET_DIR=.bench_build cargo check --offline --locked \
+  --manifest-path perf/Cargo.toml --all-targets
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 

@@ -215,6 +215,11 @@ pub struct Cache {
     /// while empty).
     source: Vec<u8>,
     stats: CacheStats,
+    /// Prefetched blocks that were resident and not yet judged useful or
+    /// useless when [`Cache::reset_stats`] last zeroed the counters. Each
+    /// can still earn one verdict, so the audit allows this many verdicts
+    /// beyond the window's prefetch fills.
+    unjudged_at_reset: u64,
 }
 
 psa_common::persist_struct!(CacheStats {
@@ -232,8 +237,9 @@ psa_common::persist_struct!(CacheStats {
 // other length than the built geometry's was written by a cache of
 // another shape, and the next probe would index past the planes. A set
 // whose ranks are not a permutation of its ways would leave `fill`
-// without a victim, and an empty way with status or source bits is a
-// state no run reaches. All three are rejected.
+// without a victim, an empty way with status or source bits is a state
+// no run reaches, and so is more unjudged prefetches at the last reset
+// than the array has ways. All four are rejected.
 impl Persist for Cache {
     fn save(&self, e: &mut Enc) {
         self.tags.save(e);
@@ -241,6 +247,7 @@ impl Persist for Cache {
         self.flags.save(e);
         self.source.save(e);
         self.stats.save(e);
+        self.unjudged_at_reset.save(e);
     }
 
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
@@ -270,7 +277,14 @@ impl Persist for Cache {
         for set in 0..self.sets {
             self.check_set(set).map_err(CodecError::Corrupt)?;
         }
-        self.stats.load(d)
+        self.stats.load(d)?;
+        self.unjudged_at_reset.load(d)?;
+        if self.unjudged_at_reset > n as u64 {
+            return Err(CodecError::Corrupt(
+                "more unjudged prefetches than cache ways",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -314,6 +328,7 @@ impl Cache {
             flags: vec![0; n],
             source: vec![0; n],
             stats: CacheStats::default(),
+            unjudged_at_reset: 0,
         })
     }
 
@@ -475,9 +490,21 @@ impl Cache {
         evicted
     }
 
-    /// Accumulated statistics.
+    /// Statistics accumulated since the last [`Cache::reset_stats`].
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Zero the statistics (the start of a measured window), noting how
+    /// many resident prefetched blocks are still unjudged: their verdicts
+    /// fall in the new window, their fills did not.
+    pub fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+        self.unjudged_at_reset = self
+            .flags
+            .iter()
+            .filter(|&&f| f & (F_PREFETCHED | F_USED) == F_PREFETCHED)
+            .count() as u64;
     }
 
     /// Every valid block, for invariant audits. Read-only: touches neither
@@ -528,7 +555,8 @@ impl Cache {
     /// every set keeps the rank and empty-way encoding, no line is
     /// resident twice within a set, and prefetch accounting is consistent
     /// (a prefetched block becomes useful or useless at most once, so
-    /// `useful + useless ≤ prefetch_fills`).
+    /// `useful + useless ≤ prefetch_fills` plus the blocks still unjudged
+    /// at the last [`Cache::reset_stats`]).
     ///
     /// # Errors
     ///
@@ -552,10 +580,15 @@ impl Cache {
             }
         }
         let s = &self.stats;
-        if s.useful_prefetches + s.useless_prefetches > s.prefetch_fills {
+        if s.useful_prefetches + s.useless_prefetches > s.prefetch_fills + self.unjudged_at_reset {
             return Err(format!(
-                "{}: {} useful + {} useless prefetches exceed {} prefetch fills",
-                self.config.name, s.useful_prefetches, s.useless_prefetches, s.prefetch_fills
+                "{}: {} useful + {} useless prefetches exceed {} prefetch fills \
+                 + {} unjudged at the last reset",
+                self.config.name,
+                s.useful_prefetches,
+                s.useless_prefetches,
+                s.prefetch_fills,
+                self.unjudged_at_reset
             ));
         }
         Ok(())
@@ -662,6 +695,7 @@ mod tests {
         flags.to_vec().save(&mut e);
         source.to_vec().save(&mut e);
         CacheStats::default().save(&mut e);
+        0u64.save(&mut e);
         e.into_bytes()
     }
 
@@ -696,6 +730,56 @@ mod tests {
                 "{flags:?} {source:?}"
             );
         }
+    }
+
+    #[test]
+    fn persist_keeps_the_unjudged_count_within_the_ways() {
+        let mut c = tiny();
+        c.fill(line(0), FillKind::Prefetch { source: 0 }, false);
+        c.reset_stats();
+        let mut e = Enc::new();
+        c.save(&mut e);
+        let mut restored = tiny();
+        restored.load(&mut Dec::new(&e.into_bytes())).unwrap();
+        assert_eq!(restored.unjudged_at_reset, 1);
+        // `tiny()` has four ways: four unjudged blocks load, five cannot.
+        let load = |count: u64| {
+            let mut bytes = planes([0, 1, EMPTY, EMPTY], [1, 0, 1, 0], [0; 4], [0; 4]);
+            let at = bytes.len() - 8;
+            bytes[at..].copy_from_slice(&count.to_le_bytes());
+            tiny().load(&mut Dec::new(&bytes))
+        };
+        assert_eq!(load(4), Ok(()));
+        assert_eq!(
+            load(5),
+            Err(CodecError::Corrupt(
+                "more unjudged prefetches than cache ways"
+            ))
+        );
+    }
+
+    #[test]
+    fn reset_stats_lets_carried_prefetches_be_judged_once() {
+        let mut c = tiny();
+        c.fill(line(0), FillKind::Prefetch { source: 0 }, false);
+        c.fill(line(1), FillKind::Prefetch { source: 0 }, false);
+        c.fill(line(2), FillKind::Prefetch { source: 0 }, false);
+        c.probe(line(2)); // judged useful before the reset
+        c.reset_stats();
+        assert_eq!(c.stats(), CacheStats::default());
+        // Both still-unjudged blocks earn their verdicts in the window
+        // that no fill of theirs belongs to.
+        c.probe(line(0));
+        c.fill(line(3), FillKind::Demand, false);
+        c.fill(line(5), FillKind::Demand, false);
+        let s = c.stats();
+        assert_eq!((s.useful_prefetches, s.useless_prefetches), (1, 1));
+        assert_eq!(s.prefetch_fills, 0);
+        c.audit().expect("carried verdicts are within the bound");
+        // One verdict more than the carried blocks can give is a fault.
+        c.stats.useless_prefetches += 1;
+        let err = c.audit().unwrap_err();
+        assert!(err.contains("1 useful + 2 useless"), "{err}");
     }
 
     #[test]

@@ -223,12 +223,6 @@ macro_rules! addr_type {
                 self.0.checked_add_signed(delta).map(Self)
             }
 
-            /// Signed line distance `self - other`.
-            #[inline]
-            pub const fn delta_from(self, other: Self) -> i64 {
-                self.0 as i64 - other.0 as i64
-            }
-
             /// Whether `self` and `other` lie in the same page of `size`.
             #[inline]
             pub const fn same_page(self, other: Self, size: PageSize) -> bool {
@@ -352,7 +346,6 @@ mod tests {
         let a = PLine::new(100);
         let b = a.checked_add(-36).unwrap();
         assert_eq!(b.raw(), 64);
-        assert_eq!(b.delta_from(a), -36);
         assert_eq!(PLine::new(1).checked_add(-2), None);
     }
 

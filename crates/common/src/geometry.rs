@@ -43,15 +43,6 @@ pub fn checked_log2(what: &'static str, value: u64) -> Result<u32, GeometryError
     Ok(value.trailing_zeros())
 }
 
-/// Extract `bits` bits of `value` starting at bit `shift`.
-#[inline]
-pub const fn bit_field(value: u64, shift: u32, bits: u32) -> u64 {
-    if bits == 0 {
-        return 0;
-    }
-    (value >> shift) & ((1u64 << bits) - 1)
-}
-
 /// Fold a 64-bit value down to `bits` bits by XOR-ing `bits`-wide chunks.
 ///
 /// Used to build well-distributed table indices out of page numbers and
@@ -86,13 +77,6 @@ mod tests {
             let err = checked_log2("ways", v).unwrap_err();
             assert!(err.to_string().contains("ways"));
         }
-    }
-
-    #[test]
-    fn bit_field_extracts() {
-        assert_eq!(bit_field(0b1011_0100, 2, 4), 0b1101);
-        assert_eq!(bit_field(u64::MAX, 60, 4), 0xf);
-        assert_eq!(bit_field(123, 0, 0), 0);
     }
 
     #[test]

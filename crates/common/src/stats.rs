@@ -43,13 +43,6 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Convert a speedup ratio (e.g. 1.055) to the percent form the paper
-/// prints (5.5).
-#[inline]
-pub fn speedup_pct(ratio: f64) -> f64 {
-    (ratio - 1.0) * 100.0
-}
-
 /// Weighted speedup of a multi-core mix over a baseline, following §V-B:
 /// `sum(IPC_multicore / IPC_isolation)` for the evaluated system divided by
 /// the same sum for the baseline system.
@@ -159,12 +152,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn speedup_pct_matches_paper_convention() {
-        assert!((speedup_pct(1.081) - 8.1).abs() < 1e-9);
-        assert!((speedup_pct(0.9) + 10.0).abs() < 1e-9);
     }
 
     #[test]

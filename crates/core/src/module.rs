@@ -265,8 +265,12 @@ impl PsaModule {
         &self.obs
     }
 
-    /// Clear observability state (warm-up boundary reset).
-    pub fn reset_obs(&mut self) {
+    /// Start a measured window: zero the issue-path and boundary
+    /// counters and the observability hooks. Training and selection state
+    /// carry on.
+    pub fn reset_window(&mut self) {
+        self.stats = ModuleStats::default();
+        self.boundary = BoundaryChecker::new(self.boundary.policy());
         self.obs.reset();
     }
 
@@ -757,11 +761,13 @@ mod tests {
         assert_eq!(o.useful_late[0].get(), 1);
         assert_eq!(o.useless[0].get(), 1);
         assert_eq!(o.useful(0), 2);
-        m.reset_obs();
+        assert!(m.stats().issued > 0 && m.boundary_stats().candidates > 0);
+        m.reset_window();
         assert_eq!(m.obs().candidates_per_access[0].total(), 0);
         assert_eq!(m.obs().useful(0), 0);
-        // The aggregate stats are untouched by obs resets.
-        assert!(m.stats().issued > 0);
+        // The reset zeroes the aggregate stats with the obs counters.
+        assert_eq!(m.stats(), ModuleStats::default());
+        assert_eq!(m.boundary_stats(), BoundaryStats::default());
     }
 
     #[test]

@@ -223,8 +223,10 @@ impl Dram {
         &self.obs_queue_delay
     }
 
-    /// Clear observability state (warm-up boundary reset).
-    pub fn reset_obs(&mut self) {
+    /// Start a measured window: zero the counters and the queueing
+    /// histogram. Bank, row and bus state carry on.
+    pub fn reset_window(&mut self) {
+        self.stats = DramStats::default();
         self.obs_queue_delay.reset();
     }
 
@@ -491,8 +493,9 @@ mod tests {
         let h = d.obs_queue_delay();
         assert_eq!(h.total(), 3, "one sample per access, reads and writes");
         assert!(h.sum() > 0, "bank backpressure must show up as delay");
-        d.reset_obs();
+        d.reset_window();
         assert_eq!(d.obs_queue_delay().total(), 0);
+        assert_eq!(d.stats(), DramStats::default());
     }
 
     #[test]

@@ -190,11 +190,15 @@ impl CacheLevel {
         self.mshr.enable_obs();
     }
 
-    /// Clear observability state (warm-up boundary reset).
-    pub fn reset_obs(&mut self) {
+    /// Start a measured window: zero the array's statistics, the MSHR
+    /// file's observability hooks and the attached module's counters.
+    /// The MSHR's own statistics stay cumulative (the watchdog and the
+    /// leak audit read them).
+    pub fn reset_window(&mut self) {
+        self.cache.reset_stats();
         self.mshr.reset_obs();
         if let Some(m) = &mut self.module {
-            m.reset_obs();
+            m.reset_window();
         }
     }
 }
@@ -232,14 +236,12 @@ pub struct LevelLat {
 psa_common::persist_struct!(LevelLat { sum, cnt });
 
 impl LevelLat {
-    /// Average latency over the window starting at `start`, or 0.0 when
-    /// the window saw no accounted accesses.
-    pub fn avg_since(&self, start: LevelLat) -> f64 {
-        let (dsum, dcnt) = (self.sum - start.sum, self.cnt - start.cnt);
-        if dcnt == 0 {
+    /// Average latency, or 0.0 when no access was accounted.
+    pub fn avg(&self) -> f64 {
+        if self.cnt == 0 {
             0.0
         } else {
-            dsum as f64 / dcnt as f64
+            self.sum as f64 / self.cnt as f64
         }
     }
 }
@@ -267,7 +269,7 @@ pub struct PortDebug {
     /// Total load latency (issue → value available), in cycles.
     pub load_latency_sum: u64,
     /// Largest single load latency observed, in cycles (running maximum —
-    /// not windowed by [`PortDebug::since`]).
+    /// kept by [`PortDebug::reset`]).
     pub load_latency_max: u64,
 }
 
@@ -283,19 +285,13 @@ psa_common::persist_struct!(PortDebug {
 });
 
 impl PortDebug {
-    /// The diagnostics accumulated since `start` was captured. Totals are
-    /// differenced; `load_latency_max` is kept as the running maximum.
-    pub fn since(&self, start: &PortDebug) -> PortDebug {
-        PortDebug {
-            mshr_bump_stall: self.mshr_bump_stall - start.mshr_bump_stall,
-            clean_misses: self.clean_misses - start.clean_misses,
-            merged_misses: self.merged_misses - start.merged_misses,
-            clean_latency_sum: self.clean_latency_sum - start.clean_latency_sum,
-            merged_latency_sum: self.merged_latency_sum - start.merged_latency_sum,
-            loads: self.loads - start.loads,
-            load_latency_sum: self.load_latency_sum - start.load_latency_sum,
+    /// Zero the totals at the start of a measured window;
+    /// `load_latency_max` stays the running maximum.
+    pub fn reset(&mut self) {
+        *self = PortDebug {
             load_latency_max: self.load_latency_max,
-        }
+            ..PortDebug::default()
+        };
     }
 }
 
@@ -319,6 +315,13 @@ impl WalkStats {
             lat: vec![LevelLat::default(); levels],
             debug: PortDebug::default(),
         }
+    }
+
+    /// Zero the latency sums and the diagnostic totals at the start of a
+    /// measured window (see [`PortDebug::reset`]).
+    pub fn reset(&mut self) {
+        self.lat.fill(LevelLat::default());
+        self.debug.reset();
     }
 }
 
@@ -423,7 +426,7 @@ mod tests {
 
     #[test]
     fn port_debug_windows_all_but_the_max() {
-        let start = PortDebug {
+        let mut w = PortDebug {
             mshr_bump_stall: 5,
             clean_misses: 10,
             merged_misses: 1,
@@ -431,18 +434,16 @@ mod tests {
             merged_latency_sum: 7,
             loads: 50,
             load_latency_sum: 900,
-            load_latency_max: 80,
+            load_latency_max: 120,
         };
-        let mut end = start;
-        end.clean_misses += 3;
-        end.loads += 4;
-        end.load_latency_sum += 111;
-        end.load_latency_max = 120;
-        let w = end.since(&start);
-        assert_eq!(w.clean_misses, 3);
-        assert_eq!(w.loads, 4);
-        assert_eq!(w.load_latency_sum, 111);
-        assert_eq!(w.mshr_bump_stall, 0);
+        w.reset();
+        assert_eq!(
+            w,
+            PortDebug {
+                load_latency_max: 120,
+                ..PortDebug::default()
+            }
+        );
         assert_eq!(w.load_latency_max, 120, "max is a running maximum");
     }
 

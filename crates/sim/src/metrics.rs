@@ -8,57 +8,6 @@ use psa_core::ModuleStats;
 use psa_dram::DramStats;
 use psa_hier::PortDebug;
 
-/// Subtract cache counters (measured window = end − warmup snapshot).
-pub(crate) fn cache_diff(end: CacheStats, start: CacheStats) -> CacheStats {
-    CacheStats {
-        demand_hits: end.demand_hits - start.demand_hits,
-        demand_misses: end.demand_misses - start.demand_misses,
-        prefetch_fills: end.prefetch_fills - start.prefetch_fills,
-        useful_prefetches: end.useful_prefetches - start.useful_prefetches,
-        useless_prefetches: end.useless_prefetches - start.useless_prefetches,
-        writebacks: end.writebacks - start.writebacks,
-    }
-}
-
-pub(crate) fn dram_diff(end: DramStats, start: DramStats) -> DramStats {
-    DramStats {
-        reads: end.reads - start.reads,
-        writes: end.writes - start.writes,
-        row_hits: end.row_hits - start.row_hits,
-        row_opens: end.row_opens - start.row_opens,
-        row_conflicts: end.row_conflicts - start.row_conflicts,
-        bus_busy_cycles: end.bus_busy_cycles - start.bus_busy_cycles,
-        prefetch_drops: end.prefetch_drops - start.prefetch_drops,
-    }
-}
-
-pub(crate) fn module_diff(end: ModuleStats, start: ModuleStats) -> ModuleStats {
-    ModuleStats {
-        accesses: end.accesses - start.accesses,
-        candidates: end.candidates - start.candidates,
-        issued: end.issued - start.issued,
-        deduped: end.deduped - start.deduped,
-        issued_by: [
-            end.issued_by[0] - start.issued_by[0],
-            end.issued_by[1] - start.issued_by[1],
-        ],
-        selected_by: [
-            end.selected_by[0] - start.selected_by[0],
-            end.selected_by[1] - start.selected_by[1],
-        ],
-    }
-}
-
-pub(crate) fn boundary_diff(end: BoundaryStats, start: BoundaryStats) -> BoundaryStats {
-    BoundaryStats {
-        candidates: end.candidates - start.candidates,
-        allowed: end.allowed - start.allowed,
-        discarded_cross_4k_in_huge: end.discarded_cross_4k_in_huge
-            - start.discarded_cross_4k_in_huge,
-        discarded_out_of_page: end.discarded_out_of_page - start.discarded_out_of_page,
-    }
-}
-
 /// The report of one single-core run, restricted to the measured window
 /// (post-warmup).
 #[derive(Debug, Clone, PartialEq)]
@@ -435,22 +384,5 @@ mod tests {
         };
         let err = decode(&three.to_store_bytes()).expect_err("IPC count");
         assert!(err.to_string().contains("IPC count"), "{err}");
-    }
-
-    #[test]
-    fn diff_helpers_subtract() {
-        let end = CacheStats {
-            demand_hits: 10,
-            demand_misses: 6,
-            ..Default::default()
-        };
-        let start = CacheStats {
-            demand_hits: 4,
-            demand_misses: 1,
-            ..Default::default()
-        };
-        let d = cache_diff(end, start);
-        assert_eq!(d.demand_hits, 6);
-        assert_eq!(d.demand_misses, 5);
     }
 }

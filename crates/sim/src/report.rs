@@ -7,10 +7,11 @@
 //! with no external serialization dependency (the workspace builds with no
 //! registry access).
 //!
-//! All counters come from the **measured window**: the warm-up snapshot of
-//! each counter is subtracted from its end-of-run value before it reaches a
-//! report (see `cache_diff`/`dram_diff` in [`crate::metrics`]), so two runs
-//! of different warm-up lengths remain comparable.
+//! All counters come from the **measured window**: the simulator zeroes
+//! each counter where warm-up ends (a core's own counters at its
+//! crossing, the shared LLC and DRAM once every core is warm) and reads
+//! it as it stands at the end, so two runs of different warm-up lengths
+//! remain comparable.
 //!
 //! The module deliberately implements both a writer and a strict parser:
 //! the parser exists so round-trip tests can hold the writer honest and so

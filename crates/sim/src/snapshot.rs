@@ -77,7 +77,14 @@ use crate::system::System;
 /// cursor outside the range the generator keeps it in, and a
 /// page-structure-cache entry naming another node than the restored
 /// table reaches for it.
-pub const SNAPSHOT_VERSION: u32 = 6;
+///
+/// Version 7: counters are zeroed in place where warm-up ends instead of
+/// being copied aside and subtracted at the end, so the run cursor keeps
+/// only each core's warm-up cycle (no per-core or shared counter
+/// copies), and each cache array writes, after its counters, how many
+/// prefetched blocks were resident and unjudged when they were zeroed. A
+/// count above the array's ways is corrupt.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

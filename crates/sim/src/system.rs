@@ -25,53 +25,22 @@
 //! carries is decided by the [`ModuleSpec`] value on [`SimConfig`] — the
 //! `single_core`/`baseline` constructors are sugar that fill it in.
 
-use psa_cache::{Cache, CacheStats};
+use psa_cache::Cache;
 use psa_common::obs::{Counter, EventKind, EventRing, ObsReport};
 use psa_common::{CodecError, Dec, Enc, Persist, VAddr};
 use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleObs, PageSizePolicy};
 use psa_cpu::{Core, Instr};
 use psa_dram::Dram;
-use psa_hier::{CacheLevel, Feedback, LevelLat, LevelPolicy, PortDebug, WalkStats, PASS};
+use psa_hier::{CacheLevel, Feedback, LevelPolicy, WalkStats, PASS};
 use psa_prefetchers::{Ipcp, IpcpConfig, ModuleSpec, NextLineL1d, PrefetcherKind};
 use psa_traces::{WorkloadRef, WorkloadSource, WorkloadSpec};
 use psa_vmem::{AddressSpace, AspaceConfig, Mmu, PhysMem};
 
 use crate::config::{L1dPrefKind, SimConfig};
 use crate::error::{CoreStall, SimError, StallSnapshot};
-use crate::metrics::{boundary_diff, cache_diff, dram_diff, module_diff, MultiReport, RunReport};
+use crate::metrics::{MultiReport, RunReport};
 use crate::port::{CoreHier, CorePort, L1dPref, SharedHier};
-
-/// Everything `run_all` hands back: per-core snapshots at warm-up, finish
-/// cycles, the shared LLC/DRAM warm-up snapshots, and the THP series.
-type RunAllOut = (
-    Vec<CoreSnap>,
-    Vec<u64>,
-    CacheStats,
-    psa_dram::DramStats,
-    Vec<(u64, f64)>,
-);
-
-#[derive(Debug, Clone, Default)]
-struct CoreSnap {
-    cycle: u64,
-    l2c: CacheStats,
-    l2c_lat: LevelLat,
-    llc_lat: LevelLat,
-    module: Option<psa_core::ModuleStats>,
-    boundary: Option<psa_core::BoundaryStats>,
-    debug: PortDebug,
-}
-
-psa_common::persist_struct!(CoreSnap {
-    cycle,
-    l2c,
-    l2c_lat,
-    llc_lat,
-    module,
-    boundary,
-    debug,
-});
 
 /// The run loop's mutable cursor, owned by the [`System`] so a run can be
 /// paused at any step boundary, checkpointed, and resumed — the step that
@@ -81,12 +50,9 @@ struct RunState {
     executed: Vec<u64>,
     /// Total steps taken (one instruction on one core per step).
     steps: u64,
-    /// Per-core stats snapshots taken as each core crossed warm-up.
-    snaps: Vec<CoreSnap>,
-    /// Which cores have crossed warm-up.
-    warm: Vec<bool>,
-    /// Shared LLC/DRAM stats at the all-warm instant.
-    shared_snap: (CacheStats, psa_dram::DramStats),
+    /// The cycle at which each core crossed warm-up and its measured
+    /// window began; `None` while it is still warming up.
+    warm_at: Vec<Option<u64>>,
     /// Cores still short of their instruction budget.
     active: Vec<usize>,
     /// Sampled (instructions, huge-usage fraction) for core 0.
@@ -100,9 +66,7 @@ struct RunState {
 psa_common::persist_struct!(RunState {
     executed,
     steps,
-    snaps,
-    warm,
-    shared_snap,
+    warm_at,
     active,
     thp_series,
     last_progress,
@@ -114,9 +78,7 @@ impl RunState {
         Self {
             executed: vec![0; n],
             steps: 0,
-            snaps: vec![CoreSnap::default(); n],
-            warm: vec![config.warmup == 0; n],
-            shared_snap: (CacheStats::default(), psa_dram::DramStats::default()),
+            warm_at: vec![(config.warmup == 0).then_some(0); n],
             active: (0..n).collect(),
             thp_series: Vec::new(),
             last_progress: 0,
@@ -411,18 +373,6 @@ impl System {
         &self.names
     }
 
-    fn snap_core(cores: &[Core], ctx: &CoreHier, i: usize) -> CoreSnap {
-        CoreSnap {
-            cycle: cores[i].projected_finish(),
-            l2c: ctx.levels[1].cache.stats(),
-            l2c_lat: ctx.stats.lat[1],
-            llc_lat: ctx.stats.lat[2],
-            module: ctx.levels[1].module.as_ref().map(|m| m.stats()),
-            boundary: ctx.levels[1].module.as_ref().map(|m| m.boundary_stats()),
-            debug: ctx.stats.debug,
-        }
-    }
-
     /// Total forward-progress events so far: ROB retirements plus MSHR
     /// drains anywhere in the machine. In the time-warp timing model a
     /// livelock shows up as simulated time advancing with this sum frozen
@@ -560,24 +510,6 @@ impl System {
         self.config.check
     }
 
-    /// Zero every observability structure so totals cover exactly the
-    /// measured window, like the windowed report statistics. Called at
-    /// the all-warm crossing; machines restored from a warm checkpoint
-    /// are built fresh (obs already zero), so both paths agree.
-    fn reset_obs(&mut self) {
-        for core in &mut self.cores {
-            core.reset_obs();
-        }
-        for ctx in &mut self.ctxs {
-            for level in &mut ctx.levels {
-                level.reset_obs();
-            }
-        }
-        self.shared.llc.reset_obs();
-        self.shared.dram.reset_obs();
-        self.ring.reset();
-    }
-
     /// Execute one step: one instruction on the core that is earliest in
     /// simulated time. The choice is a pure function of the machine state,
     /// so any prefix of the step sequence is a valid pause point — runs
@@ -634,7 +566,7 @@ impl System {
         // fetch/retire arithmetic, so batching is invisible to simulated
         // state. The batch is capped so it ends at (never crosses) every
         // boundary this function tests per instruction — the THP sample
-        // point, the warm-up snapshot, the core's total budget and the
+        // point, the warm-up crossing, the core's total budget and the
         // caller's step budget — and it degenerates to the single-step
         // path while the event ring is recording, so per-retire event
         // streams stay identical under observability.
@@ -642,7 +574,7 @@ impl System {
         if !self.ring.enabled() {
             let exec = self.state.executed[i];
             let mut cap = (total - exec).min(budget);
-            if !self.state.warm[i] {
+            if self.state.warm_at[i].is_none() {
                 cap = cap.min(self.config.warmup - exec);
             }
             if i == 0 {
@@ -705,14 +637,23 @@ impl System {
                 self.ctxs[0].aspace.huge_usage_fraction(),
             ));
         }
-        if !self.state.warm[i] && self.state.executed[i] == self.config.warmup {
-            self.state.warm[i] = true;
-            self.state.snaps[i] = Self::snap_core(&self.cores, &self.ctxs[i], i);
-            if self.state.warm.iter().all(|&w| w) {
-                self.state.shared_snap = (self.shared.llc.cache.stats(), self.shared.dram.stats());
-                if self.config.obs.enabled {
-                    self.reset_obs();
-                }
+        if self.state.warm_at[i].is_none() && self.state.executed[i] == self.config.warmup {
+            // The core's measured window starts here: every counter its
+            // report reads, and its observability hooks, restart from
+            // zero. The shared LLC and DRAM restart once every core is
+            // warm. A restored machine carries the zeroed counters in its
+            // snapshot and starts with fresh hooks, so both paths agree.
+            self.state.warm_at[i] = Some(self.cores[i].projected_finish());
+            self.cores[i].reset_obs();
+            let ctx = &mut self.ctxs[i];
+            for level in &mut ctx.levels {
+                level.reset_window();
+            }
+            ctx.stats.reset();
+            if self.warmed_up() {
+                self.shared.llc.reset_window();
+                self.shared.dram.reset_window();
+                self.ring.reset();
                 if check {
                     self.audit()?;
                 }
@@ -736,7 +677,7 @@ impl System {
 
     /// Whether every core has crossed its warm-up point.
     pub fn warmed_up(&self) -> bool {
-        self.state.warm.iter().all(|&w| w)
+        self.state.warm_at.iter().all(Option::is_some)
     }
 
     /// Advance the run until `steps` total steps have executed (across the
@@ -760,8 +701,9 @@ impl System {
     }
 
     /// Advance the run until every core has crossed warm-up (a no-op when
-    /// already warm). This is the canonical checkpoint instant: the warm-up
-    /// snapshots are taken, the measured region has not started.
+    /// already warm). This is the canonical checkpoint instant: the
+    /// counters have just been zeroed, the measured region has not
+    /// started.
     ///
     /// # Errors
     ///
@@ -775,7 +717,9 @@ impl System {
         Ok(())
     }
 
-    fn run_all(&mut self) -> Result<RunAllOut, SimError> {
+    /// Run every core to the end of its budget and return each core's
+    /// measured cycles: from its warm-up crossing to its drained finish.
+    fn run_all(&mut self) -> Result<Vec<u64>, SimError> {
         let check = self.check_enabled();
         while !self.state.active.is_empty() {
             self.step(check, u64::MAX)?;
@@ -783,12 +727,12 @@ impl System {
         if check {
             self.audit()?;
         }
-        let finish: Vec<u64> = self.cores.iter_mut().map(|c| c.drain()).collect();
-        let llc = cache_diff(self.shared.llc.cache.stats(), self.state.shared_snap.0);
-        let dram = dram_diff(self.shared.dram.stats(), self.state.shared_snap.1);
-        let snaps = std::mem::take(&mut self.state.snaps);
-        let thp_series = std::mem::take(&mut self.state.thp_series);
-        Ok((snaps, finish, llc, dram, thp_series))
+        Ok(self
+            .cores
+            .iter_mut()
+            .zip(&self.state.warm_at)
+            .map(|(c, warm_at)| c.drain().saturating_sub(warm_at.unwrap_or(0)).max(1))
+            .collect())
     }
 
     /// Serialize the machine's complete mutable state. Shape/config data
@@ -882,38 +826,23 @@ impl System {
     /// Panics if the system was built with more than one core.
     pub fn try_run_observed(mut self) -> Result<(RunReport, Option<ObsReport>), SimError> {
         assert_eq!(self.cores.len(), 1, "use run_multi for multi-core systems");
-        let (snaps, finish, llc, dram, thp_series) = self.run_all()?;
-        let snap = &snaps[0];
+        let cycles = self.run_all()?;
         let ctx = &self.ctxs[0];
-        let l2c = cache_diff(ctx.levels[1].cache.stats(), snap.l2c);
-        let module = match (
-            ctx.levels[1].module.as_ref().map(|m| m.stats()),
-            snap.module,
-        ) {
-            (Some(end), Some(start)) => Some(module_diff(end, start)),
-            (m, _) => m,
-        };
-        let boundary = match (
-            ctx.levels[1].module.as_ref().map(|m| m.boundary_stats()),
-            snap.boundary,
-        ) {
-            (Some(end), Some(start)) => Some(boundary_diff(end, start)),
-            (b, _) => b,
-        };
+        let module = ctx.levels[1].module.as_ref();
         let report = RunReport {
             workload: self.names[0],
             instructions: self.config.instructions,
-            cycles: finish[0].saturating_sub(snap.cycle).max(1),
-            l2c,
-            llc,
-            dram,
-            module,
-            boundary,
-            l2c_avg_latency: ctx.stats.lat[1].avg_since(snap.l2c_lat),
-            llc_avg_latency: ctx.stats.lat[2].avg_since(snap.llc_lat),
+            cycles: cycles[0],
+            l2c: ctx.levels[1].cache.stats(),
+            llc: self.shared.llc.cache.stats(),
+            dram: self.shared.dram.stats(),
+            module: module.map(|m| m.stats()),
+            boundary: module.map(|m| m.boundary_stats()),
+            l2c_avg_latency: ctx.stats.lat[1].avg(),
+            llc_avg_latency: ctx.stats.lat[2].avg(),
             huge_usage: ctx.aspace.huge_usage_fraction(),
-            thp_series,
-            debug: ctx.stats.debug.since(&snap.debug),
+            thp_series: std::mem::take(&mut self.state.thp_series),
+            debug: ctx.stats.debug,
         };
         let obs = self.obs_report(&report);
         Ok((report, obs))
@@ -1037,18 +966,13 @@ impl System {
     /// outgrow the configured physical memory, or
     /// [`SimError::Invariant`] when the audits are enabled and fail.
     pub fn try_run_multi(mut self) -> Result<MultiReport, SimError> {
-        let instructions = self.config.instructions;
-        let (snaps, finish, llc, dram, _) = self.run_all()?;
-        let ipc = snaps
-            .iter()
-            .zip(&finish)
-            .map(|(s, &f)| instructions as f64 / f.saturating_sub(s.cycle).max(1) as f64)
-            .collect();
+        let instructions = self.config.instructions as f64;
+        let cycles = self.run_all()?;
         Ok(MultiReport {
             workloads: self.names.clone(),
-            ipc,
-            llc,
-            dram,
+            ipc: cycles.iter().map(|&c| instructions / c as f64).collect(),
+            llc: self.shared.llc.cache.stats(),
+            dram: self.shared.dram.stats(),
         })
     }
 }

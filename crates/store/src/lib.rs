@@ -448,11 +448,6 @@ impl Store {
         self.manifest.entries.len()
     }
 
-    /// Number of memory-tier entries.
-    pub fn mem_entries(&self) -> usize {
-        self.mem.len()
-    }
-
     /// Drop the memory tier (test hook for forcing disk reads).
     pub fn clear_memory(&mut self) {
         self.mem.clear();

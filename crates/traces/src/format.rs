@@ -57,6 +57,14 @@ pub const BLOCK_HEADER_BYTES: u64 = 16;
 const BLOCK_RECORD_LIMIT: u32 = 1024;
 const BLOCK_BYTE_LIMIT: usize = 48 << 10;
 
+/// Records and payload bytes of the largest block the writer emits:
+/// [`BLOCK_RECORD_LIMIT`] records of at most 18 bytes each (a memory
+/// access), which never reach [`BLOCK_BYTE_LIMIT`]. A reader whose
+/// [`read_block`] buffers start at these sizes never grows them while
+/// replaying a written trace.
+pub(crate) const WRITTEN_BLOCK_RECORDS: usize = BLOCK_RECORD_LIMIT as usize;
+pub(crate) const WRITTEN_BLOCK_BYTES: usize = WRITTEN_BLOCK_RECORDS * 18;
+
 /// Incremental FNV-1a, constant-compatible with
 /// [`psa_common::rng::fnv1a`]: hashing a file in chunks yields the
 /// same value as hashing the concatenated bytes.
@@ -518,11 +526,14 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(
     })
 }
 
-/// Read one block (header + validated payload) from `r`. Returns the
-/// decoded records and the block's total encoded length, or `None` at
-/// a clean end-of-file (the reseek point). When `hash` is given, the
+/// Read one block (header + validated payload) from `r` into the
+/// caller's buffers: the raw payload into `payload` and its decoded
+/// records into `records`, replacing what they held. Returns the block's
+/// total encoded length, or `None` at a clean end-of-file (the reseek
+/// point), leaving both buffers as they were. When `hash` is given, the
 /// raw block bytes are absorbed into it, in the same pass over the
-/// payload as the block checksum.
+/// payload as the block checksum. Reusing the buffers across blocks, a
+/// replay allocates only when a block outgrows every one before it.
 ///
 /// # Errors
 ///
@@ -533,7 +544,9 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(
 pub fn read_block(
     r: &mut impl Read,
     mut hash: Option<&mut Fnv1a>,
-) -> Result<Option<(Vec<TraceRecord>, u64)>, TraceError> {
+    payload: &mut Vec<u8>,
+    records: &mut Vec<TraceRecord>,
+) -> Result<Option<u64>, TraceError> {
     let mut head = [0u8; BLOCK_HEADER_BYTES as usize];
     match r.read(&mut head).map_err(|e| TraceError::Io {
         path: String::new(),
@@ -560,25 +573,27 @@ pub fn read_block(
     if nrecords > payload_len / 2 {
         return Err(TraceError::Corrupt("block record count"));
     }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact(r, &mut payload, "block payload")?;
+    payload.clear();
+    payload.resize(payload_len as usize, 0);
+    read_exact(r, payload, "block payload")?;
     let mut sum = Fnv1a::new();
     match hash {
-        Some(h) => sum.update_both(h, &payload),
-        None => sum.update(&payload),
+        Some(h) => sum.update_both(h, payload),
+        None => sum.update(payload),
     }
     if sum.finish() != crc {
         return Err(TraceError::Corrupt("block checksum"));
     }
-    let mut recs = Vec::with_capacity(nrecords as usize);
+    records.clear();
+    records.reserve(nrecords as usize);
     let mut pos = 0;
     for _ in 0..nrecords {
-        recs.push(TraceRecord::decode(&payload, &mut pos)?);
+        records.push(TraceRecord::decode(payload, &mut pos)?);
     }
     if pos != payload.len() {
         return Err(TraceError::Corrupt("trailing bytes in block"));
     }
-    Ok(Some((recs, BLOCK_HEADER_BYTES + u64::from(payload_len))))
+    Ok(Some(BLOCK_HEADER_BYTES + u64::from(payload_len)))
 }
 
 /// A full verification pass over one trace file: header parse, every
@@ -626,7 +641,10 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<TraceSummary, TraceError> {
     let mut memory = 0u64;
     let mut blocks = 0u64;
     let mut file_bytes = header_len;
-    while let Some((recs, len)) = read_block(&mut r, Some(&mut hash)).map_err(with_path)? {
+    let (mut payload, mut recs) = (Vec::new(), Vec::new());
+    while let Some(len) =
+        read_block(&mut r, Some(&mut hash), &mut payload, &mut recs).map_err(with_path)?
+    {
         blocks += 1;
         file_bytes += len;
         for rec in &recs {
@@ -748,8 +766,12 @@ mod tests {
         let mut r = Cursor::new(&bytes);
         let (header, _) = TraceHeader::decode(&mut r, None).unwrap();
         let mut records = Vec::new();
-        while let Some((recs, _)) = read_block(&mut r, None).unwrap() {
-            records.extend(recs);
+        let (mut payload, mut recs) = (Vec::new(), Vec::new());
+        while read_block(&mut r, None, &mut payload, &mut recs)
+            .unwrap()
+            .is_some()
+        {
+            records.extend_from_slice(&recs);
         }
         assert_eq!(records.len() as u64, header.records);
         let instrs: u64 = records.iter().map(TraceRecord::instructions).sum();

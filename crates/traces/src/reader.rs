@@ -48,6 +48,9 @@ pub struct TraceReader {
     data_start: u64,
     /// Decoded records of the current block.
     block: Vec<TraceRecord>,
+    /// Raw payload of the current block: [`format::read_block`]'s
+    /// scratch, kept so that loading a block reuses its storage.
+    payload: Vec<u8>,
     /// File offset of the current block.
     block_offset: u64,
     /// File offset of the block after the current one.
@@ -105,7 +108,8 @@ impl TraceReader {
             content_hash: tref.content_hash,
             header,
             data_start,
-            block: Vec::new(),
+            block: Vec::with_capacity(format::WRITTEN_BLOCK_RECORDS),
+            payload: Vec::with_capacity(format::WRITTEN_BLOCK_BYTES),
             block_offset: data_start,
             next_block_offset: data_start,
             next_rec: 0,
@@ -143,10 +147,10 @@ impl TraceReader {
     /// Load the block at `next_block_offset` (the stream is already
     /// positioned there). `Ok(false)` means clean end-of-file.
     fn advance_block(&mut self) -> Result<bool, TraceError> {
-        match format::read_block(&mut self.file, None).map_err(|e| self.io(e))? {
+        let read = format::read_block(&mut self.file, None, &mut self.payload, &mut self.block);
+        match read.map_err(|e| self.io(e))? {
             None => Ok(false),
-            Some((records, encoded_len)) => {
-                self.block = records;
+            Some(encoded_len) => {
                 self.block_offset = self.next_block_offset;
                 self.next_block_offset += encoded_len;
                 self.next_rec = 0;
