@@ -159,7 +159,6 @@ psa_common::persist_struct!(ModuleStats {
 /// no information across accesses.
 impl Persist for PsaModule {
     fn save(&self, e: &mut Enc) {
-        self.ppm.save(e);
         self.psa.save_state(e);
         if let Some(b) = &self.psa_2mb {
             b.save_state(e);
@@ -172,7 +171,6 @@ impl Persist for PsaModule {
     }
 
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
-        self.ppm.load(d)?;
         self.psa.load_state(d)?;
         if let Some(b) = &mut self.psa_2mb {
             b.load_state(d)?;
@@ -200,9 +198,8 @@ impl PsaModule {
     /// `factory` (called once per required indexing grain).
     ///
     /// * `source` — how page-size information reaches the module
-    ///   ([`PageSizeSource::Ppm`] for the realistic path,
-    ///   [`PageSizeSource::Magic`] for §III's oracle variants; forced to
-    ///   `None` for [`PageSizePolicy::Original`]).
+    ///   ([`PageSizeSource::Ppm`]; forced to `None` for
+    ///   [`PageSizePolicy::Original`]).
     /// * `l2c_sets` — number of L2C sets, needed to lay out the dueling
     ///   sample sets.
     ///
@@ -295,7 +292,7 @@ impl PsaModule {
     ///
     /// * `mshr_bit` — the PPM page-size bit carried by the L1D MSHR entry;
     /// * `oracle_size` — the true page size from the translation metadata
-    ///   (used by Magic variants and to audit the PPM bit);
+    ///   (used for boundary legality and to audit the PPM bit);
     /// * `set` — the L2C set of the accessed line (for Set Dueling);
     /// * `present` — residency oracle (cache/MSHR probes): candidates that
     ///   are already resident or in flight are skipped *without* consuming
@@ -467,11 +464,6 @@ impl PsaModule {
     /// Boundary-legality counters (Figure 2).
     pub fn boundary_stats(&self) -> BoundaryStats {
         self.boundary.stats()
-    }
-
-    /// Fraction of accesses whose resolved page size was 2MB.
-    pub fn huge_fraction_seen(&self) -> f64 {
-        self.ppm.huge_fraction()
     }
 
     /// Current dueling state, if this is a Pref-PSA-SD module.
@@ -819,25 +811,5 @@ mod tests {
         let bursts = &m.obs().candidates_per_access;
         assert_eq!([bursts[0].total(), bursts[1].total()], [3, 3]);
         assert_eq!(bursts[0].sum() + bursts[1].sum(), 2 * m.stats().candidates);
-    }
-
-    #[test]
-    fn magic_and_ppm_agree_on_requests() {
-        let mk = |src| {
-            PsaModule::new(
-                PageSizePolicy::Psa,
-                src,
-                &|grain| FakePref::boxed(grain, 4),
-                1024,
-                SdConfig::default(),
-                ModuleConfig::default(),
-            )
-            .unwrap()
-        };
-        let mut ppm = mk(PageSizeSource::Ppm);
-        let mut magic = mk(PageSizeSource::Magic);
-        for line in [0u64, 62, 63, 64, 4000, 32766] {
-            assert_eq!(run(&mut ppm, line, true, 3), run(&mut magic, line, true, 3));
-        }
     }
 }

@@ -12,11 +12,12 @@
 //! Storage overhead: 1 bit per L1D MSHR entry for two concurrent page
 //! sizes; `ceil(log2(N))` bits for `N` page sizes ([`Ppm::bits_required`]).
 //!
-//! In this simulator the type tracks how page-size information reaches the
-//! prefetching module — through PPM's MSHR path or via the "Magic" oracle
-//! the paper's motivation sections (§III-B/III-C) assume — and verifies the
-//! two agree, which is the paper's observation that PPM loses nothing
-//! relative to magic propagation.
+//! In this simulator the type decides whether the prefetching module sees
+//! the page size at all (original prefetchers do not) and audits that the
+//! MSHR bit equals the translation's page size. Because the bit is the
+//! translation's page size, the "Magic" oracle of the paper's motivation
+//! sections (§III-B/III-C) sees the same value: PPM loses nothing relative
+//! to magic propagation, and this simulator builds one machine for both.
 
 use psa_common::PageSize;
 
@@ -26,38 +27,22 @@ pub enum PageSizeSource {
     /// No information: the module must assume 4KB (original prefetchers).
     #[default]
     None,
-    /// The realistic path: the bit stored in the L1D MSHR entry by PPM.
+    /// The bit stored in the L1D MSHR entry by PPM.
     Ppm,
-    /// The idealised oracle used by §III's "PSA-Magic" variants: query the
-    /// page table directly.
-    Magic,
 }
 
-/// PPM bookkeeping: resolves the page size the prefetching module sees and
-/// audits that the MSHR bit always equals the oracle.
+/// PPM as the prefetching module sees it: resolves the page size of each
+/// access and audits that the MSHR bit equals the translation's page size.
+/// Holds configuration only, so it carries no state into a snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct Ppm {
     source: PageSizeSource,
-    /// Accesses where the resolved page size was 2MB.
-    huge_seen: u64,
-    /// Accesses resolved.
-    total_seen: u64,
 }
-
-// `source` is configuration; only the audit counters are mutable state.
-psa_common::persist_struct!(Ppm {
-    huge_seen,
-    total_seen,
-});
 
 impl Ppm {
     /// A module reading page size from `source`.
     pub fn new(source: PageSizeSource) -> Self {
-        Self {
-            source,
-            huge_seen: 0,
-            total_seen: 0,
-        }
+        Self { source }
     }
 
     /// The configured source.
@@ -81,37 +66,21 @@ impl Ppm {
     /// `mshr_bit` is the page-size bit the L1D MSHR carried for this miss;
     /// `oracle` is the true page size from the page table. With
     /// [`PageSizeSource::None`] the result is always 4KB (original
-    /// prefetcher behaviour); with `Ppm` the MSHR bit is used; with `Magic`
-    /// the oracle.
+    /// prefetcher behaviour); with `Ppm` the MSHR bit is used.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the PPM bit disagrees with the oracle — that would
     /// mean the propagation path corrupted the metadata.
-    pub fn resolve(&mut self, mshr_bit: bool, oracle: PageSize) -> PageSize {
+    pub fn resolve(&self, mshr_bit: bool, oracle: PageSize) -> PageSize {
         debug_assert_eq!(
             PageSize::from_bit(mshr_bit),
             oracle,
             "PPM bit must match the translation metadata"
         );
-        let size = match self.source {
+        match self.source {
             PageSizeSource::None => PageSize::Size4K,
             PageSizeSource::Ppm => PageSize::from_bit(mshr_bit),
-            PageSizeSource::Magic => oracle,
-        };
-        self.total_seen += 1;
-        if size == PageSize::Size2M {
-            self.huge_seen += 1;
-        }
-        size
-    }
-
-    /// Fraction of resolved accesses that saw a 2MB page.
-    pub fn huge_fraction(&self) -> f64 {
-        if self.total_seen == 0 {
-            0.0
-        } else {
-            self.huge_seen as f64 / self.total_seen as f64
         }
     }
 }
@@ -133,35 +102,16 @@ mod tests {
 
     #[test]
     fn none_source_always_4k() {
-        let mut p = Ppm::new(PageSizeSource::None);
+        let p = Ppm::new(PageSizeSource::None);
         assert_eq!(p.resolve(true, PageSize::Size2M), PageSize::Size4K);
         assert_eq!(p.resolve(false, PageSize::Size4K), PageSize::Size4K);
-    }
-
-    #[test]
-    fn ppm_and_magic_agree() {
-        let mut ppm = Ppm::new(PageSizeSource::Ppm);
-        let mut magic = Ppm::new(PageSizeSource::Magic);
-        for (bit, size) in [(false, PageSize::Size4K), (true, PageSize::Size2M)] {
-            assert_eq!(ppm.resolve(bit, size), magic.resolve(bit, size));
-        }
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "PPM bit must match")]
     fn corrupted_bit_is_caught() {
-        let mut p = Ppm::new(PageSizeSource::Ppm);
+        let p = Ppm::new(PageSizeSource::Ppm);
         p.resolve(false, PageSize::Size2M);
-    }
-
-    #[test]
-    fn huge_fraction_tracks() {
-        let mut p = Ppm::new(PageSizeSource::Ppm);
-        p.resolve(true, PageSize::Size2M);
-        p.resolve(true, PageSize::Size2M);
-        p.resolve(false, PageSize::Size4K);
-        p.resolve(true, PageSize::Size2M);
-        assert!((p.huge_fraction() - 0.75).abs() < 1e-12);
     }
 }

@@ -176,7 +176,6 @@ fn original_module_never_sees_the_page_size() {
     let out = access(&mut m, 62, 3); // candidates 63,64,65
     let lines: Vec<u64> = out.iter().map(|r| r.line.raw()).collect();
     assert_eq!(lines, vec![63], "only the in-4KB-page candidate survives");
-    assert_eq!(m.huge_fraction_seen(), 0.0, "resolved sizes are all 4KB");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Figures 4 and 5: the motivation study. Speedups over a no-prefetch
 //! baseline for SPP, SPP-PSA-Magic (ideal page-size propagation) and
 //! SPP-PSA-Magic-2MB (ideal propagation + 2MB indexing) on the nine
-//! representative benchmarks.
+//! representative benchmarks. PPM's bit is the translation's page size,
+//! so the Magic columns run the PPM machine.
 
 use psa_common::{geomean, table::pct, Table};
 use psa_core::PageSizePolicy;

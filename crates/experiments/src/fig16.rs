@@ -5,7 +5,8 @@
 //! For each family the figure reports the geomean speedup of every PSA
 //! policy (PSA, PSA-2MB, PSA-SD) **and** the PSA Magic oracle over that
 //! family's own Original implementation, per suite group and over all
-//! workloads — Figure 9's shape, extended with the oracle column and
+//! workloads — Figure 9's shape, extended with the oracle column (which
+//! runs the PPM machine: PPM's bit is the translation's page size) and
 //! pointed at genuinely different prediction structures: SPP walks
 //! delta signatures, Pangloss walks a Markov chain of compressed
 //! deltas, DSPatch replays dueling spatial bit patterns.

@@ -70,7 +70,7 @@
 //! `PSA_OBS_RING=n` / `PSA_OBS_SAMPLE=n` shape its event ring;
 //! `PSA_OBS_TRACE=<path>` exports the first observed run as Chrome
 //! `trace_event` JSON. `PSA_UPDATE_GOLDEN=1` makes the golden tests
-//! rewrite their digests.
+//! rewrite their digests ([`golden::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,6 +89,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig1415;
 pub mod fig16;
+pub mod golden;
 pub mod nonintensive;
 pub mod options;
 pub mod runner;

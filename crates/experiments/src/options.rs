@@ -56,7 +56,8 @@ pub struct RunnerOptions {
     pub inject_panic: Option<String>,
     /// `PSA_INJECT_STALL` — fault-inject a watchdog stall likewise.
     pub inject_stall: Option<String>,
-    /// `PSA_UPDATE_GOLDEN=1` — rewrite the golden digests (test-only).
+    /// `PSA_UPDATE_GOLDEN=1` — rewrite the golden digests (test-only;
+    /// read by [`crate::golden::check`]).
     pub update_golden: bool,
     /// `PSA_BENCH_JSON_DIR` — where `BENCH_*.json` documents go
     /// (`None`: the working directory).

@@ -164,8 +164,9 @@ pub enum Variant {
     NoPrefetch,
     /// A prefetcher at one of the paper's page-size policies.
     Pref(PrefetcherKind, PageSizePolicy),
-    /// Like [`Variant::Pref`] but with the §III "Magic" page-size oracle
-    /// instead of PPM's MSHR bit.
+    /// §III's "Magic" page-size oracle, labelled apart for Figures 4/5 and
+    /// 16. It builds the same machine as [`Variant::Pref`]: PPM's MSHR bit
+    /// is the translation's page size, so the oracle sees the same value.
     PrefMagic(PrefetcherKind, PageSizePolicy),
     /// An L1D prefetcher with no L2C prefetching (Figure 13's comparison
     /// points).
@@ -228,8 +229,8 @@ impl Variant {
     }
 
     /// The [`SimConfig`] this variant actually simulates: the module
-    /// spec, the Magic page-size oracle, and the L1D prefetcher are the
-    /// only fields a variant touches; a prefetcher keeps the config's
+    /// spec and the L1D prefetcher are the only fields a variant touches
+    /// (a Magic variant builds its PPM twin); a prefetcher keeps the config's
     /// storage scale. This is the one place the mapping lives — the
     /// executor and external drivers (golden fixtures, the bench
     /// harness) share it, so a run reproduced outside the run cache is
@@ -241,11 +242,8 @@ impl Variant {
         };
         match *self {
             Variant::NoPrefetch => config.with_module_spec(ModuleSpec::none()),
-            Variant::Pref(kind, policy) => config.with_module_spec(pref(kind, policy)),
-            Variant::PrefMagic(kind, policy) => {
-                let mut c = config.with_module_spec(pref(kind, policy));
-                c.page_size_source = psa_core::ppm::PageSizeSource::Magic;
-                c
+            Variant::Pref(kind, policy) | Variant::PrefMagic(kind, policy) => {
+                config.with_module_spec(pref(kind, policy))
             }
             Variant::L1d(kind) => {
                 let mut c = config.with_module_spec(ModuleSpec::none());

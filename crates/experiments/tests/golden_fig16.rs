@@ -12,7 +12,7 @@
 //! PSA_UPDATE_GOLDEN=1 cargo test -p psa-experiments --test golden_fig16
 //! ```
 
-use psa_core::{ppm::PageSizeSource, PageSizePolicy};
+use psa_core::PageSizePolicy;
 use psa_experiments::runner;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{RunReport, SimConfig, System};
@@ -28,13 +28,8 @@ fn run(
     workload: &'static psa_traces::WorkloadSpec,
     kind: PrefetcherKind,
     policy: PageSizePolicy,
-    magic: bool,
 ) -> RunReport {
-    let mut config = config();
-    if magic {
-        config.page_size_source = PageSizeSource::Magic;
-    }
-    System::try_single_core(config, workload, kind, policy)
+    System::try_single_core(config(), workload, kind, policy)
         .expect("golden systems build")
         .try_run()
         .expect("golden runs are fault-free")
@@ -71,7 +66,7 @@ fn digest() -> String {
                     } else {
                         format!("{kind}{}", policy.suffix())
                     };
-                    (label, run(w, kind, policy, magic))
+                    (label, run(w, kind, policy))
                 })
                 .collect();
             let orig = &runs[0].1;
@@ -100,26 +95,5 @@ fn digest() -> String {
 #[test]
 fn new_family_digests_match_golden_fixture() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig16_digest.txt");
-    let current = digest();
-    let update = psa_experiments::RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::write(path, &current).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("missing golden fixture; regenerate with PSA_UPDATE_GOLDEN=1");
-    if current != golden {
-        for (i, (c, g)) in current.lines().zip(golden.lines()).enumerate() {
-            assert_eq!(
-                c,
-                g,
-                "fig16 digest diverged at line {} (regenerate with \
-                 PSA_UPDATE_GOLDEN=1 if the change is intentional)",
-                i + 1
-            );
-        }
-        panic!("fig16 digest changed length (regenerate with PSA_UPDATE_GOLDEN=1)");
-    }
+    psa_experiments::golden::check(path, &digest());
 }

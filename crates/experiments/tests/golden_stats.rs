@@ -107,26 +107,5 @@ fn digest() -> String {
 #[test]
 fn summary_digests_match_golden_fixture() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/digest.txt");
-    let current = digest();
-    let update = psa_experiments::RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::write(path, &current).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("missing golden fixture; regenerate with PSA_UPDATE_GOLDEN=1");
-    if current != golden {
-        for (i, (c, g)) in current.lines().zip(golden.lines()).enumerate() {
-            assert_eq!(
-                c,
-                g,
-                "golden digest diverged at line {} (regenerate with \
-                 PSA_UPDATE_GOLDEN=1 if the change is intentional)",
-                i + 1
-            );
-        }
-        panic!("golden digest changed length (regenerate with PSA_UPDATE_GOLDEN=1)");
-    }
+    psa_experiments::golden::check(path, &digest());
 }

@@ -44,27 +44,5 @@ fn variant_order_matches_golden_fixture() {
         .iter()
         .map(|v| format!("{}\n", v.label()))
         .collect();
-    let update = psa_experiments::RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::write(path, &current).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("missing golden fixture; regenerate with PSA_UPDATE_GOLDEN=1");
-    for (i, (c, g)) in current.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            c,
-            g,
-            "variant order diverged at line {} (append-only: regenerate with \
-             PSA_UPDATE_GOLDEN=1 only when adding a family)",
-            i + 1
-        );
-    }
-    assert_eq!(
-        current.lines().count(),
-        golden.lines().count(),
-        "variant list changed length (regenerate with PSA_UPDATE_GOLDEN=1)"
-    );
+    psa_experiments::golden::check(path, &current);
 }

@@ -1,7 +1,7 @@
 //! One cache level and the per-core walk statistics.
 
 use psa_cache::{Cache, Mshr, MshrEntry};
-use psa_common::{CodecError, Dec, Enc, PLine, PageSize, Persist, VAddr};
+use psa_common::{CodecError, Dec, Enc, PLine, Persist, VAddr};
 use psa_core::PsaModule;
 
 /// A late (demand-merged) prefetch still earns timely credit when the
@@ -21,108 +21,36 @@ pub fn prefetch_room(mshr: &Mshr) -> bool {
     mshr.len() + mshr.capacity().div_ceil(4) <= mshr.capacity()
 }
 
-/// How a level credits prefetch usefulness back to its issuer.
+/// What a [`CacheLevel`] is in the hierarchy. The walk logic is identical
+/// across levels; the role decides how a level credits prefetch
+/// usefulness, which demands its latency statistic covers, and what it
+/// records for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tracking {
-    /// Prefetches filling this level carry no usefulness tracking (the
-    /// L1D: its prefetches are untagged and train nothing).
-    None,
-    /// Usefulness is credited synchronously to the module attached at this
-    /// level (the private L2C).
-    Module,
-    /// The level is shared between cores: usefulness events are queued as
-    /// [`Feedback`] values for the driver to dispatch to the owning core's
-    /// module, decoded from the block-source annotation (the LLC).
-    SharedFeedback,
-}
-
-/// Which demand accesses contribute to this level's average-latency
-/// statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencyAccounting {
-    /// None (the L1D — load latency is measured at the port instead).
-    Off,
-    /// Only trigger accesses — genuine loads/stores, not page-walk or
-    /// L1D-prefetch traffic (the L2C).
-    Triggered,
-    /// Every demand arrival, including page-walk PTE reads (the LLC).
-    All,
-}
-
-/// How a [`CacheLevel`] participates in tracking, accounting and
-/// observability. The walk logic is identical across levels; this is the
-/// per-level data that used to be hard-coded in three copies of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelPolicy {
-    /// Prefetch-usefulness credit destination.
-    pub tracking: Tracking,
-    /// Demand-latency statistic coverage.
-    pub latency: LatencyAccounting,
-    /// Record detailed ring events (`L2cMiss`, `MshrAlloc`, `MshrFree`)
-    /// for this level's MSHR file — on for the level the prefetching
-    /// module competes for.
-    pub ring_detail: bool,
-    /// Account full-MSHR bump stalls into [`PortDebug::mshr_bump_stall`]
-    /// — on at the hierarchy's entry level, where the stall delays the
-    /// core itself.
-    pub stall_accounting: bool,
-    /// Account clean/merged miss counts and latencies into [`PortDebug`].
-    pub miss_profile: bool,
-    /// Whether writes propagate into this level's MSHR metadata. Writes
-    /// stop at the last private level: the shared LLC sees read traffic
-    /// plus explicit writebacks.
-    pub absorbs_writes: bool,
-}
-
-impl LevelPolicy {
-    /// The hierarchy's entry level (the L1D): no tracking, port-side
-    /// latency accounting, bump stalls charged to the core.
-    pub fn entry_level() -> Self {
-        Self {
-            tracking: Tracking::None,
-            latency: LatencyAccounting::Off,
-            ring_detail: false,
-            stall_accounting: true,
-            miss_profile: false,
-            absorbs_writes: true,
-        }
-    }
-
-    /// A private mid-level with a module attach point (the L2C): module
-    /// tracking, triggered latency accounting, detailed ring events and
-    /// the miss profile.
-    pub fn attach_level() -> Self {
-        Self {
-            tracking: Tracking::Module,
-            latency: LatencyAccounting::Triggered,
-            ring_detail: true,
-            stall_accounting: false,
-            miss_profile: true,
-            absorbs_writes: true,
-        }
-    }
-
-    /// A shared last level (the LLC): feedback-queue tracking, all-demand
-    /// latency accounting, writes arrive only as writebacks.
-    pub fn shared_level() -> Self {
-        Self {
-            tracking: Tracking::SharedFeedback,
-            latency: LatencyAccounting::All,
-            ring_detail: false,
-            stall_accounting: false,
-            miss_profile: false,
-            absorbs_writes: false,
-        }
-    }
+pub enum Role {
+    /// The entry level (the L1D). Its prefetches are untagged and train
+    /// nothing, load latency is measured at the port instead, and a
+    /// full-MSHR bump stall is charged to the core
+    /// ([`PortDebug::mshr_bump_stall`]).
+    Entry,
+    /// A private level with a module attach point (the L2C). Usefulness
+    /// is credited synchronously to the attached module, only trigger
+    /// accesses count toward its latency, and it records detailed ring
+    /// events (`L2cMiss`, `MshrAlloc`, `MshrFree`) and the clean/merged
+    /// miss profile in [`PortDebug`].
+    Attach,
+    /// The level shared between cores (the LLC). Usefulness events are
+    /// queued as [`Feedback`] values for the driver to dispatch to the
+    /// owning core's module, every demand arrival (page-walk PTE reads
+    /// included) counts toward its latency, and writes reach it only as
+    /// writebacks.
+    Shared,
 }
 
 /// One demand request descending the hierarchy.
 ///
 /// The PPM bit ([`Request::huge`]) is explicit here — it is written into
 /// the MSHR metadata at every level the request allocates in, and handed
-/// to the prefetching module at its attach level. [`Request::size`] is the
-/// oracle page size from translation, used only by oracle-assisted
-/// configurations.
+/// to the prefetching module at its attach level as the page size.
 #[derive(Debug, Clone, Copy)]
 pub struct Request {
     /// Physical line accessed.
@@ -134,12 +62,10 @@ pub struct Request {
     /// PPM: the page-size bit observed at translation time (true = the
     /// access falls in a huge page).
     pub huge: bool,
-    /// Oracle page size from translation.
-    pub size: PageSize,
 }
 
 /// One level of the memory hierarchy: array + MSHR file + latency +
-/// optional prefetching-module attach point + participation policy.
+/// optional prefetching-module attach point + role.
 ///
 /// Persists as a unit: array, MSHR, and the attached module (when
 /// present), in that order.
@@ -151,11 +77,11 @@ pub struct CacheLevel {
     /// Access latency in cycles, charged on every hop through the level.
     pub latency: u64,
     /// The prefetching module attached at this level, if any. The walk
-    /// fires it on trigger accesses and credits it per
-    /// [`Tracking::Module`].
+    /// fires it on trigger accesses and, at a [`Role::Attach`] level,
+    /// credits it with its prefetches' usefulness.
     pub module: Option<PsaModule>,
-    /// How the level participates in tracking and accounting.
-    pub policy: LevelPolicy,
+    /// What the level is in the hierarchy.
+    pub role: Role,
     /// Reusable scratch for the walk's MSHR drain (matured entries are
     /// collected here before filling the array). Cleared before every use
     /// and never persisted — it carries no state between drains.
@@ -165,7 +91,7 @@ pub struct CacheLevel {
 impl CacheLevel {
     /// Bundle a built array into a level; the MSHR file and latency come
     /// from the array's [`psa_cache::CacheConfig`].
-    pub fn new(cache: Cache, policy: LevelPolicy) -> Self {
+    pub fn new(cache: Cache, role: Role) -> Self {
         let mshr = Mshr::new(cache.config().mshr_entries);
         let latency = cache.config().latency;
         Self {
@@ -173,7 +99,7 @@ impl CacheLevel {
             mshr,
             latency,
             module: None,
-            policy,
+            role,
             drain_buf: Vec::new(),
         }
     }
@@ -210,7 +136,7 @@ impl Persist for CacheLevel {
         if let Some(m) = &self.module {
             m.save(e);
         }
-        // `latency` and `policy` are configuration, rebuilt before a
+        // `latency` and `role` are configuration, rebuilt before a
         // restore.
     }
 
@@ -325,9 +251,10 @@ impl WalkStats {
     }
 }
 
-/// Cross-core prefetch feedback discovered at a shared level
-/// ([`Tracking::SharedFeedback`]), queued for the driver to dispatch to
-/// the owning core's module after the step.
+/// Cross-core prefetch feedback discovered at a [`Role::Shared`] level,
+/// queued for the driver to dispatch to the owning core's module in the
+/// same step. The queue is empty between steps, so it is never part of a
+/// snapshot.
 #[derive(Debug, Clone, Copy)]
 pub enum Feedback {
     /// A tracked prefetched block saw its first demand use, timely.
@@ -358,46 +285,6 @@ pub enum Feedback {
         /// The block.
         line: PLine,
     },
-}
-
-/// A placeholder codec load target only; real values come off the wire.
-impl Default for Feedback {
-    fn default() -> Self {
-        Feedback::Fill {
-            source: 0,
-            line: PLine::new(0),
-        }
-    }
-}
-
-impl Persist for Feedback {
-    fn save(&self, e: &mut Enc) {
-        let (tag, source, line) = match *self {
-            Feedback::Useful { source, line } => (0u8, source, line),
-            Feedback::UsefulLate { source, line } => (1, source, line),
-            Feedback::Useless { source, line } => (2, source, line),
-            Feedback::Fill { source, line } => (3, source, line),
-        };
-        tag.save(e);
-        source.save(e);
-        line.save(e);
-    }
-
-    fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
-        let tag = d.get_u8()?;
-        let mut source = 0u8;
-        source.load(d)?;
-        let mut line = PLine::new(0);
-        line.load(d)?;
-        *self = match tag {
-            0 => Feedback::Useful { source, line },
-            1 => Feedback::UsefulLate { source, line },
-            2 => Feedback::Useless { source, line },
-            3 => Feedback::Fill { source, line },
-            _ => return Err(CodecError::Corrupt("feedback tag")),
-        };
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -445,38 +332,5 @@ mod tests {
             }
         );
         assert_eq!(w.load_latency_max, 120, "max is a running maximum");
-    }
-
-    #[test]
-    fn feedback_persist_roundtrip() {
-        let all = [
-            Feedback::Useful {
-                source: 3,
-                line: PLine::new(64),
-            },
-            Feedback::UsefulLate {
-                source: 2,
-                line: PLine::new(128),
-            },
-            Feedback::Useless {
-                source: 1,
-                line: PLine::new(192),
-            },
-            Feedback::Fill {
-                source: 0,
-                line: PLine::new(256),
-            },
-        ];
-        let mut e = Enc::new();
-        for fb in &all {
-            fb.save(&mut e);
-        }
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        for fb in &all {
-            let mut got = Feedback::default();
-            got.load(&mut d).unwrap();
-            assert_eq!(format!("{got:?}"), format!("{fb:?}"));
-        }
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! * [`CacheLevel`] — one level of the hierarchy: a [`psa_cache::Cache`]
 //!   array, its MSHR file, the level's access latency, an optional
-//!   prefetching-module attach point ([`psa_core::PsaModule`]) and a
-//!   [`LevelPolicy`] describing how the level participates in tracking,
-//!   latency accounting and observability. The bundle persists as a unit
-//!   through [`psa_common::Persist`].
+//!   prefetching-module attach point ([`psa_core::PsaModule`]) and the
+//!   level's [`Role`] (entry, attach or shared), which decides how it
+//!   participates in tracking, latency accounting and observability. The
+//!   bundle persists as a unit through [`psa_common::Persist`].
 //! * [`Walk`] — a borrowed view over an ordered slice of levels plus the
 //!   [`MemoryBackend`] below them, running the *single* generic demand
 //!   walk, prefetch-issue path and MSHR drain for any hierarchy depth.
@@ -22,8 +22,8 @@
 //! size bit is an explicit field of the request ([`Request::huge`]) and is
 //! written into every MSHR entry the walk allocates — the paper's
 //! mechanism is the L2C prefetching module reading that bit off the demand
-//! stream ([`Walk::demand`] hands it to the attached module together with
-//! the oracle [`Request::size`]).
+//! stream ([`Walk::demand`] hands it to the attached module as the page
+//! size).
 //!
 //! Timing is lazy-fill: every operation at cycle *t* first drains MSHR
 //! entries whose fills matured (≤ *t*) into the array, then resolves
@@ -44,7 +44,7 @@ mod level;
 mod walk;
 
 pub use level::{
-    prefetch_room, CacheLevel, Feedback, LatencyAccounting, LevelLat, LevelPolicy, PortDebug,
-    Request, Tracking, WalkStats, LATE_TIMELY_SLACK, PASS,
+    prefetch_room, CacheLevel, Feedback, LevelLat, PortDebug, Request, Role, WalkStats,
+    LATE_TIMELY_SLACK, PASS,
 };
 pub use walk::{HierError, MemoryBackend, Walk};

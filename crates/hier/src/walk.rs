@@ -2,12 +2,11 @@
 
 use psa_cache::{Evicted, FillKind, MshrMeta};
 use psa_common::obs::{EventKind, EventRing};
-use psa_common::{PLine, VAddr};
+use psa_common::{PLine, PageSize, VAddr};
 use psa_core::{Candidate, FillLevel, PrefetchRequest};
 
 use crate::level::{
-    prefetch_room, CacheLevel, Feedback, LatencyAccounting, Request, Tracking, WalkStats,
-    LATE_TIMELY_SLACK, PASS,
+    prefetch_room, CacheLevel, Feedback, Request, Role, WalkStats, LATE_TIMELY_SLACK, PASS,
 };
 
 /// An internal hierarchy invariant was violated mid-walk. Reported as a
@@ -69,7 +68,7 @@ pub struct Walk<'w, 'l> {
     pub memory: &'w mut dyn MemoryBackend,
     /// Sampled event timeline (disabled rings record nothing).
     pub ring: &'w mut EventRing,
-    /// Queue for [`Tracking::SharedFeedback`] usefulness events.
+    /// Queue for the usefulness events of a [`Role::Shared`] level.
     pub feedback: &'w mut Vec<Feedback>,
     /// Per-core latency/diagnostic accumulators.
     pub stats: &'w mut WalkStats,
@@ -103,8 +102,7 @@ impl Walk<'_, '_> {
     }
 
     /// One level's slice of a demand walk. `write` is the request's write
-    /// intent as seen by this level (writes stop at the first level that
-    /// does not absorb them).
+    /// intent as seen by this level (writes stop above the shared level).
     fn demand_at(
         &mut self,
         k: usize,
@@ -115,11 +113,11 @@ impl Walk<'_, '_> {
     ) -> Result<(u64, bool), HierError> {
         self.drain(k, t);
         let lat = self.levels[k].latency;
-        let policy = self.levels[k].policy;
+        let role = self.levels[k].role;
         let set = self.levels[k].cache.set_of(req.line);
         let probe = self.levels[k].cache.probe(req.line);
         let was_hit = probe.is_some();
-        if trigger && !was_hit && policy.ring_detail {
+        if trigger && !was_hit && role == Role::Attach {
             self.ring
                 .record(EventKind::L2cMiss, t, u32::from(self.core), req.line.raw());
         }
@@ -127,13 +125,13 @@ impl Walk<'_, '_> {
             match probe {
                 Some(info) => {
                     if info.first_use {
-                        match policy.tracking {
-                            Tracking::Module => {
+                        match role {
+                            Role::Attach => {
                                 if let Some(m) = self.levels[k].module.as_mut() {
                                     m.on_useful(req.line, req.pc, info.prefetch_source & 1, true);
                                 }
                             }
-                            Tracking::SharedFeedback => {
+                            Role::Shared => {
                                 if info.prefetch_source & PASS == 0 {
                                     self.feedback.push(Feedback::Useful {
                                         source: info.prefetch_source,
@@ -141,7 +139,7 @@ impl Walk<'_, '_> {
                                     });
                                 }
                             }
-                            Tracking::None => {}
+                            Role::Entry => {}
                         }
                     }
                     if write {
@@ -154,7 +152,7 @@ impl Walk<'_, '_> {
                         .mshr
                         .merge(req.line, true, write, t)
                         .max(t + lat);
-                    if trigger && policy.miss_profile {
+                    if trigger && role == Role::Attach {
                         self.stats.debug.merged_misses += 1;
                         self.stats.debug.merged_latency_sum += done - t;
                     }
@@ -168,7 +166,7 @@ impl Walk<'_, '_> {
                                 level: self.levels[k].name(),
                             },
                         )?;
-                        if policy.stall_accounting && bumped > t2 {
+                        if role == Role::Entry && bumped > t2 {
                             self.stats.debug.mshr_bump_stall += bumped - t2;
                         }
                         t2 = t2.max(bumped);
@@ -177,7 +175,7 @@ impl Walk<'_, '_> {
                     let done = if k + 1 == self.levels.len() {
                         self.memory.demand(req.line, t2 + lat, write)
                     } else {
-                        let below = write && self.levels[k + 1].policy.absorbs_writes;
+                        let below = write && self.levels[k + 1].role != Role::Shared;
                         self.demand_at(k + 1, req, t2 + lat, below, trigger)?.0
                     };
                     self.levels[k]
@@ -193,7 +191,7 @@ impl Walk<'_, '_> {
                             },
                         )
                         .expect("space ensured above");
-                    if policy.ring_detail {
+                    if role == Role::Attach {
                         self.ring.record(
                             EventKind::MshrAlloc,
                             t2,
@@ -201,17 +199,17 @@ impl Walk<'_, '_> {
                             self.levels[k].mshr.len() as u64,
                         );
                     }
-                    if trigger && policy.miss_profile {
+                    if trigger && role == Role::Attach {
                         self.stats.debug.clean_misses += 1;
                         self.stats.debug.clean_latency_sum += done - t;
                     }
                     done
                 }
             };
-        let account = match policy.latency {
-            LatencyAccounting::All => true,
-            LatencyAccounting::Triggered => trigger,
-            LatencyAccounting::Off => false,
+        let account = match role {
+            Role::Shared => true,
+            Role::Attach => trigger,
+            Role::Entry => false,
         };
         if account {
             self.stats.lat[k].sum += completion - t;
@@ -224,7 +222,7 @@ impl Walk<'_, '_> {
     }
 
     /// Fire the module attached at level `k` on a trigger access: hand it
-    /// the demand (with the PPM bit and oracle size) and issue whatever it
+    /// the demand (with the PPM bit as its page size) and issue whatever it
     /// asks for.
     fn fire_module(&mut self, k: usize, req: &Request, was_hit: bool, set: usize, t: u64) {
         let Some(mut module) = self.levels[k].module.take() else {
@@ -243,8 +241,9 @@ impl Walk<'_, '_> {
                 FillLevel::Llc => below
                     .is_some_and(|b| b.cache.contains(c.line) || b.mshr.pending(c.line).is_some()),
             };
+            let size = PageSize::from_bit(req.huge);
             module.on_access(
-                req.line, req.pc, was_hit, req.huge, req.size, set, &present, &mut buf,
+                req.line, req.pc, was_hit, req.huge, size, set, &present, &mut buf,
             );
         }
         if let Some(before) = sd_before {
@@ -377,9 +376,9 @@ impl Walk<'_, '_> {
         let mut buf = std::mem::take(&mut self.levels[k].drain_buf);
         buf.clear();
         self.levels[k].mshr.drain_filled_into(now, &mut buf);
-        let policy = self.levels[k].policy;
+        let role = self.levels[k].role;
         for &e in &buf {
-            if policy.ring_detail {
+            if role == Role::Attach {
                 self.ring.record(
                     EventKind::MshrFree,
                     e.fill_at,
@@ -387,25 +386,25 @@ impl Walk<'_, '_> {
                     self.levels[k].mshr.len() as u64,
                 );
             }
-            let tracked = match policy.tracking {
-                Tracking::SharedFeedback => e.meta.is_prefetch && e.meta.source & PASS == 0,
+            let tracked = match role {
+                Role::Shared => e.meta.is_prefetch && e.meta.source & PASS == 0,
                 _ => e.meta.is_prefetch,
             };
             if tracked && !e.demand_merged {
-                match policy.tracking {
-                    Tracking::Module => self.ring.record(
+                match role {
+                    Role::Attach => self.ring.record(
                         EventKind::PrefetchFill,
                         e.fill_at,
                         u32::from(self.core),
                         e.line.raw(),
                     ),
-                    Tracking::SharedFeedback => self.ring.record(
+                    Role::Shared => self.ring.record(
                         EventKind::PrefetchFill,
                         e.fill_at,
                         u32::from((e.meta.source & !PASS) >> 1),
                         e.line.raw(),
                     ),
-                    Tracking::None => {}
+                    Role::Entry => {}
                 }
             }
             let (kind, late_credit) = if tracked {
@@ -422,8 +421,8 @@ impl Walk<'_, '_> {
             } else {
                 (FillKind::Demand, false)
             };
-            match policy.tracking {
-                Tracking::Module => {
+            match role {
+                Role::Attach => {
                     if let Some(m) = self.levels[k].module.as_mut() {
                         if late_credit {
                             // Late prefetch: the demand merged mid-flight.
@@ -437,7 +436,7 @@ impl Walk<'_, '_> {
                         }
                     }
                 }
-                Tracking::SharedFeedback => {
+                Role::Shared => {
                     if late_credit {
                         if e.fill_at.saturating_sub(e.merged_at) <= LATE_TIMELY_SLACK {
                             self.feedback.push(Feedback::Useful {
@@ -457,7 +456,7 @@ impl Walk<'_, '_> {
                         });
                     }
                 }
-                Tracking::None => {}
+                Role::Entry => {}
             }
             if let Some(ev) = self.levels[k].cache.fill(e.line, kind, e.meta.write) {
                 self.evicted(k, ev, now);
@@ -469,15 +468,15 @@ impl Walk<'_, '_> {
     /// Bookkeeping for a block evicted from level `k`: credit useless
     /// tracked prefetches and write dirty victims back one level down.
     fn evicted(&mut self, k: usize, ev: Evicted, now: u64) {
-        match self.levels[k].policy.tracking {
-            Tracking::Module => {
+        match self.levels[k].role {
+            Role::Attach => {
                 if ev.unused_prefetch {
                     if let Some(m) = self.levels[k].module.as_mut() {
                         m.on_useless(ev.line, ev.prefetch_source & 1);
                     }
                 }
             }
-            Tracking::SharedFeedback => {
+            Role::Shared => {
                 if ev.unused_prefetch && ev.prefetch_source & PASS == 0 {
                     self.feedback.push(Feedback::Useless {
                         source: ev.prefetch_source,
@@ -485,7 +484,7 @@ impl Walk<'_, '_> {
                     });
                 }
             }
-            Tracking::None => {}
+            Role::Entry => {}
         }
         if ev.dirty {
             self.writeback(k + 1, ev.line, now);

@@ -158,39 +158,7 @@ fn metrics_exposition_is_valid_and_matches_golden() {
     let normalised = check_and_normalise(&resp.text());
     server.shutdown();
 
-    let path = golden_path();
-    let update = psa_experiments::RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &normalised).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "no golden at {}: {e}; regenerate with PSA_UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    let mut golden_lines = golden.lines();
-    for (i, line) in normalised.lines().enumerate() {
-        let want = golden_lines
-            .next()
-            .unwrap_or_else(|| panic!("exposition line {} not in golden: {line:?}", i + 1));
-        assert_eq!(
-            line,
-            want,
-            "line {} drifted from the golden; regenerate with PSA_UPDATE_GOLDEN=1",
-            i + 1
-        );
-    }
-    let leftover: Vec<&str> = golden_lines.collect();
-    assert!(
-        leftover.is_empty(),
-        "golden has {} extra line(s): {leftover:?}",
-        leftover.len()
-    );
+    psa_experiments::golden::check(golden_path(), &normalised);
 }
 
 #[test]

@@ -4,7 +4,6 @@ use crate::error::SimError;
 use psa_cache::CacheConfig;
 use psa_common::obs::ObsConfig;
 use psa_common::{PLine, LINE_BYTES};
-use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleConfig, SdConfig};
 use psa_cpu::CoreConfig;
 use psa_dram::DramConfig;
@@ -65,8 +64,6 @@ pub struct SimConfig {
     /// no-prefetch baseline; `System::try_single_core` and friends are
     /// sugar that fill this in.
     pub module_spec: ModuleSpec,
-    /// How page-size information reaches the module (PPM vs Magic oracle).
-    pub page_size_source: PageSizeSource,
     /// L1D prefetcher for Figure 13 configurations.
     pub l1d_prefetcher: L1dPrefKind,
     /// Warm-up instructions per core (µarch state settles; not measured).
@@ -121,7 +118,6 @@ impl SimConfig {
             sd: SdConfig::default(),
             module: ModuleConfig::default(),
             module_spec: ModuleSpec::none(),
-            page_size_source: PageSizeSource::Ppm,
             l1d_prefetcher: L1dPrefKind::None,
             warmup: 100_000,
             instructions: 300_000,

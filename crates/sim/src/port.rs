@@ -14,33 +14,10 @@ use psa_core::PrefetchRequest;
 use psa_cpu::MemoryPort;
 use psa_dram::Dram;
 use psa_hier::{CacheLevel, Feedback, Request, Walk, WalkStats};
-use psa_prefetchers::{Ipcp, L1dPrefetcher, NextLineL1d};
+use psa_prefetchers::L1dPrefetcher;
 use psa_vmem::{AddressSpace, MapError, Mmu, PhysMem};
 
 use crate::error::SimError;
-
-pub(crate) enum L1dPref {
-    NextLine(NextLineL1d),
-    Ipcp { pref: Ipcp, cross: bool },
-}
-
-impl L1dPref {
-    /// The variant shape (`NextLine` vs `Ipcp`, `cross`) is configuration
-    /// and is rebuilt before a restore; only the trained tables travel.
-    fn save_state(&self, e: &mut Enc) {
-        match self {
-            L1dPref::NextLine(p) => p.save_state(e),
-            L1dPref::Ipcp { pref, .. } => pref.save_state(e),
-        }
-    }
-
-    fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
-        match self {
-            L1dPref::NextLine(p) => p.load_state(d),
-            L1dPref::Ipcp { pref, .. } => pref.load_state(d),
-        }
-    }
-}
 
 /// One core's private slice of the machine: address space, MMU, private
 /// cache levels (index 0 = L1D entry level, index 1 = L2C attach level),
@@ -50,7 +27,10 @@ pub(crate) struct CoreHier {
     pub aspace: AddressSpace,
     pub mmu: Mmu,
     pub levels: [CacheLevel; 2],
-    pub l1d_pref: Option<L1dPref>,
+    pub l1d_pref: Option<Box<dyn L1dPrefetcher>>,
+    /// Whether L1D prefetch candidates may cross a 4KB virtual page into a
+    /// TLB-resident one (IPCP++).
+    pub l1d_cross: bool,
     pub pf_buf: Vec<PrefetchRequest>,
     pub l1d_pref_buf: Vec<VLine>,
     pub stats: WalkStats,
@@ -66,9 +46,10 @@ impl Persist for CoreHier {
             p.save_state(e);
         }
         self.stats.save(e);
-        // `id` is configuration; `pf_buf`/`l1d_pref_buf` are scratch
-        // buffers cleared before every use and carry no state between
-        // steps.
+        // `id`, `l1d_cross` and which L1D prefetcher runs are
+        // configuration, rebuilt before a restore; `pf_buf`/`l1d_pref_buf`
+        // are scratch buffers cleared before every use and carry no state
+        // between steps.
     }
 
     fn load(&mut self, d: &mut Dec) -> Result<(), CodecError> {
@@ -90,16 +71,12 @@ pub(crate) struct SharedHier {
     pub dram: Dram,
     pub phys: PhysMem,
     /// Cross-core prefetch feedback discovered at the shared LLC,
-    /// dispatched to the owning core's module after each step.
+    /// dispatched to the owning core's module in the step that queued it.
+    /// Empty between steps, so never persisted.
     pub feedback: Vec<Feedback>,
 }
 
-psa_common::persist_struct!(SharedHier {
-    llc,
-    dram,
-    phys,
-    feedback,
-});
+psa_common::persist_struct!(SharedHier { llc, dram, phys });
 
 /// A translation failure surfaced as a typed error: frame exhaustion is a
 /// reportable [`SimError::PhysMemExhausted`]; anything else is a broken
@@ -188,7 +165,6 @@ impl CorePort<'_> {
                 pc,
                 write: false,
                 huge,
-                size: out.size,
             };
             t = self.walk(1, &walk_req, t, false)?;
         }
@@ -198,7 +174,6 @@ impl CorePort<'_> {
             pc,
             write,
             huge,
-            size: out.size,
         };
         self.walk(0, &req, t, true)
     }
@@ -213,16 +188,8 @@ impl CorePort<'_> {
         let vline = vaddr.line();
         let mut buf = std::mem::take(&mut self.ctx.l1d_pref_buf);
         buf.clear();
-        let cross = match pref {
-            L1dPref::NextLine(p) => {
-                p.on_l1d_access(vline, pc, false, &mut buf);
-                false
-            }
-            L1dPref::Ipcp { pref: p, cross } => {
-                p.on_l1d_access(vline, pc, false, &mut buf);
-                *cross
-            }
-        };
+        pref.on_l1d_access(vline, pc, false, &mut buf);
+        let cross = self.ctx.l1d_cross;
         let l1d_latency = self.ctx.levels[0].latency;
         for &cand in &buf {
             let cvaddr = cand.addr();
@@ -248,7 +215,6 @@ impl CorePort<'_> {
                 pc,
                 write: false,
                 huge: tr.size.bit(),
-                size: tr.size,
             };
             let done = self.walk(1, &pref_req, t + l1d_latency, false)?;
             self.ctx.levels[0]

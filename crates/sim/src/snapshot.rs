@@ -84,7 +84,17 @@ use crate::system::System;
 /// copies), and each cache array writes, after its counters, how many
 /// prefetched blocks were resident and unjudged when they were zeroed. A
 /// count above the array's ways is corrupt.
-pub const SNAPSHOT_VERSION: u32 = 7;
+///
+/// Version 8: the LLC's cross-core feedback queue is not written (the
+/// step that fills it drains it, so it is empty at every pause point),
+/// nor are PPM's per-module page-size counters. A run cursor that no run
+/// reaches is corrupt: per-core counts whose length differs from the core
+/// count, a count past the warm-up plus measured budget, a warm-up cycle
+/// set before the count reaches the warm-up or unset after, an active
+/// list that is not each unfinished core once, a step count other than
+/// the sum of the per-core counts, and a THP series whose length is not
+/// the number of samples core 0's count has passed.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 const MAGIC: [u8; 8] = *b"PSACKPT\0";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

@@ -32,15 +32,15 @@ use psa_core::ppm::PageSizeSource;
 use psa_core::{ModuleObs, PageSizePolicy};
 use psa_cpu::{Core, Instr};
 use psa_dram::Dram;
-use psa_hier::{CacheLevel, Feedback, LevelPolicy, WalkStats, PASS};
-use psa_prefetchers::{Ipcp, IpcpConfig, ModuleSpec, NextLineL1d, PrefetcherKind};
+use psa_hier::{CacheLevel, Feedback, Role, WalkStats, PASS};
+use psa_prefetchers::{Ipcp, IpcpConfig, L1dPrefetcher, ModuleSpec, NextLineL1d, PrefetcherKind};
 use psa_traces::{WorkloadRef, WorkloadSource, WorkloadSpec};
 use psa_vmem::{AddressSpace, AspaceConfig, Mmu, PhysMem};
 
 use crate::config::{L1dPrefKind, SimConfig};
 use crate::error::{CoreStall, SimError, StallSnapshot};
 use crate::metrics::{MultiReport, RunReport};
-use crate::port::{CoreHier, CorePort, L1dPref, SharedHier};
+use crate::port::{CoreHier, CorePort, SharedHier};
 
 /// The run loop's mutable cursor, owned by the [`System`] so a run can be
 /// paused at any step boundary, checkpointed, and resumed — the step that
@@ -84,6 +84,42 @@ impl RunState {
             last_progress: 0,
             last_progress_cycle: 0,
         }
+    }
+
+    /// Check a restored cursor against the `n`-core machine it was loaded
+    /// into: it must be one that a run under `config` reaches at a step
+    /// boundary, so no later step can index or subtract out of range.
+    fn check(&self, config: &SimConfig, n: usize, thp_sample_every: u64) -> Result<(), CodecError> {
+        let corrupt = |what| Err(CodecError::Corrupt(what));
+        if self.executed.len() != n || self.warm_at.len() != n {
+            return corrupt("run cursor length differs from the core count");
+        }
+        let total = config.warmup + config.instructions;
+        for (&exec, warm_at) in self.executed.iter().zip(&self.warm_at) {
+            if exec > total {
+                return corrupt("run cursor past the instruction budget");
+            }
+            if warm_at.is_some() != (exec >= config.warmup) {
+                return corrupt("warm-up cycle disagrees with the instructions executed");
+            }
+        }
+        if self.executed.iter().map(|&e| u128::from(e)).sum::<u128>() != u128::from(self.steps) {
+            return corrupt("step count differs from the instructions executed");
+        }
+        let mut listed = vec![false; n];
+        for &i in &self.active {
+            if i >= n || listed[i] || self.executed[i] == total {
+                return corrupt("active list names a finished, unknown or repeated core");
+            }
+            listed[i] = true;
+        }
+        if self.active.len() != self.executed.iter().filter(|&&e| e < total).count() {
+            return corrupt("active list misses an unfinished core");
+        }
+        if self.thp_series.len() as u64 != self.executed[0] / thp_sample_every {
+            return corrupt("THP series length differs from the samples taken");
+        }
+        Ok(())
     }
 }
 
@@ -260,7 +296,7 @@ impl System {
         let mut shared = SharedHier {
             llc: CacheLevel::new(
                 Cache::new(config.llc).map_err(|e| shape("LLC", &e))?,
-                LevelPolicy::shared_level(),
+                Role::Shared,
             ),
             dram: Dram::new(config.dram).map_err(|e| shape("DRAM", &e))?,
             phys: PhysMem::new(config.phys, config.seed)
@@ -275,37 +311,28 @@ impl System {
             cores.push(Core::new(config.core));
             let mut l2c = CacheLevel::new(
                 Cache::new(config.l2c).map_err(|e| shape("L2C", &e))?,
-                LevelPolicy::attach_level(),
+                Role::Attach,
             );
-            let source = match config.page_size_source {
-                PageSizeSource::None => PageSizeSource::Ppm,
-                s => s,
-            };
             l2c.module = config
                 .module_spec
                 .build_module(
                     l2c.cache.num_sets(),
                     config.sd,
                     config.module,
-                    source,
+                    PageSizeSource::Ppm,
                     obs_on,
                 )
                 .map_err(|e| shape("prefetching module", &e))?;
             let l1d = CacheLevel::new(
                 Cache::new(config.l1d).map_err(|e| shape("L1D", &e))?,
-                LevelPolicy::entry_level(),
+                Role::Entry,
             );
-            let l1d_pref = match config.l1d_prefetcher {
+            let l1d_pref: Option<Box<dyn L1dPrefetcher>> = match config.l1d_prefetcher {
                 L1dPrefKind::None => None,
-                L1dPrefKind::NextLine => Some(L1dPref::NextLine(NextLineL1d::new(1))),
-                L1dPrefKind::Ipcp => Some(L1dPref::Ipcp {
-                    pref: Ipcp::new(IpcpConfig::default()),
-                    cross: false,
-                }),
-                L1dPrefKind::IpcpPlusPlus => Some(L1dPref::Ipcp {
-                    pref: Ipcp::new(IpcpConfig::default()),
-                    cross: true,
-                }),
+                L1dPrefKind::NextLine => Some(Box::new(NextLineL1d::new(1))),
+                L1dPrefKind::Ipcp | L1dPrefKind::IpcpPlusPlus => {
+                    Some(Box::new(Ipcp::new(IpcpConfig::default())))
+                }
             };
             ctxs.push(CoreHier {
                 id: i as u8,
@@ -316,6 +343,7 @@ impl System {
                 mmu: Mmu::new(config.mmu).map_err(|e| shape("MMU", &e))?,
                 levels: [l1d, l2c],
                 l1d_pref,
+                l1d_cross: config.l1d_prefetcher == L1dPrefKind::IpcpPlusPlus,
                 pf_buf: Vec::with_capacity(32),
                 l1d_pref_buf: Vec::with_capacity(8),
                 stats: WalkStats::new(3),
@@ -596,28 +624,29 @@ impl System {
                 self.cores[i].execute(&instr, &mut port)?;
             }
             // Dispatch LLC-level prefetch feedback to the owning modules,
-            // draining in place so the queue keeps its capacity.
+            // draining in place so the queue keeps its capacity. The queue
+            // is empty again before the step ends, so no pause point ever
+            // sees an entry.
             if !self.shared.feedback.is_empty() {
                 for fb in self.shared.feedback.drain(..) {
-                    let (source, line, kind) = match fb {
-                        Feedback::Useful { source, line } => (source, line, 0u8),
-                        Feedback::UsefulLate { source, line } => (source, line, 1),
-                        Feedback::Useless { source, line } => (source, line, 2),
-                        Feedback::Fill { source, line } => (source, line, 3),
-                    };
+                    let (Feedback::Useful { source, line }
+                    | Feedback::UsefulLate { source, line }
+                    | Feedback::Useless { source, line }
+                    | Feedback::Fill { source, line }) = fb;
                     let core = usize::from((source & !PASS) >> 1);
-                    let competitor = source & 1;
-                    if let Some(m) = self
+                    let Some(m) = self
                         .ctxs
                         .get_mut(core)
                         .and_then(|c| c.levels[1].module.as_mut())
-                    {
-                        match kind {
-                            0 => m.on_useful(line, VAddr::new(0), competitor, true),
-                            1 => m.on_useful(line, VAddr::new(0), competitor, false),
-                            2 => m.on_useless(line, competitor),
-                            _ => m.on_prefetch_fill(line, competitor),
-                        }
+                    else {
+                        continue;
+                    };
+                    let (pc, competitor) = (VAddr::new(0), source & 1);
+                    match fb {
+                        Feedback::Useful { .. } => m.on_useful(line, pc, competitor, true),
+                        Feedback::UsefulLate { .. } => m.on_useful(line, pc, competitor, false),
+                        Feedback::Useless { .. } => m.on_useless(line, competitor),
+                        Feedback::Fill { .. } => m.on_prefetch_fill(line, competitor),
                     }
                 }
             }
@@ -739,6 +768,10 @@ impl System {
     /// is *not* written — see the restore contract in
     /// [`crate::snapshot`].
     pub(crate) fn save_payload(&self, e: &mut Enc) {
+        debug_assert!(
+            self.shared.feedback.is_empty(),
+            "the LLC feedback queue drains within the step that fills it"
+        );
         e.put_usize(self.cores.len());
         for c in &self.cores {
             c.save(e);
@@ -776,6 +809,8 @@ impl System {
         if d.remaining() != 0 {
             return Err(CodecError::Corrupt("trailing bytes after state"));
         }
+        self.state
+            .check(&self.config, self.cores.len(), self.thp_sample_every)?;
         // A multiple-of-interval count has already been sampled (the
         // sample fires in the same step that reaches the count), so the
         // cursor always points at the *next* multiple.
@@ -982,5 +1017,103 @@ impl System {
     /// Core `i`'s MMU, for tests that damage its saved bytes.
     pub(crate) fn mmu(&self, i: usize) -> &psa_vmem::Mmu {
         &self.ctxs[i].mmu
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::CheckpointError;
+    use psa_traces::catalog;
+
+    fn mcf() -> System {
+        System::single_core(
+            SimConfig::default()
+                .with_warmup(2_000)
+                .with_instructions(8_000),
+            catalog::workload("mcf").unwrap(),
+            PrefetcherKind::Spp,
+            PageSizePolicy::PsaSd,
+        )
+    }
+
+    /// Pause a run built by `build` after `steps` steps, apply `damage` to
+    /// its cursor, and restore the snapshot into a freshly built machine.
+    fn restore_damaged(
+        build: impl Fn() -> System,
+        steps: u64,
+        damage: impl FnOnce(&mut RunState),
+    ) -> Result<(), SimError> {
+        let mut sys = build();
+        sys.run_to(steps).unwrap();
+        damage(&mut sys.state);
+        let snap = sys.snapshot(1);
+        build().restore(&snap, 1)
+    }
+
+    fn assert_corrupt(got: Result<(), SimError>, case: &str) {
+        assert!(
+            matches!(got, Err(SimError::Checkpoint(CheckpointError::Corrupt(_)))),
+            "{case}: {got:?}"
+        );
+    }
+
+    #[test]
+    fn cursor_past_warmup_without_its_crossing_is_corrupt() {
+        // A cursor that claims 2,500 instructions but never crossed the
+        // 2,000-instruction warm-up: resumed, its filler batch cap would
+        // compute `warmup - executed` and underflow.
+        let got = restore_damaged(mcf, 100, |s| s.executed[0] = 2_500);
+        assert_corrupt(got, "executed past warm-up");
+    }
+
+    #[test]
+    fn cursor_shorter_than_the_core_count_is_corrupt() {
+        let duo = || {
+            System::multi_core(
+                SimConfig::for_cores(2)
+                    .with_warmup(1_000)
+                    .with_instructions(4_000),
+                &[
+                    catalog::workload("lbm").unwrap(),
+                    catalog::workload("mcf").unwrap(),
+                ],
+                PrefetcherKind::Spp,
+                PageSizePolicy::PsaSd,
+            )
+        };
+        let got = restore_damaged(duo, 100, |s| s.executed.truncate(1));
+        assert_corrupt(got, "one core's count for two cores");
+    }
+
+    /// Where to pause a run, a name, and how to damage the cursor.
+    type Damage = (u64, &'static str, fn(&mut RunState));
+
+    #[test]
+    fn every_unreachable_cursor_is_corrupt() {
+        // Paused before warm-up ends (step 100), after it (3,000) and
+        // after the run finished.
+        for steps in [100, 3_000, u64::MAX] {
+            restore_damaged(mcf, steps, |_| {}).expect("an undamaged cursor restores");
+        }
+        let cases: [Damage; 11] = [
+            (100, "warm-up cycle set early", |s| s.warm_at[0] = Some(1)),
+            (100, "warm-up cycles too long", |s| s.warm_at.push(None)),
+            (100, "steps differ", |s| s.steps += 1),
+            (100, "active core repeated", |s| s.active.push(0)),
+            (100, "THP sample ahead", |s| s.thp_series.push((0, 0.0))),
+            (3_000, "warm-up cycle unset late", |s| s.warm_at[0] = None),
+            (3_000, "unfinished core not active", |s| s.active.clear()),
+            (3_000, "unknown core active", |s| s.active[0] = 1),
+            (3_000, "THP samples missing", |s| s.thp_series.clear()),
+            (3_000, "past the budget", |s| {
+                s.executed[0] = 10_001;
+                s.steps = 10_001;
+            }),
+            (u64::MAX, "finished core active", |s| s.active.push(0)),
+        ];
+        for (steps, case, damage) in cases {
+            assert_corrupt(restore_damaged(mcf, steps, damage), case);
+        }
     }
 }

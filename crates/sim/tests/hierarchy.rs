@@ -5,9 +5,9 @@
 
 use psa_cache::{Cache, CacheConfig};
 use psa_common::obs::EventRing;
-use psa_common::{PLine, PageSize, VAddr};
+use psa_common::{PLine, VAddr};
 use psa_core::{PageSizePolicy, PrefetchRequest};
-use psa_hier::{CacheLevel, Feedback, LevelPolicy, MemoryBackend, Request, Walk, WalkStats};
+use psa_hier::{CacheLevel, Feedback, MemoryBackend, Request, Role, Walk, WalkStats};
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{SimConfig, System};
 use psa_traces::catalog;
@@ -149,7 +149,7 @@ impl MemoryBackend for FlatBackend {
     }
 }
 
-fn level(bytes: u64, ways: usize, latency: u64, mshrs: usize, policy: LevelPolicy) -> CacheLevel {
+fn level(bytes: u64, ways: usize, latency: u64, mshrs: usize, role: Role) -> CacheLevel {
     let cache = Cache::new(CacheConfig {
         name: "T",
         bytes,
@@ -158,7 +158,7 @@ fn level(bytes: u64, ways: usize, latency: u64, mshrs: usize, policy: LevelPolic
         mshr_entries: mshrs,
     })
     .unwrap();
-    CacheLevel::new(cache, policy)
+    CacheLevel::new(cache, role)
 }
 
 fn req(line: u64) -> Request {
@@ -167,7 +167,6 @@ fn req(line: u64) -> Request {
         pc: VAddr::new(0),
         write: false,
         huge: false,
-        size: PageSize::Size4K,
     }
 }
 
@@ -206,7 +205,7 @@ macro_rules! walk {
 
 #[test]
 fn level_miss_then_hit_has_exact_timing() {
-    let mut l0 = level(4 << 10, 4, 5, 8, LevelPolicy::entry_level());
+    let mut l0 = level(4 << 10, 4, 5, 8, Role::Entry);
     let mut mem = FlatBackend::new(100);
     let mut s = Scratch::new(1);
     let mut lv = [&mut l0];
@@ -230,7 +229,7 @@ fn level_miss_then_hit_has_exact_timing() {
 
 #[test]
 fn pending_miss_merges_instead_of_refetching() {
-    let mut l0 = level(4 << 10, 4, 5, 8, LevelPolicy::entry_level());
+    let mut l0 = level(4 << 10, 4, 5, 8, Role::Entry);
     let mut mem = FlatBackend::new(100);
     let mut s = Scratch::new(1);
     let mut lv = [&mut l0];
@@ -248,7 +247,7 @@ fn pending_miss_merges_instead_of_refetching() {
 
 #[test]
 fn full_mshr_bumps_a_demand_to_the_earliest_fill() {
-    let mut l0 = level(4 << 10, 4, 5, 2, LevelPolicy::entry_level());
+    let mut l0 = level(4 << 10, 4, 5, 2, Role::Entry);
     let mut mem = FlatBackend::new(100);
     let mut s = Scratch::new(1);
     for line in [1, 2] {
@@ -274,7 +273,7 @@ fn full_mshr_bumps_a_demand_to_the_earliest_fill() {
 #[test]
 fn dirty_evictions_write_back_in_eviction_order() {
     // 1-way, 2-set array: even lines all collide in set 0.
-    let mut l0 = level(128, 1, 5, 8, LevelPolicy::entry_level());
+    let mut l0 = level(128, 1, 5, 8, Role::Entry);
     let mut mem = FlatBackend::new(100);
     let mut s = Scratch::new(1);
     for (line, t) in [(0u64, 0u64), (2, 200), (4, 400)] {
@@ -303,8 +302,8 @@ fn walk_generalises_from_two_to_three_levels() {
     let line = 9u64;
 
     // Two-level chain: entry (5) over shared (20).
-    let mut a0 = level(4 << 10, 4, 5, 8, LevelPolicy::entry_level());
-    let mut a1 = level(64 << 10, 8, 20, 8, LevelPolicy::shared_level());
+    let mut a0 = level(4 << 10, 4, 5, 8, Role::Entry);
+    let mut a1 = level(64 << 10, 8, 20, 8, Role::Shared);
     let mut mem2 = FlatBackend::new(mem_lat);
     let mut s2 = Scratch::new(2);
     let mut lv = [&mut a0, &mut a1];
@@ -315,9 +314,9 @@ fn walk_generalises_from_two_to_three_levels() {
 
     // Three-level chain: entry (5), attach (10), shared (20). Same walk
     // code, one more level of latency.
-    let mut b0 = level(4 << 10, 4, 5, 8, LevelPolicy::entry_level());
-    let mut b1 = level(16 << 10, 8, 10, 8, LevelPolicy::attach_level());
-    let mut b2 = level(64 << 10, 8, 20, 8, LevelPolicy::shared_level());
+    let mut b0 = level(4 << 10, 4, 5, 8, Role::Entry);
+    let mut b1 = level(16 << 10, 8, 10, 8, Role::Attach);
+    let mut b2 = level(64 << 10, 8, 20, 8, Role::Shared);
     let mut mem3 = FlatBackend::new(mem_lat);
     let mut s3 = Scratch::new(3);
     let mut lv = [&mut b0, &mut b1, &mut b2];

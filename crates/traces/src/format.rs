@@ -50,18 +50,16 @@ pub const MAX_BLOCK_BYTES: u32 = 1 << 20;
 /// Encoded size of a block header (payload_len, nrecords, payload_crc).
 pub const BLOCK_HEADER_BYTES: u64 = 16;
 
-/// Writer defaults: flush a block at this many records or payload
-/// bytes, whichever comes first. Small enough that even the < 100 KB
-/// CI fixture spans several blocks (exercising block boundaries and
-/// the wrap path), large enough to amortise the 16-byte block header.
+/// Writer default: flush a block at this many records. Small enough that
+/// even the < 100 KB CI fixture spans several blocks (exercising block
+/// boundaries and the wrap path), large enough to amortise the 16-byte
+/// block header.
 const BLOCK_RECORD_LIMIT: u32 = 1024;
-const BLOCK_BYTE_LIMIT: usize = 48 << 10;
 
 /// Records and payload bytes of the largest block the writer emits:
 /// [`BLOCK_RECORD_LIMIT`] records of at most 18 bytes each (a memory
-/// access), which never reach [`BLOCK_BYTE_LIMIT`]. A reader whose
-/// [`read_block`] buffers start at these sizes never grows them while
-/// replaying a written trace.
+/// access). The writer's block buffer and a reader whose [`read_block`]
+/// buffers start at these sizes never grow them.
 pub(crate) const WRITTEN_BLOCK_RECORDS: usize = BLOCK_RECORD_LIMIT as usize;
 pub(crate) const WRITTEN_BLOCK_BYTES: usize = WRITTEN_BLOCK_RECORDS * 18;
 
@@ -383,7 +381,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         Ok(Self {
             out,
             header,
-            block: Vec::with_capacity(BLOCK_BYTE_LIMIT + 32),
+            block: Vec::with_capacity(WRITTEN_BLOCK_BYTES),
             block_records: 0,
             records: 0,
             instructions: 0,
@@ -448,7 +446,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.block_records += 1;
         self.records += 1;
         self.instructions += rec.instructions();
-        if self.block_records >= BLOCK_RECORD_LIMIT || self.block.len() >= BLOCK_BYTE_LIMIT {
+        if self.block_records >= BLOCK_RECORD_LIMIT {
             self.flush_block()?;
         }
         Ok(())

@@ -61,14 +61,18 @@ fn bop_psa_variants_degenerate_exactly() {
 #[test]
 fn ppm_equals_the_magic_oracle() {
     // §IV-A: PPM's MSHR bit carries exactly the information the motivation
-    // sections' "magic" oracle assumed — the runs must be identical.
+    // sections' "magic" oracle assumed, so a Magic variant simulates the
+    // PPM machine — its report matches byte for byte.
     let w = catalog::workload("bwaves").unwrap();
-    let ppm = System::single_core(quick(), w, PrefetcherKind::Spp, PageSizePolicy::Psa).run();
-    let mut magic_cfg = quick();
-    magic_cfg.page_size_source = page_size_aware_prefetching::core::ppm::PageSizeSource::Magic;
-    let magic = System::single_core(magic_cfg, w, PrefetcherKind::Spp, PageSizePolicy::Psa).run();
-    assert_eq!(ppm.cycles, magic.cycles);
-    assert_eq!(ppm.module.unwrap().issued, magic.module.unwrap().issued);
+    let run = |variant: Variant| {
+        System::try_from_spec(variant.build_config(quick()), &[w])
+            .unwrap()
+            .run()
+            .to_store_bytes()
+    };
+    let ppm = run(Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa));
+    let magic = run(Variant::PrefMagic(PrefetcherKind::Spp, PageSizePolicy::Psa));
+    assert_eq!(ppm, magic);
 }
 
 #[test]

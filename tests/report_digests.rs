@@ -23,6 +23,7 @@
 //! ```
 
 use page_size_aware_prefetching::common::rng::fnv1a;
+use page_size_aware_prefetching::experiments::golden;
 use page_size_aware_prefetching::prefetchers::ModuleSpec;
 use page_size_aware_prefetching::prelude::*;
 
@@ -160,28 +161,5 @@ fn every_report_matches_golden_digests() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/sim/tests/golden/report_digests.txt"
     );
-    let current = digests();
-    let update = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::write(path, &current).expect("write golden");
-        return;
-    }
-    let golden =
-        std::fs::read_to_string(path).expect("missing golden; regenerate with PSA_UPDATE_GOLDEN=1");
-    for (i, (c, g)) in current.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            c,
-            g,
-            "report digest diverged at line {} (regenerate with PSA_UPDATE_GOLDEN=1 \
-             only if the behaviour change is intentional)",
-            i + 1
-        );
-    }
-    assert_eq!(
-        current.lines().count(),
-        golden.lines().count(),
-        "report digest changed length"
-    );
+    golden::check(path, &digests());
 }

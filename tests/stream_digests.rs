@@ -17,7 +17,7 @@
 
 use page_size_aware_prefetching::common::rng::fnv1a;
 use page_size_aware_prefetching::cpu::{Instr, InstrKind};
-use page_size_aware_prefetching::experiments::RunnerOptions;
+use page_size_aware_prefetching::experiments::golden;
 use page_size_aware_prefetching::traces::{catalog, TraceGenerator};
 
 const INSTRUCTIONS: usize = 20_000;
@@ -58,28 +58,5 @@ fn catalog_streams_match_golden_digests() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/traces/tests/golden/stream_digests.txt"
     );
-    let current = digests();
-    let update = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .update_golden;
-    if update {
-        std::fs::write(path, &current).expect("write golden");
-        return;
-    }
-    let golden =
-        std::fs::read_to_string(path).expect("missing golden; regenerate with PSA_UPDATE_GOLDEN=1");
-    for (i, (c, g)) in current.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            c,
-            g,
-            "stream digest diverged at line {} (regenerate with PSA_UPDATE_GOLDEN=1 \
-             only if the generator change is intentional)",
-            i + 1
-        );
-    }
-    assert_eq!(
-        current.lines().count(),
-        golden.lines().count(),
-        "stream digest changed length"
-    );
+    golden::check(path, &digests());
 }
