@@ -218,8 +218,12 @@ golden_gate fig03_thp_usage fig03 crates/experiments/tests/golden/fig03_stable.j
 # profiles — pinning the .psatrace codec and the replay semantics at once.
 # The fixture records mcf only; the tier-1 test tests/stream_digests.rs
 # complements it by pinning the first 20,000 instructions of every catalog
-# workload at seeds 1, 7 and 42 (crates/traces/tests/golden/stream_digests.txt).
+# workload at seeds 1, 7 and 42 (crates/traces/tests/golden/stream_digests.txt),
+# and tests/sample_trace.rs pins the writer's bytes for the fixture itself.
+# The codec suite also runs optimized: the writer's and verifier's lockstep
+# checksum lanes are where release code generation departs from debug.
 echo "== trace-replay fixture gate (regen + verify) =="
+cargo test --release -q -p psa-traces
 FIXTURE=crates/experiments/tests/golden/sample.psatrace
 cargo run --release --quiet --bin psa_trace_tool -- \
   gen mcf "$TMP/sample.psatrace" --seed 7 --instructions 12000 > /dev/null

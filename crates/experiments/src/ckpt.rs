@@ -117,18 +117,15 @@ pub(crate) fn memo_enabled(config: &SimConfig) -> bool {
 }
 
 /// The identity hash of a finished report: report codec version, the
-/// pre-variant configuration, the workload (a mix's workloads joined by
-/// `+`), and the variant label (which encodes every config mutation a
-/// variant applies).
-pub(crate) fn report_key(config: &SimConfig, workload: &str, label: &str) -> u64 {
+/// configuration the job's variant built, and the workload (a mix's
+/// workloads joined by `+`). Variants that build one machine share it.
+pub(crate) fn report_key(config: &SimConfig, workload: &str) -> u64 {
     let mut id = Vec::new();
     id.extend_from_slice(b"report\0");
     id.extend_from_slice(&REPORT_CODEC_VERSION.to_le_bytes());
     id.extend_from_slice(format!("{config:?}").as_bytes());
     id.push(0);
     id.extend_from_slice(workload.as_bytes());
-    id.push(0);
-    id.extend_from_slice(label.as_bytes());
     fnv1a(&id)
 }
 

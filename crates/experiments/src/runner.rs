@@ -36,14 +36,16 @@
 //!
 //! # Report memoisation
 //!
-//! A cache memoises every job under its configuration, workload (or
-//! mix) and variant. With observability off, every job also memoises
-//! its finished [`RunReport`] or [`MultiReport`] in the context's
-//! [`crate::ckpt`] store, memory-only or tiered: a later job under the
-//! same exact key — another cache over the same context, or with
-//! `PSA_CKPT_DIR` set a later process — is served the bit-identical
-//! report without simulating. A run warms up in place and writes no
-//! warm snapshot. See `docs/CHECKPOINT.md`.
+//! A job is the configuration its variant builds and its workload (or
+//! mix): variants that build one machine, such as a Magic variant and
+//! its PPM twin, are one job, which a batch simulates once and records
+//! under each of their labels. With observability off, every job also
+//! memoises its finished [`RunReport`] or [`MultiReport`] in the
+//! context's [`crate::ckpt`] store, memory-only or tiered: a later job
+//! under the same exact key — another cache over the same context, or
+//! with `PSA_CKPT_DIR` set a later process — is served the
+//! bit-identical report without simulating. A run warms up in place
+//! and writes no warm snapshot. See `docs/CHECKPOINT.md`.
 //!
 //! # Fault isolation
 //!
@@ -71,7 +73,8 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::report::{self, Json};
 use psa_sim::{L1dPrefKind, MultiReport, ObsReport, RunReport, SimConfig, SimError, System};
 use psa_traces::{catalog, intern, WorkloadRef, WorkloadSpec};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -287,7 +290,7 @@ impl RunOutcome {
 
 /// A finished report the executor memoises: one core's [`RunReport`]
 /// or a mix's [`MultiReport`].
-trait Report: Sized + Send {
+trait Report: Sized + Send + Clone {
     /// Run a warm machine's measured window.
     fn measure(sys: System, ctx: &Context) -> Result<Self, SimError>;
     /// Decode memoised bytes of the run on `workloads`.
@@ -382,10 +385,8 @@ fn try_simulate<R: Report>(
     config: SimConfig,
     job: &Job,
 ) -> Result<Answer<R>, SimError> {
-    // The key hashes the pre-variant config plus the label, which
-    // encodes every config mutation a variant applies.
-    let memo_key = ckpt::memo_enabled(&config)
-        .then(|| ckpt::report_key(&config, job.name, &job.variant.label()));
+    let config = job.variant.build_config(config);
+    let memo_key = ckpt::memo_enabled(&config).then(|| ckpt::report_key(&config, job.name));
     if let Some(key) = memo_key {
         let t0 = Instant::now();
         let hit = ckpt::report_from_store(ctx, key, |bytes| R::decode(bytes, &job.workloads));
@@ -394,7 +395,7 @@ fn try_simulate<R: Report>(
             return Ok(Answer::Memo(report));
         }
     }
-    let mut sys = System::try_from_refs(job.variant.build_config(config), &job.workloads)?;
+    let mut sys = System::try_from_refs(config, &job.workloads)?;
     ckpt::warm_in_place(ctx, &mut sys)?;
     let t0 = Instant::now();
     let result = R::measure(sys, ctx);
@@ -428,6 +429,13 @@ fn targets(target: Option<&str>, workload: &str, label: &str) -> bool {
     target.is_some_and(|t| {
         t == workload || t.strip_prefix(workload).and_then(|r| r.strip_prefix('/')) == Some(label)
     })
+}
+
+/// Whether either of the options' fault injections names this job.
+fn injected(options: &RunnerOptions, workload: &str, label: &str) -> bool {
+    [&options.inject_panic, &options.inject_stall]
+        .into_iter()
+        .any(|target| targets(target.as_deref(), workload, label))
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -534,17 +542,22 @@ where
         .collect()
 }
 
-/// A memo key: the configuration's hash, the job's name and its variant.
-type Key = (u64, &'static str, Variant);
+/// A job's memo key: the hash of the configuration its variant builds,
+/// and its name. Variants that build one machine share the key.
+type Key = (u64, &'static str);
 
-/// The hash of a configuration's every field, for memo keys.
-fn config_key(config: &SimConfig) -> u64 {
-    fnv1a(format!("{config:?}").as_bytes())
+/// Where a cache records one label's outcome: its job and its variant.
+type Slot = (Key, Variant);
+
+/// The key of `variant`'s job on the workload (or mix) named `name`.
+fn job_key(config: SimConfig, name: &'static str, variant: Variant) -> Key {
+    let built = variant.build_config(config);
+    (fnv1a(format!("{built:?}").as_bytes()), name)
 }
 
-/// The memoising executor: each `(configuration, workload, variant)`
-/// job simulates once per cache, no matter how many reductions consume
-/// it — single-core runs and multi-core mixes alike. Failed jobs are
+/// The memoising executor: each job — the configuration a variant
+/// builds, on a workload or a mix — simulates once per cache, no matter
+/// how many labels build it or reductions consume it. Failed jobs are
 /// memoised too: a fault is as deterministic as a report, and retrying
 /// it would just fail again.
 ///
@@ -555,8 +568,8 @@ fn config_key(config: &SimConfig) -> u64 {
 pub struct RunCache {
     ctx: Arc<Context>,
     scope: Option<String>,
-    runs: HashMap<Key, RunOutcome>,
-    mixes: HashMap<Key, Option<MultiReport>>,
+    runs: HashMap<Slot, RunOutcome>,
+    mixes: HashMap<Slot, Option<MultiReport>>,
 }
 
 impl Default for RunCache {
@@ -606,43 +619,64 @@ impl RunCache {
         }
     }
 
-    /// Run every job of `jobs` that `done` does not hold, once each, as
-    /// one isolated batch; journal each failure and return every fresh
-    /// outcome.
+    /// Run every job of `jobs` whose slot `done` does not hold, once
+    /// each, as one isolated batch, and return every fresh outcome under
+    /// each label that builds it, journalling each failure. A label a
+    /// fault injection names runs alone, so its fault stays its own.
     fn execute<R: Report>(
         &self,
         config: SimConfig,
         jobs: Vec<Job>,
-        done: impl Fn(&Key) -> bool,
+        done: impl Fn(&Slot) -> bool,
         progress: &(dyn Fn(u64, u64) + Sync),
-    ) -> Vec<(Key, Result<R, Fault>)> {
-        let cfg = config_key(&config);
-        let mut queued: HashSet<Key> = HashSet::new();
-        let todo: Vec<Job> = jobs
-            .into_iter()
-            .filter(|j| {
-                let key = (cfg, j.name, j.variant);
-                !done(&key) && queued.insert(key)
-            })
-            .collect();
+    ) -> Vec<(Slot, Result<R, Fault>)> {
+        let mut todo: Vec<(Job, Key, Vec<Variant>)> = Vec::new();
+        let mut index: HashMap<(Key, Option<Variant>), usize> = HashMap::new();
+        for job in jobs {
+            let key = job_key(config, job.name, job.variant);
+            if done(&(key, job.variant)) {
+                continue;
+            }
+            let alone = injected(self.ctx.options(), job.name, &self.label(job.variant))
+                .then_some(job.variant);
+            match index.entry((key, alone)) {
+                Entry::Occupied(slot) => {
+                    let variants = &mut todo[*slot.get()].2;
+                    if !variants.contains(&job.variant) {
+                        variants.push(job.variant);
+                    }
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(todo.len());
+                    let variant = job.variant;
+                    todo.push((job, key, vec![variant]));
+                }
+            }
+        }
         if todo.is_empty() {
             return Vec::new();
         }
         let total = todo.len() as u64;
         let finished = AtomicU64::new(0);
         let ctx = &*self.ctx;
-        let outcomes = pool_map(ctx, &todo, |job| {
+        let outcomes = pool_map(ctx, &todo, |(job, _, _)| {
             let outcome = run_job::<R>(ctx, config, job, &self.label(job.variant));
             progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
             outcome
         });
         todo.into_iter()
             .zip(outcomes)
-            .map(|(job, outcome)| {
-                if let Err((reason, watchdog)) = &outcome {
-                    ctx.journal_failure(job.name, self.label(job.variant), reason, *watchdog);
-                }
-                ((cfg, job.name, job.variant), outcome)
+            .flat_map(|((job, key, variants), outcome)| {
+                let n = variants.len();
+                variants
+                    .into_iter()
+                    .zip(std::iter::repeat_n(outcome, n))
+                    .map(move |(variant, outcome)| {
+                        if let Err((reason, watchdog)) = &outcome {
+                            ctx.journal_failure(job.name, self.label(variant), reason, *watchdog);
+                        }
+                        ((key, variant), outcome)
+                    })
             })
             .collect()
     }
@@ -654,7 +688,9 @@ impl RunCache {
     /// running the same jobs serially, in any order: each run is
     /// independent and owns its seeded RNG. A panicking or
     /// watchdog-stalled job becomes a [`RunOutcome::Failed`] entry; the
-    /// rest of the batch completes unperturbed.
+    /// rest of the batch completes unperturbed. Pairs whose variants
+    /// build one machine share one simulation. Returns how many pairs
+    /// the batch newly recorded.
     pub fn run_batch_refs<W>(&mut self, config: SimConfig, jobs: &[(W, Variant)]) -> usize
     where
         W: Copy + Into<WorkloadRef>,
@@ -685,7 +721,7 @@ impl RunCache {
             progress,
         );
         let ran = fresh.len();
-        for (key @ (_, workload, variant), outcome) in fresh {
+        for (slot @ ((_, workload), variant), outcome) in fresh {
             let outcome = match outcome {
                 Ok(report) => {
                     self.ctx.journal_run(workload, self.label(variant), &report);
@@ -698,7 +734,7 @@ impl RunCache {
                     watchdog,
                 },
             };
-            self.runs.insert(key, outcome);
+            self.runs.insert(slot, outcome);
         }
         ran
     }
@@ -715,7 +751,7 @@ impl RunCache {
         if self.run_batch_refs(config, &[(workload, variant)]) == 0 {
             self.ctx.count(Counter::MemoHits, 1);
         }
-        &self.runs[&(config_key(&config), workload.name(), variant)]
+        &self.runs[&(job_key(config, workload.name(), variant), variant)]
     }
 
     /// Run `workloads × variants` as one batch and return the rows a
@@ -737,14 +773,16 @@ impl RunCache {
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
         self.run_batch_refs(config, &jobs);
-        let cfg = config_key(&config);
         workloads
             .iter()
             .filter_map(|&w| {
                 let name = w.into().name();
                 let reports = variants
                     .iter()
-                    .map(|&v| self.runs.get(&(cfg, name, v)).and_then(RunOutcome::report))
+                    .map(|&v| {
+                        let slot = (job_key(config, name, v), v);
+                        self.runs.get(&slot).and_then(RunOutcome::report)
+                    })
                     .collect::<Option<Vec<_>>>()?;
                 Some((w, reports))
             })
@@ -778,9 +816,11 @@ impl RunCache {
             |k| self.mixes.contains_key(k),
             &|_, _| {},
         );
-        self.mixes
-            .extend(fresh.into_iter().map(|(key, outcome)| (key, outcome.ok())));
-        let cfg = config_key(&config);
+        self.mixes.extend(
+            fresh
+                .into_iter()
+                .map(|(slot, outcome)| (slot, outcome.ok())),
+        );
         mixes
             .iter()
             .zip(refs)
@@ -788,7 +828,10 @@ impl RunCache {
                 let name = job_name(&refs);
                 let reports = variants
                     .iter()
-                    .map(|&v| self.mixes.get(&(cfg, name, v)).and_then(Option::as_ref))
+                    .map(|&v| {
+                        let slot = (job_key(config, name, v), v);
+                        self.mixes.get(&slot).and_then(Option::as_ref)
+                    })
                     .collect::<Option<Vec<_>>>()?;
                 Some((mix.as_slice(), reports))
             })
@@ -803,7 +846,7 @@ impl RunCache {
         let mut entries: Vec<(&'static str, String, &RunReport)> = self
             .runs
             .iter()
-            .filter_map(|(&(_, w, v), outcome)| outcome.report().map(|r| (w, self.label(v), r)))
+            .filter_map(|(&((_, w), v), outcome)| outcome.report().map(|r| (w, self.label(v), r)))
             .collect();
         entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         Json::Arr(
@@ -920,6 +963,56 @@ mod tests {
         ];
         assert_eq!(cache.run_batch_refs(quick(), &jobs), 1);
         assert_eq!(cache.stats().simulated, 2);
+    }
+
+    #[test]
+    fn a_magic_label_shares_its_ppm_twins_run() {
+        let bwaves = catalog::workload("bwaves").unwrap();
+        let ppm = Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa);
+        let magic = Variant::PrefMagic(PrefetcherKind::Spp, PageSizePolicy::Psa);
+        let mut cache = RunCache::new();
+        assert_eq!(
+            cache.run_batch_refs(quick(), &[(bwaves, ppm), (bwaves, magic)]),
+            2
+        );
+        assert_eq!(cache.stats().simulated, 1, "one machine, one run");
+        let ppm_run = cache.outcome_ref(quick(), bwaves, ppm).clone();
+        assert!(ppm_run.report().is_some());
+        assert_eq!(cache.outcome_ref(quick(), bwaves, magic), &ppm_run);
+        let runs = cache.runs_json();
+        let labels: Vec<&str> = runs
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|r| r.get("variant").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(labels, ["SPP-Magic-PSA", "SPP-PSA"]);
+    }
+
+    #[test]
+    fn a_fault_injected_into_a_magic_label_fails_it_alone() {
+        let bwaves = catalog::workload("bwaves").unwrap();
+        let ppm = Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa);
+        let magic = Variant::PrefMagic(PrefetcherKind::Spp, PageSizePolicy::Psa);
+        let settings = Settings::new(RunnerOptions {
+            inject_panic: Some("bwaves/SPP-Magic-PSA".into()),
+            ..RunnerOptions::default()
+        });
+        let mut cache = settings.cache();
+        cache.run_batch_refs(quick(), &[(bwaves, ppm), (bwaves, magic)]);
+        assert!(cache.outcome_ref(quick(), bwaves, ppm).report().is_some());
+        assert!(matches!(
+            cache.outcome_ref(quick(), bwaves, magic),
+            RunOutcome::Failed { variant, .. } if *variant == magic
+        ));
+        assert_eq!((cache.stats().simulated, cache.stats().failed), (2, 1));
+        let failures = settings.ctx.failures_json();
+        let arr = failures.as_arr().unwrap();
+        assert_eq!(arr.len(), 1, "{}", failures.pretty());
+        assert_eq!(
+            arr[0].get("variant").unwrap().as_str(),
+            Some("SPP-Magic-PSA")
+        );
     }
 
     #[test]

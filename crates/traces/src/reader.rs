@@ -147,7 +147,7 @@ impl TraceReader {
     /// Load the block at `next_block_offset` (the stream is already
     /// positioned there). `Ok(false)` means clean end-of-file.
     fn advance_block(&mut self) -> Result<bool, TraceError> {
-        let read = format::read_block(&mut self.file, None, &mut self.payload, &mut self.block);
+        let read = format::read_block(&mut self.file, &mut self.payload, &mut self.block);
         match read.map_err(|e| self.io(e))? {
             None => Ok(false),
             Some(encoded_len) => {

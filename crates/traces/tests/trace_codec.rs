@@ -327,12 +327,145 @@ fn both_chains_end_where_one_pass_each_would() {
     let (mut a, mut b) = (format::Fnv1a::new(), format::Fnv1a::new());
     a.update(b"a prefix that only one chain absorbed");
     let (mut a_alone, mut b_alone) = (a, b);
-    a.update_both(&mut b, &bytes);
+    format::Fnv1a::update_lanes([&mut a, &mut b], [&bytes, &bytes]);
     a_alone.update(&bytes);
     b_alone.update(&bytes);
     assert_eq!(a.finish(), a_alone.finish());
     assert_eq!(b.finish(), b_alone.finish());
     assert_eq!(b.finish(), psa_common::rng::fnv1a(&bytes));
+}
+
+#[test]
+fn lanes_end_where_separate_chains_would_for_unequal_parts() {
+    let bytes: Vec<u8> = (0..=255u8).cycle().skip(3).take(4_099).collect();
+    // Equal and unequal lengths, lengths short of one eight-byte
+    // lockstep step, and empty lanes in every position.
+    let shapes: [[usize; 4]; 6] = [
+        [4_099, 4_099, 4_099, 4_099],
+        [4_099, 4_000, 17, 4_098],
+        [0, 4_099, 4_099, 4_099],
+        [4_099, 8, 0, 7],
+        [1, 0, 0, 9],
+        [0, 0, 0, 0],
+    ];
+    for lens in shapes {
+        let parts: [&[u8]; 4] = std::array::from_fn(|i| &bytes[i..i + lens[i].min(4_099 - i)]);
+        let mut lanes = [0u8, 1, 2, 3].map(|seed| {
+            let mut h = format::Fnv1a::new();
+            h.update(&[seed]);
+            h
+        });
+        let alone: Vec<u64> = lanes
+            .iter()
+            .zip(parts)
+            .map(|(&h, part)| {
+                let mut h = h;
+                h.update(part);
+                h.finish()
+            })
+            .collect();
+        format::Fnv1a::update_lanes(lanes.each_mut(), parts);
+        assert_eq!(
+            lanes.map(|h| h.finish()).to_vec(),
+            alone,
+            "lengths {lens:?}"
+        );
+    }
+}
+
+/// Records per block: the writer closes a block at 1,024 records.
+const BLOCK_RECORDS: usize = 1024;
+
+/// `n` records, a load first, that mix op runs with every memory kind,
+/// so consecutive blocks differ in payload length.
+fn mixed_records(n: usize) -> Vec<format::TraceRecord> {
+    use format::TraceRecord;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    (0..n)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (pc, vaddr) = (0x40_0000 + (x >> 52), x >> 16);
+            match x >> 61 {
+                0..=2 if i > 0 => TraceRecord::Ops(1 + (x >> 40) as u32 % 9),
+                3 | 4 => TraceRecord::Load { pc, vaddr },
+                5 => TraceRecord::DependentLoad { pc, vaddr },
+                _ => TraceRecord::Store { pc, vaddr },
+            }
+        })
+        .collect()
+}
+
+/// The file a trace of `records` must be, built without the writer:
+/// the header, then each run of [`BLOCK_RECORDS`] records as one block
+/// whose checksum is one `Fnv1a` over its payload.
+fn reference_trace(name: &str, huge: f64, records: &[format::TraceRecord]) -> Vec<u8> {
+    let header = format::TraceHeader {
+        name: name.into(),
+        huge_fraction: huge,
+        records: records.len() as u64,
+        instructions: records.iter().map(format::TraceRecord::instructions).sum(),
+    };
+    let mut out = header.encode();
+    for block in records.chunks(BLOCK_RECORDS) {
+        let mut payload = Vec::new();
+        for rec in block {
+            rec.encode(&mut payload);
+        }
+        let mut sum = format::Fnv1a::new();
+        sum.update(&payload);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+        out.extend_from_slice(&sum.finish().to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    out
+}
+
+#[test]
+fn traces_of_one_to_nine_blocks_match_the_reference_bytes() {
+    // The last block's fill: a single record, a full block, and sizes
+    // between, across every remainder of a multi-block write batch.
+    let last = [
+        1,
+        BLOCK_RECORDS,
+        500,
+        BLOCK_RECORDS - 1,
+        7,
+        300,
+        BLOCK_RECORDS,
+        999,
+        2,
+    ];
+    for (blocks, &fill) in (1..=9).zip(&last) {
+        let records = mixed_records((blocks - 1) * BLOCK_RECORDS + fill);
+        let expect = reference_trace("mixed", 0.25, &records);
+
+        let mut w = TraceWriter::new(std::io::Cursor::new(Vec::new()), "mixed", 0.25)
+            .expect("in-memory trace");
+        for &rec in &records {
+            w.push(rec).expect("write record");
+        }
+        let (_, cursor) = w.finish_into().expect("finish trace");
+        assert!(
+            cursor.into_inner() == expect,
+            "{blocks} blocks: in-memory bytes differ"
+        );
+
+        let tmp = TempTrace::new(&format!("reference_{blocks}"));
+        let mut w = TraceWriter::create(&tmp.0, "mixed", 0.25).expect("create trace");
+        for &rec in &records {
+            w.push(rec).expect("write record");
+        }
+        w.finish().expect("finish trace");
+        assert!(
+            std::fs::read(&tmp.0).unwrap() == expect,
+            "{blocks} blocks: file bytes differ"
+        );
+        let summary = format::verify_file(tmp.path()).expect("reference trace verifies");
+        assert_eq!(summary.blocks, blocks as u64);
+    }
 }
 
 #[test]
