@@ -218,12 +218,17 @@ golden_gate fig03_thp_usage fig03 crates/experiments/tests/golden/fig03_stable.j
 # profiles — pinning the .psatrace codec and the replay semantics at once.
 # The fixture records mcf only; the tier-1 test tests/stream_digests.rs
 # complements it by pinning the first 20,000 instructions of every catalog
-# workload at seeds 1, 7 and 42 (crates/traces/tests/golden/stream_digests.txt),
-# and tests/sample_trace.rs pins the writer's bytes for the fixture itself.
-# The codec suite also runs optimized: the writer's and verifier's lockstep
-# checksum lanes are where release code generation departs from debug.
+# workload at seeds 1, 7 and 42 (crates/traces/tests/golden/stream_digests.txt)
+# and 500,000 instructions of the eight spp_ladder workloads read through
+# WorkloadSource, one at a time and in the simulator's filler batches
+# (ladder_stream_digests.txt); tests/sample_trace.rs pins the writer's
+# bytes for the fixture itself. The codec suite and both stream tests also
+# run optimized: the writer's and verifier's lockstep checksum lanes, and
+# the generator's inlined filler path beside its out-of-line access path,
+# are where fat-LTO code generation departs from the debug tier-1 run.
 echo "== trace-replay fixture gate (regen + verify) =="
 cargo test --release -q -p psa-traces
+cargo test --release -q --test stream_digests --test sample_trace
 FIXTURE=crates/experiments/tests/golden/sample.psatrace
 cargo run --release --quiet --bin psa_trace_tool -- \
   gen mcf "$TMP/sample.psatrace" --seed 7 --instructions 12000 > /dev/null

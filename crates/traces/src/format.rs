@@ -363,6 +363,8 @@ pub struct TraceWriter<W: Write + Seek> {
     finished: usize,
     block_records: u32,
     records: u64,
+    /// Records that are memory accesses (not op runs).
+    memory: u64,
     instructions: u64,
     pending_ops: u64,
 }
@@ -409,6 +411,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             finished: 0,
             block_records: 0,
             records: 0,
+            memory: 0,
             instructions: 0,
             pending_ops: 0,
         })
@@ -470,6 +473,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         rec.encode(&mut self.batch);
         self.block_records += 1;
         self.records += 1;
+        self.memory += u64::from(!matches!(rec, TraceRecord::Ops(_)));
         self.instructions += rec.instructions();
         if self.block_records >= BLOCK_RECORD_LIMIT {
             self.end_block()?;
@@ -529,8 +533,10 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] on write failure, [`TraceError::Corrupt`]
-    /// when nothing was written (an empty trace cannot replay).
+    /// [`TraceError::Io`] on write failure, and
+    /// [`TraceError::Corrupt`]`("trace contains no memory accesses")`
+    /// when no memory access was written: a trace of op runs alone, or
+    /// of nothing, cannot replay, and [`verify_file`] refuses it.
     pub fn finish(self) -> Result<TraceHeader, TraceError> {
         self.finish_into().map(|(header, _)| header)
     }
@@ -545,8 +551,8 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.flush_pending_ops()?;
         self.end_block()?;
         self.write_batch()?;
-        if self.records == 0 {
-            return Err(TraceError::Corrupt("empty trace"));
+        if self.memory == 0 {
+            return Err(TraceError::Corrupt("trace contains no memory accesses"));
         }
         self.header.records = self.records;
         self.header.instructions = self.instructions;

@@ -51,7 +51,8 @@ struct Component {
     window: u64,
 }
 
-/// Every random draw of [`TraceGenerator::next`] as an integer test on
+/// Every random draw of a memory access (`TraceGenerator::access`; a
+/// filler draws nothing) as an integer test on
 /// [`DetRng::unit_bits`], fixed when the generator is built. Each one
 /// decides exactly what the f64 draw it stands for (`unit() < p`, or the
 /// weighted fold) decides on the same raw value; see
@@ -287,6 +288,35 @@ impl TraceGenerator {
         n - self.draws.gap_short
     }
 
+    /// The next instruction. Most instructions are fillers, which need
+    /// only the counter and the owed-filler test, so that path is
+    /// inlined into every caller; a memory access is one call.
+    #[inline]
+    fn instr(&mut self) -> Instr {
+        self.count += 1;
+        if self.filler_left > 0 {
+            self.filler_left -= 1;
+            return Instr::op(VAddr::new(0x10_0000 + (self.count % 64) * 4));
+        }
+        self.access()
+    }
+
+    /// A memory access, and the filler gap owed before the next one. The
+    /// draws run in the order the stream is defined by: the gap, the
+    /// access, then the store.
+    #[inline(never)]
+    fn access(&mut self) -> Instr {
+        self.filler_left = self.filler_gap();
+        let (vaddr, pc, dependent) = self.next_access();
+        if dependent {
+            Instr::dependent_load(pc, vaddr)
+        } else if self.rng.hit(self.draws.store) {
+            Instr::store(pc, vaddr)
+        } else {
+            Instr::load(pc, vaddr)
+        }
+    }
+
     fn next_access(&mut self) -> (VAddr, VAddr, bool) {
         let k = self.rng.unit_bits();
         let comp_idx = self.draws.pick.iter().filter(|&&c| k >= c).count();
@@ -387,31 +417,20 @@ impl TraceGenerator {
     }
 }
 
-impl TraceGenerator {
-    /// Hand over up to `max` of the owed filler instructions as one batch,
-    /// advancing the generator exactly as that many [`Iterator::next`]
-    /// calls returning ops would: fillers consume no randomness, so only
-    /// the owed count and the instruction counter move. Returns the number
-    /// taken; `0` means the next instruction is a memory access.
-    pub fn take_filler(&mut self, max: u64) -> u64 {
-        let n = self.filler_left.min(max);
-        self.filler_left -= n;
-        self.count += n;
-        n
-    }
-}
-
 impl crate::source::WorkloadSource for TraceGenerator {
     fn name(&self) -> &'static str {
         self.spec.name
     }
 
     fn next_instr(&mut self) -> Result<Instr, crate::source::TraceError> {
-        Ok(self.next().expect("generator stream is infinite"))
+        Ok(self.instr())
     }
 
     fn take_filler(&mut self, max: u64) -> u64 {
-        TraceGenerator::take_filler(self, max)
+        let n = self.filler_left.min(max);
+        self.filler_left -= n;
+        self.count += n;
+        n
     }
 
     fn save_cursor(&self, e: &mut psa_common::Enc) {
@@ -432,23 +451,9 @@ impl crate::source::WorkloadSource for TraceGenerator {
 impl Iterator for TraceGenerator {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
-        self.count += 1;
-        if self.filler_left > 0 {
-            self.filler_left -= 1;
-            let pc = VAddr::new(0x10_0000 + (self.count % 64) * 4);
-            return Some(Instr::op(pc));
-        }
-        self.filler_left = self.filler_gap();
-        let (vaddr, pc, dependent) = self.next_access();
-        let is_store = !dependent && self.rng.hit(self.draws.store);
-        Some(if is_store {
-            Instr::store(pc, vaddr)
-        } else if dependent {
-            Instr::dependent_load(pc, vaddr)
-        } else {
-            Instr::load(pc, vaddr)
-        })
+        Some(self.instr())
     }
 }
 

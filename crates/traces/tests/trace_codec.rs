@@ -468,6 +468,74 @@ fn traces_of_one_to_nine_blocks_match_the_reference_bytes() {
     }
 }
 
+/// Write `records` both ways the writer can finish, in memory through
+/// `finish_into` and to a file through `create` plus `finish`, and
+/// return the two results (the file's path rides along for opening).
+fn finish_both(
+    tag: &str,
+    records: &[format::TraceRecord],
+) -> (
+    Result<format::TraceHeader, TraceError>,
+    Result<format::TraceHeader, TraceError>,
+    TempTrace,
+) {
+    let mut w =
+        TraceWriter::new(std::io::Cursor::new(Vec::new()), "ops", 0.5).expect("in-memory trace");
+    for &rec in records {
+        w.push(rec).expect("write record");
+    }
+    let in_memory = w.finish_into().map(|(header, _)| header);
+    let tmp = TempTrace::new(tag);
+    let mut w = TraceWriter::create(&tmp.0, "ops", 0.5).expect("create trace");
+    for &rec in records {
+        w.push(rec).expect("write record");
+    }
+    (in_memory, w.finish(), tmp)
+}
+
+#[test]
+fn op_only_traces_are_refused_at_finish() {
+    use format::TraceRecord;
+    // One op run, and enough op runs to fill several blocks (and a
+    // write batch) before the last one.
+    let one = [TraceRecord::Ops(5)];
+    let many = vec![TraceRecord::Ops(3); 5 * BLOCK_RECORDS + 17];
+    for (tag, records) in [("ops_one", &one[..]), ("ops_many", &many[..])] {
+        let (in_memory, file, _tmp) = finish_both(tag, records);
+        for (how, result) in [("finish_into", in_memory), ("create + finish", file)] {
+            assert!(
+                matches!(
+                    result,
+                    Err(TraceError::Corrupt("trace contains no memory accesses"))
+                ),
+                "{tag} through {how}: {result:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ops_then_one_load_finish_and_open() {
+    use format::TraceRecord;
+    let records = [
+        TraceRecord::Ops(7),
+        TraceRecord::Load {
+            pc: 0x40_0000,
+            vaddr: 0x1_0000,
+        },
+    ];
+    let (in_memory, file, tmp) = finish_both("ops_load", &records);
+    assert_eq!(in_memory.expect("finish_into").instructions, 8);
+    assert_eq!(file.expect("finish").records, 2);
+    let tref = TraceRef::open(tmp.path()).expect("the trace opens");
+    let mut src = TraceReader::open(&tref).expect("reader opens");
+    assert_eq!(src.take_filler(u64::MAX), 7);
+    assert!(matches!(
+        src.next_instr().expect("the load").kind,
+        InstrKind::Load { .. }
+    ));
+}
+
 #[test]
 fn wrong_version_is_typed() {
     let tmp = TempTrace::new("version");
